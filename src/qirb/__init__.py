@@ -2,7 +2,7 @@
 
 The pipeline: sample layer-distributed core circuits with MCMs, dress them
 into self-verifying Pauli-tracked benchmark circuits, simulate them under
-stochastic noise on a stabilizer tableau, fit the depth decay of the
+stochastic noise with a Pauli-frame simulator, fit the depth decay of the
 success statistic, extract per-operation error rates, and compare against
 the analytic predictions of the theory oracle.
 """
@@ -57,7 +57,7 @@ from .simulator import (
     simulate_result,
     simulate_shots,
 )
-from .tableau import StabilizerTableau, tableau_measure_z
+from .tableau import StabilizerTableau, TableauError
 from .theory import (
     InstrumentError,
     LayerCounts,

@@ -112,12 +112,21 @@ class QirbCircuit:
     reset: bool
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.m) is not int:
+            raise ValueError("wire and MCM counts must be integers")
         if self.target.n != self.n + self.m:
             raise ValueError("target must cover all n+m virtual wires")
         if self.target.x != 0:
             raise ValueError("target must be Z-type")
         if len(self.mcm_bit_order) != self.m:
             raise ValueError("mcm_bit_order must list every MCM")
+        layers = [self.prep_layer, self.final_layer]
+        for d in self.dressed:
+            layers += (d.l1, d.l2, d.l3)
+        if any(layer.n != self.n for layer in layers):
+            raise ValueError(f"every layer must span the circuit's {self.n} wires")
+        if sum(len(d.l2.mcm_wires) for d in self.dressed) != self.m:
+            raise ValueError(f"layers measure a number of wires other than m = {self.m}")
 
     @property
     def depth(self) -> int:
@@ -397,9 +406,8 @@ def tracked_walk(circuit: QirbCircuit) -> TrackedWalk:
         cx, cz = cur.x, cur.z
         for j, q in enumerate(measured):
             code = cur.letter_code(q)
-            assert code in (0, _Z_CODE)
-            expected = d.pre_meas_component.letter_code(j)
-            assert code == expected, "stored pre-measurement component disagrees"
+            if code != d.pre_meas_component.letter_code(j) or code not in (0, _Z_CODE):
+                raise ValueError("stored pre-measurement component disagrees with the replay")
             if code == _Z_CODE:
                 target_z |= 1 << (k + j)
             cx &= ~(1 << q)
@@ -426,11 +434,9 @@ def tracked_walk(circuit: QirbCircuit) -> TrackedWalk:
             k += len(measured)
         after_l3.append(cur)
     cur = conjugate(circuit.final_layer, cur)
-    assert cur.x == 0
     target_z |= cur.z << m
-    assert target_z == circuit.target.z and cur.sign == circuit.target.sign, (
-        "replayed tracking disagrees with the stored target"
-    )
+    if cur.x or target_z != circuit.target.z or cur.sign != circuit.target.sign:
+        raise ValueError("replayed tracking disagrees with the stored target")
     return TrackedWalk(
         initial=circuit.initial_pauli,
         after_l1=tuple(after_l1),

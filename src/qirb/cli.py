@@ -37,6 +37,13 @@ EXIT_SCHEMA = 3
 EXIT_FIT = 4
 
 
+def _index(value) -> int:
+    """A non-negative integer field of an input file."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
+
+
 def _parse_depths(text: str) -> tuple[int, ...]:
     return tuple(int(d) for d in text.split(","))
 
@@ -108,11 +115,10 @@ def cmd_design(args) -> int:
 
 def cmd_simulate(args) -> int:
     obj = check_kind(read_json(args.circuits), "circuits")
-    design = ExperimentDesign.from_obj(obj["design"])
-    circuits = [
-        (entry["id"], entry["depth"], serialize.circuit_from_obj(entry))
-        for entry in obj["circuits"]
-    ]
+    with serialize.malformed_as_schema_error(args.circuits):
+        design = ExperimentDesign.from_obj(obj["design"])
+        entries = [(_index(e["id"]), _index(e["depth"]), e) for e in obj["circuits"]]
+    circuits = [(cid, depth, serialize.circuit_from_obj(e)) for cid, depth, e in entries]
     noise = _noise_from_args(args)
     results = simulate_design(
         circuits,
@@ -150,28 +156,44 @@ def _load_results(path: str) -> tuple[dict, list[CircuitResult]]:
 
     obj = check_kind(read_json(path), "results")
     results = []
-    for entry in obj["results"]:
-        circ = serialize.circuit_from_obj(entry["circuit"])
-        res = SimResult(
-            shots=entry["n_success"] + entry["n_fail"],
-            n_success=entry["n_success"],
-            n_fail=entry["n_fail"],
-            counts=entry.get("counts"),
-        )
-        results.append(CircuitResult(entry["id"], entry["depth"], circ, res))
+    with serialize.malformed_as_schema_error(path):
+        ExperimentDesign.from_obj(obj["design"])
+        for entry in obj["results"]:
+            circ = serialize.circuit_from_obj(entry["circuit"])
+            res = SimResult(
+                shots=entry["n_success"] + entry["n_fail"],
+                n_success=_index(entry["n_success"]),
+                n_fail=_index(entry["n_fail"]),
+                counts=entry.get("counts"),
+            )
+            results.append(CircuitResult(_index(entry["id"]), _index(entry["depth"]), circ, res))
     return obj, results
 
 
-def _csv_name(out_dir: str, path: str) -> str:
-    stem = os.path.splitext(os.path.basename(path))[0]
-    return os.path.join(out_dir, f"{stem}.curve.csv")
+def _input_labels(paths: list[str]) -> list[tuple[str, str]]:
+    """(report source, curve CSV stem) per input: file name and stem, or, for
+    inputs whose stems collide, the path and the stem suffixed by the 1-based
+    input position, so that no curve overwrites another."""
+    stems = [os.path.splitext(os.path.basename(p))[0] for p in paths]
+    taken = {s for s in stems if stems.count(s) == 1}
+    labels = []
+    for i, (path, stem) in enumerate(zip(paths, stems)):
+        if stems.count(stem) == 1:
+            labels.append((os.path.basename(path), stem))
+            continue
+        name = f"{stem}-{i + 1}"
+        while name in taken:
+            name += f"-{i + 1}"
+        taken.add(name)
+        labels.append((os.path.normpath(path), name))
+    return labels
 
 
 def cmd_analyze(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     report_configs = []
     per_config_results = []
-    for path in args.results:
+    for path, (source, stem) in zip(args.results, _input_labels(args.results)):
         obj, results = _load_results(path)
         per_config_results.append(results)
         data = decay_dataset_from_results(results)
@@ -180,14 +202,14 @@ def cmd_analyze(args) -> int:
         rows = ["depth,mean,stderr,n_circuits"]
         for s in stats:
             rows.append(f"{s.depth},{s.mean!r},{s.stderr!r},{len(s.f_values)}")
-        csv_path = _csv_name(args.out, path)
+        csv_path = os.path.join(args.out, f"{stem}.curve.csv")
         tmp = csv_path + ".tmp"
         with open(tmp, "w") as f:
             f.write("\n".join(rows) + "\n")
         os.replace(tmp, csv_path)
         report_configs.append(
             {
-                "source": os.path.basename(path),
+                "source": source,
                 "design": obj["design"],
                 "amplitude": fit.amplitude,
                 "r_omega": fit.r_omega,

@@ -38,9 +38,8 @@ __all__ = [
     "clifford_index_from_name",
 ]
 
-#: Wire-count cap for a SignedPauli. Physical circuits stay at n <= 64 (the
-#: simulator enforces that), but classification targets live on n+m virtual
-#: wires and deep circuits accumulate one per MCM.
+#: Wire-count cap for a SignedPauli. Classification targets live on n+m
+#: virtual wires, and deep circuits accumulate one per MCM.
 MAX_WIRES = 4096
 
 # Per-wire letter codes: bit0 = X component, bit1 = Z component.
@@ -361,8 +360,10 @@ class CircuitLayer:
                 if w in used:
                     raise ValueError(f"wire {w} used more than once in a layer")
                 used.add(w)
+        if any(type(w) is not int for w in used):
+            raise ValueError("wire indices must be integers")
         if used and (min(used) < 0 or max(used) >= self.n):
-            raise ValueError("wire index out of range")
+            raise ValueError(f"wire index out of range({self.n})")
         object.__setattr__(self, "mcm_wires", tuple(sorted(self.mcm_wires)))
         if not self.mcm_wires:
             # The flag only means something for layers that measure.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 from .builder import DressedLayer, QirbCircuit
 from .pauli import CircuitLayer, CliffordGate, SignedPauli, clifford_index_from_name
@@ -24,6 +25,7 @@ from .simulator import (
 __all__ = [
     "SCHEMA_VERSION",
     "SchemaError",
+    "malformed_as_schema_error",
     "write_json",
     "read_json",
     "check_kind",
@@ -41,7 +43,16 @@ SCHEMA_VERSION = "qirb-1"
 
 
 class SchemaError(Exception):
-    """File schema/version mismatch."""
+    """A file that does not match its schema: version, kind, JSON or content."""
+
+
+@contextmanager
+def malformed_as_schema_error(what: str):
+    """Re-raise lookup, type and value errors of decoding ``what`` as SchemaError."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
 def write_json(path: str, obj: dict) -> None:
@@ -62,10 +73,15 @@ def write_json(path: str, obj: dict) -> None:
 
 def read_json(path: str) -> dict:
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def check_kind(obj: dict, kind: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"expected a {kind!r} object, file holds {type(obj).__name__}")
     got = obj.get("schema")
     if got != SCHEMA_VERSION:
         raise SchemaError(f"expected schema {SCHEMA_VERSION!r}, file has {got!r}")
@@ -137,36 +153,38 @@ def circuit_to_obj(c: QirbCircuit) -> dict:
 
 
 def circuit_from_obj(obj: dict) -> QirbCircuit:
-    n = obj["n"]
-    reset = bool(obj["reset"])
-    dressed = []
-    for entry in obj["layers"]:
-        pre = pauli_from_obj(entry["pre_meas"]) if "pre_meas" in entry else None
-        post = pauli_from_obj(entry["post_meas"]) if "post_meas" in entry else None
-        dressed.append(
-            DressedLayer(
-                l1=layer_from_ops(entry["l1"], n, reset),
-                l2=layer_from_ops(entry["l2"], n, reset),
-                l3=layer_from_ops(entry["l3"], n, reset),
-                pre_meas_component=pre,
-                post_meas_component=post,
+    """Decode and validate one circuit; a malformed one raises SchemaError."""
+    with malformed_as_schema_error("circuit"):
+        n = obj["n"]
+        reset = bool(obj["reset"])
+        dressed = []
+        for entry in obj["layers"]:
+            pre = pauli_from_obj(entry["pre_meas"]) if "pre_meas" in entry else None
+            post = pauli_from_obj(entry["post_meas"]) if "post_meas" in entry else None
+            dressed.append(
+                DressedLayer(
+                    l1=layer_from_ops(entry["l1"], n, reset),
+                    l2=layer_from_ops(entry["l2"], n, reset),
+                    l3=layer_from_ops(entry["l3"], n, reset),
+                    pre_meas_component=pre,
+                    post_meas_component=post,
+                )
             )
+        discard = 0
+        for v in obj["discard"]:
+            discard |= 1 << v
+        return QirbCircuit(
+            n=n,
+            m=obj["m"],
+            prep_layer=layer_from_ops(obj["prep"], n, reset),
+            dressed=tuple(dressed),
+            final_layer=layer_from_ops(obj["final"], n, reset),
+            target=pauli_from_obj(obj["target"]),
+            initial_pauli=pauli_from_obj(obj["initial"]),
+            mcm_bit_order=tuple((i, q) for i, q in obj["mcm_bits"]),
+            discard_mask=discard,
+            reset=reset,
         )
-    discard = 0
-    for v in obj["discard"]:
-        discard |= 1 << v
-    return QirbCircuit(
-        n=n,
-        m=obj["m"],
-        prep_layer=layer_from_ops(obj["prep"], n, reset),
-        dressed=tuple(dressed),
-        final_layer=layer_from_ops(obj["final"], n, reset),
-        target=pauli_from_obj(obj["target"]),
-        initial_pauli=pauli_from_obj(obj["initial"]),
-        mcm_bit_order=tuple((i, q) for i, q in obj["mcm_bits"]),
-        discard_mask=discard,
-        reset=reset,
-    )
 
 
 def noise_to_obj(noise: NoiseModel) -> dict:

@@ -1,16 +1,21 @@
 """Reference stabilizer-tableau simulator (Aaronson-Gottesman style).
 
 Rows are Paulis packed as integer bitmasks: rows 0..n-1 are destabilizers,
-rows n..2n-1 stabilizers, each with a phase bit (0 for +, 1 for -). This
-per-shot implementation is the correctness reference; the batched executor
-in :mod:`qirb.simulator` shares its conventions and is tested against it.
+rows n..2n-1 stabilizers, each with a phase bit (0 for +, 1 for -). The
+frame simulator in :mod:`qirb.simulator` runs one noiseless pass of this
+tableau per circuit for its reference outcomes, and is tested shot by shot
+against it.
 """
 
 from __future__ import annotations
 
 from .pauli import CNOT_INDEX, SignedPauli, clifford_action
 
-__all__ = ["StabilizerTableau", "tableau_measure_z", "pauli_product_phase"]
+__all__ = ["StabilizerTableau", "TableauError", "pauli_product_phase"]
+
+
+class TableauError(RuntimeError):
+    """A tableau broke an invariant of the stabilizer algebra."""
 
 
 def pauli_product_phase(xa: int, za: int, xb: int, zb: int) -> int:
@@ -83,7 +88,8 @@ class StabilizerTableau:
 
     def _rowsum(self, h: int, i: int) -> None:
         k = pauli_product_phase(self.x[i], self.z[i], self.x[h], self.z[h])
-        assert k % 2 == 0
+        if k % 2:
+            raise TableauError(f"rows {h} and {i} anticommute")
         self.r[h] ^= self.r[i] ^ (k >> 1)
         self.x[h] ^= self.x[i]
         self.z[h] ^= self.z[i]
@@ -92,15 +98,12 @@ class StabilizerTableau:
         bit = 1 << q
         return all(not (self.x[i] & bit) for i in range(self.n, 2 * self.n))
 
-    def measure_z(self, q: int, rng) -> int:
+    def measure_z(self, q: int, rng=None, forced: int | None = None) -> int:
         """Measure Z on wire q, collapsing the state; returns the bit.
 
-        Deterministic outcomes read the stabilizer phase; genuinely random
-        outcomes consume one bit from ``rng``.
+        Deterministic outcomes read the stabilizer phase. A genuinely random
+        outcome is ``forced`` if given, else one bit from ``rng``, else 0.
         """
-        return self.measure_z_given(q, None, rng)
-
-    def measure_z_given(self, q: int, forced: int | None, rng) -> int:
         n = self.n
         bit = 1 << q
         pivot = -1
@@ -109,7 +112,7 @@ class StabilizerTableau:
                 pivot = i
                 break
         if pivot >= 0:
-            outcome = (rng.getrandbits(1) if rng is not None else 0) if forced is None else forced
+            outcome = forced if forced is not None else (rng.getrandbits(1) if rng else 0)
             for i in range(2 * n):
                 if i != pivot and self.x[i] & bit:
                     if i >= n:
@@ -132,14 +135,9 @@ class StabilizerTableau:
                 phase += pauli_product_phase(ax, az, self.x[s], self.z[s]) + 2 * self.r[s]
                 ax ^= self.x[s]
                 az ^= self.z[s]
-        assert ax == 0 and az == bit, "deterministic measurement accumulation broke"
-        assert phase % 2 == 0
+        if ax != 0 or az != bit or phase % 2:
+            raise TableauError(f"stabilizers do not generate Z on wire {q}")
         return (phase >> 1) & 1
-
-    def set_wire_to(self, q: int, value: int, current: int) -> None:
-        """Flip a collapsed wire from |current> to |value> (post-measurement)."""
-        if value ^ current:
-            self.apply_pauli(1 << q, 0)
 
     def expectation(self, p: SignedPauli) -> int | None:
         """<p> for stabilizer states: +/-1 if p is in the +/- group, else None (0)."""
@@ -155,11 +153,8 @@ class StabilizerTableau:
                 az ^= self.z[s]
         if ax != p.x or az != p.z:
             return None
-        assert phase % 2 == 0
+        if phase % 2:
+            raise TableauError("stabilizer product has an imaginary phase")
         sign = -1 if (phase >> 1) & 1 else 1
         return sign * p.sign
 
-
-def tableau_measure_z(state: StabilizerTableau, wire: int, rng) -> int:
-    """Measure Z on a wire of a tableau state (module-level convenience)."""
-    return state.measure_z(wire, rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -93,13 +94,16 @@ class TestConstruction:
             assert len(c.mcm_bit_order) == c.m
 
     def test_tracked_walk_replays_and_validates(self):
-        # tracked_walk internally re-derives the target and asserts it
+        # tracked_walk internally re-derives the target and checks that it
         # matches the stored one; spot-check the final component too.
         for seed in range(20):
             c = build_random(4, 8, seed=seed, reset=bool(seed % 2))
             walk = tracked_walk(c)
             assert walk.final.z == c.target.z >> c.m
             assert walk.final.sign == c.target.sign
+            tampered = dataclasses.replace(c, target=c.target.with_sign(-c.target.sign))
+            with pytest.raises(ValueError):
+                tracked_walk(tampered)
 
     def test_empty_core_needs_wire_count(self):
         with pytest.raises(ValueError):
@@ -214,6 +218,34 @@ def _injection_points(circuit):
     yield ("final",), walk.final
 
 
+def circuit_ops(circuit):
+    """The circuit in the frame simulator's op order, and the op position of
+    each injection point.
+
+    Gates run layer by layer, each measuring layer's MCMs after its gates,
+    the final readouts last; a fault at position p acts just before op p.
+    """
+    ops, at = [], {}
+
+    def gates(layer, tag):
+        ops.extend(("gate", g) for g in layer.gates)
+        at[tag] = len(ops)
+
+    gates(circuit.prep_layer, ("prep",))
+    k = 0
+    for i, d in enumerate(circuit.dressed):
+        gates(d.l1, ("l1", i))
+        gates(d.l2, ("l2", i))
+        for q in d.l2.mcm_wires:
+            ops.append(("measure", q, k))
+            k += 1
+        at[("postmeas", i)] = len(ops)
+        gates(d.l3, ("l3", i))
+    gates(circuit.final_layer, ("final",))
+    ops += [("measure", q, circuit.m + q) for q in range(circuit.n)]
+    return ops, at
+
+
 @pytest.mark.parametrize("reset", [True, False])
 def test_single_error_injection_flips_iff_anticommuting(reset):
     """Exhaustive single-fault check on a small circuit.
@@ -221,11 +253,15 @@ def test_single_error_injection_flips_iff_anticommuting(reset):
     Injecting one Pauli at one location flips every shot's classification
     exactly when the Pauli anticommutes with the tracked Pauli there.
     """
-    from qirb.simulator import _run
+    from qirb.seeding import derive_np_rng
+    from qirb.simulator import _compile, _propagate
 
     c = build_random(2, 3, seed=13, reset=reset, p_mcm=0.8)
     assert c.m >= 1
-    noise = NoiseModel.zero()
+    prog = _compile(c)
+    _, positions = circuit_ops(c)
+    shots = 24
+    every = (1 << shots) - 1
     for tag, tracked in _injection_points(c):
         for wire in range(c.n):
             for letter in ("X", "Z", "Y"):
@@ -233,5 +269,7 @@ def test_single_error_injection_flips_iff_anticommuting(reset):
                     "".join(letter if w == wire else "I" for w in range(c.n))
                 )
                 expected_flip = not commutes(inject, tracked.with_sign(1))
-                success, _ = _run(c, noise, 24, 7, "frame-correction", {tag: inject})
-                assert (success == (-1 if expected_flip else 1)).all(), (tag, wire, letter)
+                fault = (positions[tag], wire, every if letter in "XY" else 0,
+                         every if letter in "ZY" else 0)
+                failed, _ = _propagate(prog, shots, [fault], derive_np_rng(7), correct=not reset)
+                assert failed == (every if expected_flip else 0), (tag, wire, letter)

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import qirb
 from qirb import serialize
 from qirb.cli import main
 from qirb.pipeline import ExperimentDesign
@@ -13,6 +16,14 @@ from test_builder import build_random
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def run_process(argv):
+    """The CLI in a fresh interpreter, to see its exit code and stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qirb.__file__)))
+    return subprocess.run([sys.executable, "-m", "qirb.cli", *map(str, argv)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
 
 
 def read(path):
@@ -103,6 +114,25 @@ class TestSimulateCommand:
         bogus.write_text(json.dumps({"schema": "qirb-999", "kind": "circuits"}))
         assert run(["simulate", "--circuits", bogus, "--out", workspace / "x.json"]) == 3
 
+    @pytest.mark.parametrize("damage", ["missing-key", "truncated", "wire-out-of-range"])
+    def test_malformed_circuits_file_exits_3(self, workspace, damage):
+        text = read(_make_design(workspace, "exp") / "circuits.json")
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+        else:
+            obj = json.loads(text)
+            if damage == "missing-key":
+                del obj["circuits"][1]["target"]
+            else:
+                obj["circuits"][0]["prep"][0]["wires"] = [obj["circuits"][0]["n"] + 3]
+            text = json.dumps(obj)
+        bad = workspace / "bad.json"
+        bad.write_text(text)
+        proc = run_process(["simulate", "--circuits", bad, "--out", workspace / "r.json"])
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("schema error:")
+        assert "Traceback" not in proc.stderr
+
     def test_noise_file_input(self, workspace):
         out = _make_design(workspace, "exp")
         noise_path = workspace / "noise.json"
@@ -155,6 +185,27 @@ class TestAnalyzeCommand:
         obj = serialize.read_json(str(rep / "report.json"))
         assert obj["erm"] is not None
         assert 0.0 <= obj["erm"]["eps_mcm"] <= 1.0
+
+
+    def test_inputs_sharing_a_stem_keep_separate_curves(self, workspace):
+        paths = []
+        for i, name in enumerate(("a", "b")):
+            out = _make_design(workspace, name, seed=20 + i)
+            paths.append(workspace / name / "results.json")
+            assert run(["simulate", "--circuits", out / "circuits.json",
+                        "--out", paths[-1]]) == 0
+        rep = workspace / "rep"
+        assert run(["analyze", *paths, "--bootstrap", 8, "--erm-bootstrap", 4,
+                    "--out", rep]) == 0
+        configs = serialize.read_json(str(rep / "report.json"))["configs"]
+        assert [c["source"] for c in configs] == [os.path.normpath(p) for p in paths]
+        assert not (rep / "results.curve.csv").exists()
+        for i, entry in enumerate(configs):
+            rows = read(rep / f"results-{i + 1}.curve.csv").strip().split("\n")[1:]
+            assert [float(r.split(",")[1]) for r in rows] == [
+                d["mean"] for d in entry["per_depth"]
+            ]
+        assert configs[0]["per_depth"] != configs[1]["per_depth"]
 
 
 class TestPredictCommand:

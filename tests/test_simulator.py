@@ -1,22 +1,28 @@
 import math
 import random
+from collections import Counter
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qirb.builder import classify_outcome
+from qirb.builder import OutcomeString, classify_outcome, resolve_reset_free
 from qirb.pipeline import ExperimentDesign, build_design_circuits, simulate_design
+from qirb.seeding import derive_np_rng
 from qirb.simulator import (
     InstrumentErrorSpec,
     NoiseModel,
     OneQubitPauliChannel,
     TwoQubitDepolarizing,
+    _compile,
+    _propagate,
     simulate_result,
     simulate_shots,
 )
+from qirb.tableau import StabilizerTableau
 from qirb.theory import exact_success_expectation
 
-from test_builder import build_random
+from test_builder import build_random, circuit_ops
 
 
 class TestNoiseModelTypes:
@@ -162,20 +168,121 @@ def test_simulator_rejects_bad_arguments():
         simulate_shots(c_free, NoiseModel.zero(), 5, seed=1, reset_free_mode="bogus")
 
 
-def test_batch_phases_match_reference_tableau():
-    # The batched executor and the per-shot reference tableau agree on
-    # deterministic outcomes for a fixed Clifford prefix.
-    from qirb.simulator import _BatchExecutor
-    from qirb.tableau import StabilizerTableau
-    from qirb.seeding import derive_np_rng
+def test_counts_equal_a_counter_of_the_outcome_strings():
+    # 5,000 shots span two shot batches; two MCMs and two readouts leave
+    # few distinct strings, so most keys repeat.
+    c = build_random(2, 3, seed=4, reset=False, p_mcm=0.4)
+    noise = NoiseModel.depolarizing(0.99, 0.98, 0.05)
+    res = simulate_result(c, noise, 5000, seed=2)
+    shots = simulate_shots(c, noise, 5000, seed=2)
+    assert res.counts == Counter(str(rec.outcome) for rec in shots)
+    assert res.n_success == sum(rec.success > 0 for rec in shots)
 
-    for seed in range(10):
-        c = build_random(3, 4, seed=seed)
-        ex = _BatchExecutor(c, NoiseModel.zero(), 7, derive_np_rng(seed), "frame-correction")
-        ex._gate_sublayer(c.prep_layer)
-        ref = StabilizerTableau(c.n)
-        for g in c.prep_layer.gates:
-            ref.apply_gate(g.index, g.wires)
-        assert ex.x == ref.x and ex.z == ref.z
-        for row in range(2 * c.n):
-            assert (ex.r[row] == ref.r[row]).all()
+
+def test_seventy_wires_zero_noise_succeeds_on_every_shot():
+    c = build_random(70, 4, seed=5, p_mcm=0.9)
+    assert c.m >= 1
+    res = simulate_result(c, NoiseModel.zero(), 50, seed=1)
+    assert res.n_success == 50
+
+
+def _replay_shot(circuit, ops, faults, shot, bits, reset):
+    """Run one shot on the per-shot tableau with that shot's share of the
+    faults, forcing every random measurement to ``bits``; returns the
+    indices of the deterministic outcomes that disagree with ``bits``."""
+    t = StabilizerTableau(circuit.n)
+    by_pos = {}
+    for pos, w, xm, zm in faults:
+        by_pos.setdefault(pos, []).append((((xm >> shot) & 1) << w, ((zm >> shot) & 1) << w))
+    wrong = []
+    for pos, op in enumerate(ops):
+        for xmask, zmask in by_pos.get(pos, ()):
+            t.apply_pauli(xmask, zmask)
+        if op[0] == "gate":
+            t.apply_gate(op[1].index, op[1].wires)
+            continue
+        _, q, k = op
+        deterministic = t.is_deterministic(q)
+        bit = t.measure_z(q, forced=bits[k])
+        if deterministic and bit != bits[k]:
+            wrong.append(k)
+        if reset and k < circuit.m and bit:
+            t.apply_pauli(1 << q, 0)
+    return wrong
+
+
+def test_unordered_faults_are_rejected():
+    prog = _compile(build_random(2, 2, seed=0))
+    with pytest.raises(ValueError):
+        _propagate(prog, 4, [(3, 0, 1, 0), (1, 0, 1, 0)], derive_np_rng(0), correct=False)
+
+
+@given(n=st.integers(1, 4), depth=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       reset=st.booleans(), feedforward=st.booleans(), n_faults=st.integers(0, 10))
+@settings(max_examples=60, deadline=None)
+def test_frames_match_per_shot_tableau(n, depth, seed, reset, feedforward, n_faults):
+    # The same explicit faults go to the frame kernel and to one per-shot
+    # tableau per shot; every deterministic outcome must agree, and so must
+    # each shot's classification.
+    rng = random.Random(seed)
+    c = build_random(n, depth, seed, reset=reset, p_mcm=0.5)
+    ops, _ = circuit_ops(c)
+    prog = _compile(c)
+    assert len(prog.ops) == len(ops)
+    shots = 12
+    faults = sorted(
+        (rng.randrange(len(ops)), rng.randrange(n), rng.getrandbits(shots), rng.getrandbits(shots))
+        for _ in range(n_faults)
+    )
+    correct = not reset and not feedforward
+    failed, outcomes = _propagate(prog, shots, faults, derive_np_rng(seed), correct)
+    for shot in range(shots):
+        bits = [(o >> shot) & 1 for o in outcomes]
+        assert _replay_shot(c, ops, faults, shot, bits, reset=not correct) == []
+        sign = resolve_reset_free(c, bits[: c.m]) if correct else 1
+        expected = classify_outcome(c, OutcomeString(tuple(bits)), sign)
+        assert (-1 if (failed >> shot) & 1 else 1) == expected
+
+
+def _exact_distribution(circuit, reset):
+    """Outcome-string probabilities of the noiseless circuit, found by
+    branching the per-shot tableau at every random measurement."""
+    ops, _ = circuit_ops(circuit)
+    dist = Counter()
+
+    def walk(t, start, bits, prob):
+        for pos in range(start, len(ops)):
+            op = ops[pos]
+            if op[0] == "gate":
+                t.apply_gate(op[1].index, op[1].wires)
+                continue
+            _, q, k = op
+            branches = (None,) if t.is_deterministic(q) else (0, 1)
+            for forced in branches:
+                branch = StabilizerTableau(circuit.n)
+                branch.x, branch.z, branch.r = list(t.x), list(t.z), list(t.r)
+                bit = branch.measure_z(q, forced=forced)
+                if reset and k < circuit.m and bit:
+                    branch.apply_pauli(1 << q, 0)
+                walk(branch, pos + 1, bits + str(bit), prob / len(branches))
+            return
+        dist[bits] += prob
+
+    walk(StabilizerTableau(circuit.n), 0, "", 1.0)
+    return dist
+
+
+@pytest.mark.parametrize("reset", [True, False])
+def test_noiseless_outcome_distribution_matches_branching(reset):
+    # Every outcome string, random MCM bits included, appears at its exact
+    # rate; a frame whose Z components were never randomized would repeat
+    # one string per circuit.
+    shots = 4000
+    for seed in range(8):
+        c = build_random(2, 4, seed=seed, reset=reset, p_mcm=0.8)
+        exact = _exact_distribution(c, reset)
+        counts = simulate_result(c, NoiseModel.zero(), shots, seed=seed).counts
+        assert set(counts) <= set(exact)
+        for key, p in exact.items():
+            sigma = math.sqrt(shots * p * (1 - p))
+            assert abs(counts.get(key, 0) - shots * p) <= 5 * sigma + 1, (seed, key)

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
+import pytest
+
+import qirb
 from qirb.pauli import CNOT_INDEX, CliffordGate, SignedPauli, conjugate
-from qirb.tableau import StabilizerTableau, tableau_measure_z
+from qirb.tableau import StabilizerTableau, TableauError
 
 from test_pauli import H, S  # canonical indices resolved from the table
 
@@ -18,7 +24,7 @@ def test_plus_state_measures_uniformly_and_collapses():
     for _ in range(400):
         t = StabilizerTableau(1)
         t.apply_clifford(H, 0)
-        bit = tableau_measure_z(t, 0, rng)
+        bit = t.measure_z(0, rng)
         counts[bit] += 1
         # Post-measurement state is the observed basis state.
         assert t.measure_z(0, rng) == bit
@@ -84,3 +90,45 @@ def test_phase_gate_sign_via_tableau():
         (CliffordGate(H, (0,)), CliffordGate(S, (0,))), SignedPauli.from_string("Z")
     )
     assert image == SignedPauli.from_string("Y")
+
+
+def _erased_stabilizer():
+    # The stabilizer row of |0> on wire 0 becomes the identity.
+    t = StabilizerTableau(2)
+    t.z[2] = 0
+    return t
+
+
+def _anticommuting_stabilizers():
+    # Stabilizer rows X0 and Y0: no state has both.
+    t = StabilizerTableau(2)
+    t.x[2], t.z[2] = 1, 0
+    t.x[3], t.z[3] = 1, 1
+    return t
+
+
+@pytest.mark.parametrize("corrupt", [_erased_stabilizer, _anticommuting_stabilizers])
+def test_corrupted_tableau_raises(corrupt):
+    with pytest.raises(TableauError):
+        corrupt().measure_z(0, random.Random(0))
+
+
+def test_corrupted_tableau_raises_under_optimize():
+    # ``python -O`` strips assert statements; the invariant checks must stay.
+    code = (
+        "import random, sys\n"
+        "from qirb.tableau import StabilizerTableau, TableauError\n"
+        "assert False, 'asserts are live'\n"
+        "t = StabilizerTableau(2)\n"
+        "t.z[2] = 0\n"
+        "try:\n"
+        "    t.measure_z(0, random.Random(0))\n"
+        "except TableauError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qirb.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
