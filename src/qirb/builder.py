@@ -221,7 +221,8 @@ def build_qirb_circuit(
             cx, cz = cur.x, cur.z
             for k, q in enumerate(measured):
                 code = cur.letter_code(q)
-                assert code in (0, _Z_CODE), "l1 failed to Z-align a measured wire"
+                if code not in (0, _Z_CODE):
+                    raise RuntimeError(f"l1 failed to Z-align measured wire {q}")
                 if code == _Z_CODE:
                     pz |= 1 << k
                     target_z |= 1 << (mcm_counter + k)
@@ -274,7 +275,8 @@ def build_qirb_circuit(
         final_gates.append(CliffordGate(_choose(rng, pool), (q,)))
     final_layer = CircuitLayer(n, tuple(final_gates))
     cur = conjugate(final_layer, cur)
-    assert cur.x == 0, "final layer failed to Z-align the tracked Pauli"
+    if cur.x != 0:
+        raise RuntimeError("final layer failed to Z-align the tracked Pauli")
     target_z |= cur.z << m
 
     target = SignedPauli(n + m, target_x, target_z, cur.sign)

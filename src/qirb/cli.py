@@ -50,8 +50,9 @@ def _parse_depths(text: str) -> tuple[int, ...]:
 
 def _load_edges(path: str) -> tuple[tuple[int, int], ...]:
     obj = read_json(path)
-    edges = obj["edges"] if isinstance(obj, dict) else obj
-    return tuple((int(a), int(b)) for a, b in edges)
+    with serialize.malformed_as_schema_error(path):
+        edges = obj["edges"] if isinstance(obj, dict) else obj
+        return tuple((int(a), int(b)) for a, b in edges)
 
 
 def _noise_from_args(args) -> NoiseModel:

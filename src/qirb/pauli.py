@@ -3,7 +3,7 @@
 Paulis are stored as packed bit vectors (one ``int`` bitmask per X/Z
 component, wire ``q`` at bit ``q``) with a global sign of +1 or -1. All
 operations here preserve Hermiticity: with Hermitian inputs no +/-i phase
-can ever arise, and this is asserted rather than represented.
+can ever arise, and this is checked rather than represented.
 
 The 24 single-qubit Cliffords are enumerated once at import time by closing
 {H, S} under composition (breadth-first, deterministic order). Each element
@@ -90,7 +90,8 @@ def _action_from_images(img_x: tuple[int, int], img_z: tuple[int, int]) -> _Acti
     # Y = iXZ, so g(Y) = i * g(X) g(Z); the result is Hermitian by closure.
     cy, k = _mul_1q(cx, cz)
     k = (k + 1) % 4
-    assert k % 2 == 0, "conjugation produced a non-Hermitian image"
+    if k % 2:
+        raise ValueError("conjugation produced a non-Hermitian image")
     sy = sx * sz * (1 if k == 0 else -1)
     return ((_I, 1), (cx, sx), (cz, sz), (cy, sy))
 
@@ -122,7 +123,8 @@ def _build_clifford_group() -> list[_Action]:
                     elements.append(cand)
                     nxt.append(cand)
         frontier = nxt
-    assert len(elements) == 24
+    if len(elements) != 24:
+        raise RuntimeError(f"{{H, S}} closure has {len(elements)} elements, not 24")
     return elements
 
 
@@ -159,20 +161,19 @@ def clifford_action(index: int) -> _Action:
     return _CLIFFORD_ACTIONS[index]
 
 
+_GATE_NAMES = tuple(f"C{i}" for i in range(NUM_ONEQ_CLIFFORDS)) + ("cnot",)
+_GATE_INDEX = {name: i for i, name in enumerate(_GATE_NAMES)}
+
+
 def clifford_name(index: int) -> str:
-    if index == CNOT_INDEX:
-        return "cnot"
-    return f"C{index}"
+    return _GATE_NAMES[index]
 
 
 def clifford_index_from_name(name: str) -> int:
-    if name == "cnot":
-        return CNOT_INDEX
-    if name.startswith("C"):
-        idx = int(name[1:])
-        if 0 <= idx < 24:
-            return idx
-    raise ValueError(f"unknown gate name: {name!r}")
+    index = _GATE_INDEX.get(name)
+    if index is None:
+        raise ValueError(f"unknown gate name: {name!r}")
+    return index
 
 
 def _letter_lookup_tables():

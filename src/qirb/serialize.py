@@ -2,8 +2,11 @@
 
 Every file carries ``{"schema": "qirb-1", "kind": ...}``; a mismatch is a
 hard error, never a silent reinterpretation. Gates are written by their
-canonical names (``C0``..``C23``, ``cnot``) plus ``measure`` records, so the
-files stay diffable. Writes go through a temp file and an atomic rename.
+canonical names (``C0``..``C23``, ``cnot``) plus ``measure`` records. Each
+file is one compact line of JSON with sorted keys, so reruns are
+byte-identical and the standard library's C encoder writes it; read one with
+``python -m json.tool FILE``. Writes go through a temp file and an atomic
+rename.
 """
 
 from __future__ import annotations
@@ -56,11 +59,19 @@ def malformed_as_schema_error(what: str):
 
 
 def write_json(path: str, obj: dict) -> None:
-    """Atomic, byte-stable JSON write (sorted keys, fixed layout)."""
-    text = json.dumps(obj, sort_keys=True, indent=1)
+    """Atomic, byte-stable JSON write: one compact line with sorted keys.
+
+    No ``indent``: any indent makes ``json`` fall back to its pure-Python
+    encoder, several times slower on a large results file.
+    """
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as f:
             f.write(text)
             f.write("\n")
@@ -113,16 +124,33 @@ def layer_to_ops(layer: CircuitLayer) -> list[dict]:
     return ops
 
 
-def layer_from_ops(ops: list[dict], n: int, default_reset: bool = True) -> CircuitLayer:
+def layer_from_ops(
+    ops: list[dict], n: int, default_reset: bool = True, interned: dict | None = None
+) -> CircuitLayer:
+    """Decode one layer. ``interned`` maps ``(gate name, wires)`` to a checked
+    :class:`CliffordGate`; share one dict across the layers of a circuit so
+    that repeated placements decode to one (immutable) gate object."""
+    if interned is None:
+        interned = {}
     gates = []
     mcm = []
     reset = default_reset
     for op in ops:
-        if op["gate"] == "measure":
-            mcm.append(op["wires"][0])
+        name = op["gate"]
+        if name == "measure":
+            (q,) = op["wires"]
+            mcm.append(q)
             reset = bool(op["reset"])
-        else:
-            gates.append(CliffordGate(clifford_index_from_name(op["gate"]), tuple(op["wires"])))
+            continue
+        wires = tuple(op["wires"])
+        # 1, 1.0 and True hash equal: only integer wires may share a key.
+        if not all(type(w) is int for w in wires):
+            raise ValueError(f"wire indices must be integers, got {list(wires)!r}")
+        key = (name, wires)
+        gate = interned.get(key)
+        if gate is None:
+            gate = interned[key] = CliffordGate(clifford_index_from_name(name), wires)
+        gates.append(gate)
     return CircuitLayer(n, tuple(gates), tuple(mcm), reset=reset)
 
 
@@ -157,15 +185,16 @@ def circuit_from_obj(obj: dict) -> QirbCircuit:
     with malformed_as_schema_error("circuit"):
         n = obj["n"]
         reset = bool(obj["reset"])
+        gates: dict = {}
         dressed = []
         for entry in obj["layers"]:
             pre = pauli_from_obj(entry["pre_meas"]) if "pre_meas" in entry else None
             post = pauli_from_obj(entry["post_meas"]) if "post_meas" in entry else None
             dressed.append(
                 DressedLayer(
-                    l1=layer_from_ops(entry["l1"], n, reset),
-                    l2=layer_from_ops(entry["l2"], n, reset),
-                    l3=layer_from_ops(entry["l3"], n, reset),
+                    l1=layer_from_ops(entry["l1"], n, reset, gates),
+                    l2=layer_from_ops(entry["l2"], n, reset, gates),
+                    l3=layer_from_ops(entry["l3"], n, reset, gates),
                     pre_meas_component=pre,
                     post_meas_component=post,
                 )
@@ -176,9 +205,9 @@ def circuit_from_obj(obj: dict) -> QirbCircuit:
         return QirbCircuit(
             n=n,
             m=obj["m"],
-            prep_layer=layer_from_ops(obj["prep"], n, reset),
+            prep_layer=layer_from_ops(obj["prep"], n, reset, gates),
             dressed=tuple(dressed),
-            final_layer=layer_from_ops(obj["final"], n, reset),
+            final_layer=layer_from_ops(obj["final"], n, reset, gates),
             target=pauli_from_obj(obj["target"]),
             initial_pauli=pauli_from_obj(obj["initial"]),
             mcm_bit_order=tuple((i, q) for i, q in obj["mcm_bits"]),
@@ -201,9 +230,11 @@ def noise_to_obj(noise: NoiseModel) -> dict:
 
 
 def noise_from_obj(obj: dict) -> NoiseModel:
-    return NoiseModel(
-        oneq=OneQubitPauliChannel(**obj["oneq"]),
-        twoq=TwoQubitDepolarizing(**obj["twoq"]),
-        mcm=InstrumentErrorSpec(**obj["mcm"]),
-        readout_flip=obj["readout_flip"],
-    )
+    """Decode a noise model; a malformed one raises SchemaError."""
+    with malformed_as_schema_error("noise model"):
+        return NoiseModel(
+            oneq=OneQubitPauliChannel(**obj["oneq"]),
+            twoq=TwoQubitDepolarizing(**obj["twoq"]),
+            mcm=InstrumentErrorSpec(**obj["mcm"]),
+            readout_flip=obj["readout_flip"],
+        )

@@ -310,7 +310,8 @@ def r_omega_via_lambda_sum(noise: NoiseModel, config: SamplingConfig) -> float:
             pg = 1.0 - (1.0 - pg) * (1.0 - spec.unmeasured_depol) ** (config.n - counts.km)
         # Joint tuples over per-wire independent flips; at-most-one sampling
         # keeps km <= 1 so the masks are single bits.
-        assert counts.km <= 1
+        if counts.km > 1:
+            raise RuntimeError(f"layer class measures {counts.km} wires, at most 1 expected")
         contrib = 0.0
         for a in range(counts.km + 1):
             pa = spec.pre_flip if a else 1.0 - spec.pre_flip

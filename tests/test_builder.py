@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from qirb import builder
 from qirb.builder import (
     OutcomeString,
     QirbCircuit,
@@ -273,3 +274,12 @@ def test_single_error_injection_flips_iff_anticommuting(reset):
                          every if letter in "ZY" else 0)
                 failed, _ = _propagate(prog, shots, [fault], derive_np_rng(7), correct=not reset)
                 assert failed == (every if expected_flip else 0), (tag, wire, letter)
+
+
+@pytest.mark.parametrize("depth, message", [(0, "final layer"), (6, "l1 failed")])
+def test_failed_z_alignment_raises(monkeypatch, depth, message):
+    # A rotation pool holding only the identity cannot Z-align X or Y letters;
+    # the check is an explicit error, so ``python -O`` keeps it.
+    monkeypatch.setattr(builder, "cliffords_mapping_letter", lambda src, dst: (0,))
+    with pytest.raises(RuntimeError, match=message):
+        build_random(6, depth, seed=1, p_mcm=1.0)

@@ -56,6 +56,36 @@ class TestRoundTrips:
         assert serialize.noise_from_obj(obj) == noise
 
 
+class TestWriteJson:
+    def test_one_compact_line_with_sorted_keys(self, workspace):
+        obj = {"b": [1, {"z": None, "a": 2.5}], "a": "x"}
+        path = workspace / "o.json"
+        serialize.write_json(str(path), obj)
+        text = read(path)
+        assert text == '{"a":"x","b":[1,{"a":2.5,"z":null}]}\n'
+        assert json.loads(text) == obj
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_outputs_honour_the_umask(self, workspace, umask):
+        old = os.umask(umask)
+        try:
+            out = _make_design(workspace, "exp", depths="0,2", k=2, shots=10)
+            res = workspace / "results.json"
+            assert run(["simulate", "--circuits", out / "circuits.json", "--out", res]) == 0
+            assert run(["analyze", res, "--bootstrap", 3, "--out", workspace / "rep"]) == 0
+            assert run(["predict", "--n", 2, "--p-cnot", 0.3, "--p-mcm", 0.4,
+                        "--out", workspace / "pred.json"]) == 0
+        finally:
+            os.umask(old)
+        files = [p for p in workspace.rglob("*") if p.is_file()]
+        assert {p.name for p in files} == {
+            "design.json", "circuits.json", "results.json", "report.json",
+            "results.curve.csv", "pred.json",
+        }
+        for p in files:
+            assert p.stat().st_mode & 0o777 == 0o666 & ~umask, p.name
+
+
 class TestDesignCommand:
     def test_default_sizes_give_75_circuits(self, workspace):
         out = workspace / "exp"
@@ -80,6 +110,28 @@ class TestDesignCommand:
         obj = serialize.read_json(str(out / "circuits.json"))
         for entry in obj["circuits"]:
             assert entry["depth"] == 0 and entry["layers"] == [] and entry["m"] == 0
+
+
+def _ops_in_order(circuit):
+    yield from circuit["prep"]
+    for entry in circuit["layers"]:
+        for key in ("l1", "l2", "l3"):
+            yield from entry[key]
+    yield from circuit["final"]
+
+
+def _retype_repeated_wire_one(obj, wire):
+    """Give ``wire`` (1.0 or True, which hash like 1) to a gate op whose gate
+    already sat on wire 1 earlier in the same circuit."""
+    for circuit in obj["circuits"]:
+        seen = set()
+        for op in _ops_in_order(circuit):
+            if op["gate"] != "measure" and op["wires"] == [1]:
+                if op["gate"] in seen:
+                    op["wires"] = [wire]
+                    return
+                seen.add(op["gate"])
+    raise AssertionError("no repeated gate on wire 1")
 
 
 def _make_design(workspace, name, seed=3, depths="0,1,4,8", n=2, k=4, shots=60,
@@ -114,7 +166,10 @@ class TestSimulateCommand:
         bogus.write_text(json.dumps({"schema": "qirb-999", "kind": "circuits"}))
         assert run(["simulate", "--circuits", bogus, "--out", workspace / "x.json"]) == 3
 
-    @pytest.mark.parametrize("damage", ["missing-key", "truncated", "wire-out-of-range"])
+    @pytest.mark.parametrize("damage", [
+        "missing-key", "truncated", "wire-out-of-range", "wire-float", "wire-bool",
+        "gate-unknown", "measure-two-wires",
+    ])
     def test_malformed_circuits_file_exits_3(self, workspace, damage):
         text = read(_make_design(workspace, "exp") / "circuits.json")
         if damage == "truncated":
@@ -123,8 +178,17 @@ class TestSimulateCommand:
             obj = json.loads(text)
             if damage == "missing-key":
                 del obj["circuits"][1]["target"]
-            else:
+            elif damage == "wire-out-of-range":
                 obj["circuits"][0]["prep"][0]["wires"] = [obj["circuits"][0]["n"] + 3]
+            elif damage.startswith("wire-"):
+                _retype_repeated_wire_one(obj, 1.0 if damage == "wire-float" else True)
+            elif damage == "measure-two-wires":
+                op = next(op for c in obj["circuits"] for op in _ops_in_order(c)
+                          if op["gate"] == "measure" and op["wires"] == [0])
+                op["wires"] = [0, 1]
+            else:
+                # The last op of a circuit, after valid ops that decoded fine.
+                obj["circuits"][0]["final"][-1]["gate"] = "C24"
             text = json.dumps(obj)
         bad = workspace / "bad.json"
         bad.write_text(text)
@@ -235,6 +299,25 @@ class TestPredictCommand:
         assert run(["predict", "--n", 2, "--p-cnot", 0.2, "--p-mcm", 0.2]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "r_omega" in payload
+
+
+@pytest.mark.parametrize("case", ["edges-missing-key", "edges-not-pairs", "noise-missing-channel"])
+def test_malformed_side_file_exits_3(workspace, case):
+    side = workspace / "side.json"
+    if case == "noise-missing-channel":
+        obj = serialize.noise_to_obj(NoiseModel.depolarizing())
+        del obj["twoq"]
+        side.write_text(json.dumps(serialize.stamp("noise", obj)))
+        argv = ["predict", "--n", 2, "--p-cnot", 0.3, "--p-mcm", 0.2, "--noise", side]
+    else:
+        side.write_text(json.dumps({"foo": 1} if case == "edges-missing-key"
+                                   else {"edges": [[0, 1, 2]]}))
+        argv = ["design", "--n", 3, "--p-cnot", 0.3, "--p-mcm", 0.2, "--edges", side,
+                "--out", workspace / "exp"]
+    proc = run_process(argv)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("schema error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_errors_exit_2():

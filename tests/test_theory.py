@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qirb import theory
 from qirb.pauli import SignedPauli
 from qirb.sampler import SamplingConfig
 from qirb.simulator import (
@@ -13,6 +14,7 @@ from qirb.simulator import (
 )
 from qirb.theory import (
     InstrumentError,
+    LayerCounts,
     bound_terms_extrema,
     exact_success_expectation,
     instrument_rates,
@@ -262,3 +264,11 @@ class TestExactExpectation:
         assert predict_fbar_curve(1.0, 0.5, [1, 5, 9]) == [0.0, 0.0, 0.0]
         with pytest.raises(ValueError):
             predict_fbar_curve(1.0, 0.7, [1])
+
+
+def test_lambda_sum_rejects_multi_mcm_classes(monkeypatch):
+    monkeypatch.setattr(theory, "layer_class_distribution",
+                        lambda config: [(1.0, LayerCounts(4, 0, 2))])
+    cfg = SamplingConfig(n=3, p_cnot=0.3, p_mcm=0.3)
+    with pytest.raises(RuntimeError, match="at most 1"):
+        r_omega_via_lambda_sum(NoiseModel.depolarizing(), cfg)
