@@ -7,12 +7,16 @@ error rate, bootstrap uncertainties, the four-parameter error-rates model
 Declared conventions (the underlying protocol fixes none of these):
 
 * decay fits minimize weighted least squares, weights 1/SE_d^2 when every
-  depth has a positive standard error and uniform otherwise, seeded by a
-  log-linear regression over depths with positive means and refined by a
-  bounded Nelder-Mead simplex;
-* bootstrap resamples circuits with replacement within each depth, then
-  redraws each chosen circuit's success count from a binomial at its
-  empirical rate, and reports the sample standard deviation of the re-fits;
+  depth has a positive standard error and uniform otherwise, with
+  A in [1e-9, 1.05] and r in [0, 1 - 1e-9]. The fit is a variable
+  projection (Golub & Pereyra 1973): for fixed r the best A has a closed
+  form, so the loss profiled over A is scanned on a fixed grid (r = 0, then
+  log-spaced in -log(1 - r)) and refined by bounded Brent between the best
+  grid point's neighbours;
+* bootstrap resamples circuits with replacement within each depth (ERM:
+  within each config and depth), then redraws each chosen circuit's success
+  count from a binomial at its empirical rate, and reports the sample
+  standard deviation of the re-fits;
 * ERM gate counts include the dressing sublayers and the preparation and
   final rotation layers, matching the simulator's noise attachment.
 """
@@ -72,7 +76,7 @@ def compute_f(shots: list[ShotRecord]) -> Fraction:
 
 @dataclass(frozen=True)
 class DepthStats:
-    """Per-depth aggregation of per-circuit F values."""
+    """Per-depth aggregation of per-circuit F values (empty for bootstrap resamples)."""
 
     depth: int
     f_values: tuple[Fraction, ...]
@@ -119,17 +123,23 @@ class FitResult:
     bootstrap_samples: tuple[float, ...] = ()
 
 
-_BOUNDS = ((1e-9, 1.05), (0.0, 1.0 - 1e-9))
+# Decay exponents t = -log(1 - r) scanned first: r = 0, then log-spaced up
+# to r = 1 - 1e-9.  A bounded search alone can settle on the flat r -> 1
+# plateau of noisy data.
+_T_GRID = np.concatenate(([0.0], np.geomspace(1e-10, -math.log(1e-9), 1000)))
 
 
-def _decay_loss(params, depths, means, weights):
-    a, r = params
-    base = 1.0 - r
-    total = 0.0
-    for d, mean, w in zip(depths, means, weights):
-        diff = mean - a * base**d
-        total += w * diff * diff
-    return total
+def _profile(t, depths, means, weights):
+    """Best amplitude A in [1e-9, 1.05] and its loss at each exponent in ``t``.
+
+    The loss is quadratic in A, so the clipped least-squares A is the bounded
+    optimum; where every (1 - r)^d underflows, the loss does not depend on A.
+    """
+    p = np.exp(-np.multiply.outer(t, depths))
+    num = p @ (weights * means)
+    den = (p * p) @ weights
+    amp = np.clip(np.divide(num, den, out=np.zeros_like(num), where=den > 0.0), 1e-9, 1.05)
+    return amp, ((means - amp[:, None] * p) ** 2) @ weights
 
 
 def fit_decay(stats: list[DepthStats]) -> FitResult:
@@ -144,29 +154,46 @@ def fit_decay(stats: list[DepthStats]) -> FitResult:
     errs = np.array([s.stderr for s in stats], dtype=float)
     weights = 1.0 / errs**2 if np.all(errs > 0.0) else np.ones_like(means)
 
-    pos = means > 0.0
-    if pos.sum() >= 2:
-        slope, intercept = np.polyfit(depths[pos], np.log(means[pos]), 1)
-        a0 = float(np.clip(math.exp(intercept), 1e-6, 1.05))
-        r0 = float(np.clip(1.0 - math.exp(slope), 0.0, 1.0 - 1e-9))
-    else:
-        a0, r0 = float(np.clip(means[0], 1e-6, 1.05)), 0.1
-    # The simplex refines the seed on noisy data; on noiseless data the
-    # log-linear seed is already exact and is kept if the simplex cannot
-    # improve on it.
-    best = np.array([a0, r0])
-    best_loss = _decay_loss(best, depths, means, weights)
-    res = minimize(
-        _decay_loss,
-        best,
-        args=(depths, means, weights),
-        method="Nelder-Mead",
-        bounds=_BOUNDS,
-        options={"xatol": 1e-9, "fatol": 1e-15, "maxiter": 2000},
+    amps, losses = _profile(_T_GRID, depths, means, weights)
+    i = int(np.argmin(losses))
+    best_t, best_amp, best_loss = _T_GRID[i], amps[i], losses[i]
+    # Brent's tolerance is relative to |x|, so it searches the offset from
+    # the grid point, between the neighbouring grid points.
+    res = minimize_scalar(
+        lambda x: _profile(np.array([best_t + x]), depths, means, weights)[1][0],
+        bounds=(_T_GRID[max(i - 1, 0)] - best_t, _T_GRID[min(i + 1, len(_T_GRID) - 1)] - best_t),
+        method="bounded",
+        options={"xatol": 1e-15},
     )
+    # Brent never evaluates the ends of its bracket, so the grid point
+    # stays when it is at least as good (it is when r = 0 exactly).
     if res.fun < best_loss:
-        best, best_loss = res.x, float(res.fun)
-    return FitResult(amplitude=float(best[0]), r_omega=float(best[1]), residual=best_loss)
+        best_t += res.x
+        (best_amp,), (best_loss,) = _profile(np.array([best_t]), depths, means, weights)
+    return FitResult(
+        amplitude=float(best_amp), r_omega=float(-math.expm1(-best_t)), residual=float(best_loss)
+    )
+
+
+def _resample(n_success, shots, groups, resamples: int, rng):
+    """Bootstrap draws of circuits given by success and shot count arrays.
+
+    Draws circuits with replacement within each group (an index array),
+    then each chosen circuit's success count from a binomial at its
+    empirical rate. Returns the chosen indices and their F values, each of
+    shape (resamples, circuits), the groups' columns side by side in order.
+    """
+    idx = np.concatenate(
+        [g[rng.integers(0, len(g), size=(resamples, len(g)))] for g in groups], axis=1
+    )
+    n = shots[idx]
+    return idx, (2 * rng.binomial(n, n_success[idx] / n) - n) / n
+
+
+def _depth_moments(f):
+    """Per-row mean of F values and its standard error, as in ``DepthStats``."""
+    k = f.shape[1]
+    return f.mean(axis=1), (f.std(axis=1, ddof=1) / math.sqrt(k) if k > 1 else np.zeros(len(f)))
 
 
 def bootstrap_decay(data: DecayDataset, resamples: int, seed: int) -> FitResult:
@@ -174,19 +201,15 @@ def bootstrap_decay(data: DecayDataset, resamples: int, seed: int) -> FitResult:
     if resamples < 2:
         raise ValueError("need at least two bootstrap resamples")
     base = fit_decay(data.depth_stats())
-    rng = derive_np_rng(seed, "bootstrap-decay")
+    depths = sorted(data.by_depth)
+    counts = np.array([c for d in depths for c in data.by_depth[d]], dtype=np.int64)
+    sizes = [len(data.by_depth[d]) for d in depths]
+    groups = np.split(np.arange(len(counts)), np.cumsum(sizes)[:-1])
+    _, f = _resample(*counts.T, groups, resamples, derive_np_rng(seed, "bootstrap-decay"))
+    moments = [_depth_moments(f[:, g]) for g in groups]
     samples = []
-    for _ in range(resamples):
-        stats = []
-        for depth in sorted(data.by_depth):
-            circuits = data.by_depth[depth]
-            idx = rng.integers(0, len(circuits), size=len(circuits))
-            fs = []
-            for i in idx:
-                ns, n = circuits[i]
-                ns2 = int(rng.binomial(n, ns / n))
-                fs.append(f_from_counts(ns2, n - ns2))
-            stats.append(DepthStats.from_f_values(depth, fs))
+    for j in range(resamples):
+        stats = [DepthStats(d, (), mean[j], se[j]) for d, (mean, se) in zip(depths, moments)]
         try:
             samples.append(fit_decay(stats).r_omega)
         except FitDegenerateError:
@@ -296,30 +319,10 @@ _DEFAULT_ERM_STARTS = (
 )
 
 
-def fit_erm(
-    data: list[ErmDatum],
-    seed: int = 0,
-    starts=None,
-    perturbed_starts: int = 0,
-) -> tuple[ErmParams, float]:
-    """Fit the four ERM parameters by mean-squared-error minimization.
-
-    Runs a bounded Nelder-Mead simplex from every start (defaults to 8
-    spread-out starts; a single-config input is accepted but poorly
-    conditioned) and keeps the best residual.
-    """
-    if not data:
-        raise FitDegenerateError("no circuits to fit")
-    arrays = _erm_loss_arrays(data)
-    start_list = list(starts if starts is not None else _DEFAULT_ERM_STARTS)
-    if perturbed_starts:
-        rng = derive_np_rng(seed, "erm-starts")
-        for _ in range(perturbed_starts):
-            base = start_list[0]
-            start_list.append(tuple(np.clip(np.array(base) * rng.lognormal(0, 0.5, 4), 0, 1)))
+def _fit_erm_arrays(arrays, starts) -> tuple[ErmParams, float]:
     best_x = None
     best_loss = math.inf
-    for s in start_list:
+    for s in starts:
         res = minimize(
             _erm_loss,
             np.array(s, dtype=float),
@@ -337,6 +340,18 @@ def fit_erm(
     return ErmParams(e1, e2, em, spam), best_loss
 
 
+def fit_erm(data: list[ErmDatum], starts=_DEFAULT_ERM_STARTS) -> tuple[ErmParams, float]:
+    """Fit the four ERM parameters by mean-squared-error minimization.
+
+    Runs a bounded Nelder-Mead simplex from every start (defaults to 8
+    spread-out starts; a single-config input is accepted but poorly
+    conditioned) and keeps the best residual.
+    """
+    if not data:
+        raise FitDegenerateError("no circuits to fit")
+    return _fit_erm_arrays(_erm_loss_arrays(data), starts)
+
+
 def bootstrap_erm(data: list[ErmDatum], resamples: int, seed: int):
     """Bootstrap sigma for each ERM parameter.
 
@@ -344,28 +359,20 @@ def bootstrap_erm(data: list[ErmDatum], resamples: int, seed: int):
     then redraws shot counts binomially, and re-fits. Resample fits start
     from the full-data solution (the multi-start search already found it).
     """
-    params, residual = fit_erm(data, seed=seed)
+    params, residual = fit_erm(data)
     base_start = [(params.eps_1q, params.eps_2q, params.eps_mcm, params.eps_spam)]
-    groups: dict[tuple[int, int], list[ErmDatum]] = {}
-    for d in data:
-        groups.setdefault((d.config_id, d.depth), []).append(d)
-    rng = derive_np_rng(seed, "bootstrap-erm")
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, d in enumerate(data):
+        groups.setdefault((d.config_id, d.depth), []).append(i)
+    counts = np.array([(d.n_success, d.shots) for d in data], dtype=np.int64)
+    idx, f = _resample(*counts.T, [np.array(groups[key]) for key in sorted(groups)], resamples,
+                       derive_np_rng(seed, "bootstrap-erm"))
+    k1, k2, km, _ = _erm_loss_arrays(data)
     draws = []
-    for _ in range(resamples):
-        resampled = []
-        for key in sorted(groups):
-            members = groups[key]
-            idx = rng.integers(0, len(members), size=len(members))
-            for i in idx:
-                d = members[i]
-                ns2 = int(rng.binomial(d.shots, d.n_success / d.shots))
-                resampled.append(
-                    ErmDatum(d.k1, d.k2, d.km, d.depth, d.config_id, ns2, d.shots)
-                )
-        p, _ = fit_erm(resampled, seed=seed, starts=base_start)
+    for c, f_row in zip(idx, f):
+        p, _ = _fit_erm_arrays((k1[c], k2[c], km[c], f_row), base_start)
         draws.append((p.eps_1q, p.eps_2q, p.eps_mcm, p.eps_spam))
-    arr = np.array(draws)
-    sigma = arr.std(axis=0, ddof=1)
+    sigma = np.array(draws).std(axis=0, ddof=1)
     return params, residual, {
         "eps_1q": float(sigma[0]),
         "eps_2q": float(sigma[1]),

@@ -129,6 +129,7 @@ def cmd_simulate(args) -> int:
         reset_free_mode=args.reset_free_mode,
         threads=args.threads,
     )
+    # Each entry decoded and checked above is written back as read.
     payload = {
         "design": design.to_obj(),
         "noise": serialize.noise_to_obj(noise),
@@ -140,9 +141,9 @@ def cmd_simulate(args) -> int:
                 "n_success": r.result.n_success,
                 "n_fail": r.result.n_fail,
                 "counts": r.result.counts,
-                "circuit": serialize.circuit_to_obj(r.circuit),
+                "circuit": {k: v for k, v in entry.items() if k not in ("id", "depth")},
             }
-            for r in results
+            for r, (_, _, entry) in zip(results, entries)
         ],
     }
     write_json(args.out, stamp("results", payload))
@@ -158,15 +159,15 @@ def _load_results(path: str) -> tuple[dict, list[CircuitResult]]:
     obj = check_kind(read_json(path), "results")
     results = []
     with serialize.malformed_as_schema_error(path):
-        ExperimentDesign.from_obj(obj["design"])
+        shots = ExperimentDesign.from_obj(obj["design"]).shots
         for entry in obj["results"]:
             circ = serialize.circuit_from_obj(entry["circuit"])
-            res = SimResult(
-                shots=entry["n_success"] + entry["n_fail"],
-                n_success=_index(entry["n_success"]),
-                n_fail=_index(entry["n_fail"]),
-                counts=entry.get("counts"),
-            )
+            n_success, n_fail = _index(entry["n_success"]), _index(entry["n_fail"])
+            counts = entry.get("counts")
+            counted = shots if counts is None else sum(map(_index, counts.values()))
+            if n_success + n_fail != shots or counted != shots:
+                raise ValueError(f"shot totals differ from the design's {shots} shots")
+            res = SimResult(shots=shots, n_success=n_success, n_fail=n_fail, counts=counts)
             results.append(CircuitResult(_index(entry["id"]), _index(entry["depth"]), circ, res))
     return obj, results
 

@@ -9,9 +9,9 @@ identical for any worker count and any execution order.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .analysis import DecayDataset, ErmDatum, FitResult, bootstrap_decay, erm_counts
+from .analysis import DecayDataset, ErmDatum, erm_counts
 from .builder import QirbCircuit, build_qirb_circuit
 from .sampler import SamplingConfig, sample_core_circuit
 from .seeding import derive_rng, derive_seed
@@ -24,7 +24,6 @@ __all__ = [
     "build_design_circuits",
     "simulate_design",
     "decay_dataset_from_results",
-    "analyze_decay",
     "erm_data_from_results",
 ]
 
@@ -63,9 +62,6 @@ class ExperimentDesign:
             reset=self.reset,
             mode=self.mode,
         )
-
-    def with_seed(self, seed: int) -> "ExperimentDesign":
-        return replace(self, seed=seed)
 
     def to_obj(self) -> dict:
         return {
@@ -158,11 +154,6 @@ def decay_dataset_from_results(results: list[CircuitResult]) -> DecayDataset:
     for r in results:
         data.add(r.depth, r.result.n_success, r.result.shots)
     return data
-
-
-def analyze_decay(results: list[CircuitResult], bootstrap: int = 100, seed: int = 0) -> FitResult:
-    data = decay_dataset_from_results(results)
-    return bootstrap_decay(data, bootstrap, seed)
 
 
 def erm_data_from_results(results_by_config: list[list[CircuitResult]]) -> list[ErmDatum]:

@@ -11,6 +11,8 @@ from qirb.analysis import (
     ErmDatum,
     ErmParams,
     FitDegenerateError,
+    _depth_moments,
+    _resample,
     bootstrap_decay,
     compute_f,
     erm_predict,
@@ -78,6 +80,67 @@ class TestFitDecay:
         with pytest.raises(FitDegenerateError):
             fit_decay(stats)
 
+    # The parent 2-D simplex stopped above the optimum on these two
+    # (losses 3.54 and 235 against 0.156 and 12.8).
+    HARD = (
+        {1: [95, 97], 4: [88, 84], 16: [61, 64], 32: [58, 44]},
+        {1: [89, 86], 4: [50, 56], 16: [44, 59], 32: [52, 56]},
+    )
+
+    @staticmethod
+    def _random_dataset(rng):
+        all_depths = [0] + [2**k for k in range(10)]
+        depths = rng.choice(all_depths, size=rng.integers(2, len(all_depths) + 1), replace=False)
+        r = math.exp(rng.uniform(math.log(1e-4), math.log(0.5)))
+        a = rng.uniform(0.5, 1.0)
+        shots = int(rng.choice([10, 100, 1000]))
+        data = DecayDataset()
+        for d in sorted(int(d) for d in depths):
+            for _ in range(rng.integers(1, 16)):
+                data.add(d, int(rng.binomial(shots, (1 + a * (1 - r) ** d) / 2)), shots)
+        return data
+
+    def test_fit_is_global_over_a_dense_grid(self):
+        # Profile out A in closed form at 12,000 values of r, independently
+        # of the module, and require the fit to be at least as good.
+        r = np.unique(np.concatenate([
+            np.linspace(0.0, 1.0 - 1e-9, 6000), np.geomspace(1e-9, 1.0 - 1e-9, 6000),
+        ]))
+
+        def loss(stats, amp, rate):
+            d = np.array([s.depth for s in stats], dtype=float)
+            m = np.array([s.mean for s in stats])
+            e = np.array([s.stderr for s in stats])
+            w = 1.0 / e**2 if np.all(e > 0) else np.ones_like(m)
+            b = np.power.outer(1.0 - np.atleast_1d(rate), d)
+            if amp is None:
+                den = (b * b) @ w
+                amp = np.clip(np.divide(b @ (w * m), den, out=np.zeros_like(den),
+                                        where=den > 0), 1e-9, 1.05)
+            return ((m - np.atleast_1d(amp)[:, None] * b) ** 2) @ w, float(w @ m**2)
+
+        datasets = []
+        for counts in self.HARD:
+            data = DecayDataset()
+            for d, successes in counts.items():
+                for ns in successes:
+                    data.add(d, ns, 100)
+            datasets.append(data)
+        rng = np.random.default_rng(2024)
+        datasets += [self._random_dataset(rng) for _ in range(400)]
+        fitted = 0
+        for data in datasets:
+            stats = data.depth_stats()
+            try:
+                fit = fit_decay(stats)
+            except FitDegenerateError:
+                continue
+            fitted += 1
+            (got,), scale = loss(stats, fit.amplitude, fit.r_omega)
+            best = loss(stats, None, r)[0].min()
+            assert got <= best * (1 + 1e-9) + 1e-12 * scale, (dict(data.by_depth), fit)
+        assert fitted > 350
+
     def test_weighted_fit_uses_stderr(self):
         # A wildly off point with a huge error bar barely moves the fit.
         good = synthetic_stats(1.0, 0.02, (0, 1, 4, 32), k=5)
@@ -124,6 +187,25 @@ class TestBootstrap:
             sig[shots] = np.mean(sigmas)
         ratio = sig[100] / sig[200]
         assert 1.1 < ratio < 1.8  # about sqrt(2)
+
+    def test_resampler_moments_match_depth_stats(self):
+        rng = np.random.default_rng(8)
+        shots = rng.integers(1, 500, size=10)
+        n_success = rng.integers(0, shots + 1)
+        groups = [np.arange(0, 1), np.arange(1, 3), np.arange(3, 10)]
+        idx, f = _resample(n_success, shots, groups, 20, np.random.default_rng(1))
+        n = shots[idx]
+        drawn = np.rint((f + 1) * n / 2).astype(np.int64)
+        assert np.array_equal((2 * drawn - n) / n, f)
+        for g in groups:
+            assert np.isin(idx[:, g], g).all()
+            means, stderrs = _depth_moments(f[:, g])
+            for row in range(len(f)):
+                ref = DepthStats.from_f_values(
+                    0, [f_from_counts(int(s), int(t - s)) for s, t in zip(drawn[row, g], n[row, g])]
+                )
+                assert abs(means[row] - ref.mean) <= 1e-12
+                assert abs(stderrs[row] - ref.stderr) <= 1e-12
 
 
 class TestErm:

@@ -251,6 +251,27 @@ class TestAnalyzeCommand:
         assert 0.0 <= obj["erm"]["eps_mcm"] <= 1.0
 
 
+    @pytest.mark.parametrize("damage", [
+        "zero-shots", "total-mismatch", "counts-mismatch", "missing-key",
+    ])
+    def test_malformed_results_file_exits_3(self, workspace, damage):
+        obj = json.loads(read(self._results(workspace)))
+        entry = obj["results"][1]
+        if damage == "zero-shots":
+            entry["n_success"] = entry["n_fail"] = 0
+        elif damage == "total-mismatch":
+            entry["n_fail"] += 1
+        elif damage == "counts-mismatch":
+            entry["counts"][next(iter(entry["counts"]))] += 1
+        else:
+            del entry["n_fail"]
+        bad = workspace / "bad.json"
+        bad.write_text(json.dumps(obj))
+        proc = run_process(["analyze", bad, "--bootstrap", 2, "--out", workspace / "rep"])
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("schema error:")
+        assert "Traceback" not in proc.stderr
+
     def test_inputs_sharing_a_stem_keep_separate_curves(self, workspace):
         paths = []
         for i, name in enumerate(("a", "b")):
