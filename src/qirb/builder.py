@@ -44,6 +44,7 @@ __all__ = [
     "QirbCircuit",
     "OutcomeString",
     "build_qirb_circuit",
+    "derived_mcm_fields",
     "classify_outcome",
     "resolve_reset_free",
     "TrackedWalk",
@@ -92,8 +93,13 @@ class DressedLayer:
         if self.l2.mcm_wires:
             if self.pre_meas_component is None or self.post_meas_component is None:
                 raise ValueError("measured layer needs pre/post components")
+            if not (self.pre_meas_component.n == self.post_meas_component.n
+                    == len(self.l2.mcm_wires)):
+                raise ValueError("pre/post components need one letter per measured wire")
             if self.pre_meas_component.x != 0:
                 raise ValueError("pre-measurement component must be Z-type")
+        elif self.pre_meas_component is not None or self.post_meas_component is not None:
+            raise ValueError("a layer without measurements has no pre/post components")
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,16 @@ def _set_letter(x: int, z: int, q: int, code: int) -> tuple[int, int]:
     return x, z
 
 
+def derived_mcm_fields(
+    dressed: tuple[DressedLayer, ...], target: SignedPauli
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The MCM bit order and the discard mask, which follow from the layers
+    and the target: one ``(layer index, wire)`` per MCM in outcome-bit
+    order, and the virtual wires outside the target's support."""
+    order = tuple((i, q) for i, d in enumerate(dressed) for q in d.l2.mcm_wires)
+    return order, ((1 << target.n) - 1) & ~target.support()
+
+
 def build_qirb_circuit(
     core: list[CircuitLayer],
     reset_flag: bool,
@@ -195,10 +211,9 @@ def build_qirb_circuit(
     cur = initial
     target_x = target_z = 0
     dressed: list[DressedLayer] = []
-    bit_order: list[tuple[int, int]] = []
     mcm_counter = 0
 
-    for i, layer in enumerate(core):
+    for layer in core:
         measured = layer.mcm_wires
         mset = set(measured)
 
@@ -228,7 +243,6 @@ def build_qirb_circuit(
                     target_z |= 1 << (mcm_counter + k)
                 cx &= ~(1 << q)
                 cz &= ~(1 << q)
-                bit_order.append((i, q))
             cur = SignedPauli(n, cx, cz, cur.sign)
             pre_comp = SignedPauli(len(measured), px, pz, 1)
 
@@ -280,7 +294,7 @@ def build_qirb_circuit(
     target_z |= cur.z << m
 
     target = SignedPauli(n + m, target_x, target_z, cur.sign)
-    discard = ((1 << (n + m)) - 1) & ~target.support()
+    bit_order, discard = derived_mcm_fields(tuple(dressed), target)
     return QirbCircuit(
         n=n,
         m=m,
@@ -289,7 +303,7 @@ def build_qirb_circuit(
         final_layer=final_layer,
         target=target,
         initial_pauli=initial,
-        mcm_bit_order=tuple(bit_order),
+        mcm_bit_order=bit_order,
         discard_mask=discard,
         reset=reset_flag,
     )

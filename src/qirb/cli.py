@@ -8,7 +8,8 @@ Subcommands::
     qirb predict   # analytic decay-rate prediction for a noise model
 
 Exit codes: 0 success, 2 usage error, 3 file-schema mismatch, 4 degenerate
-fit. ``QIRB_THREADS`` sets the default worker count for simulation.
+fit. Simulation runs serially: ``simulate --threads`` and ``QIRB_THREADS``
+(its default) are accepted and ignored.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 
 from . import serialize
 from .analysis import FitDegenerateError, bootstrap_decay, bootstrap_erm
+from .builder import QirbCircuit
 from .pipeline import (
     DEFAULT_DEPTHS,
     ExperimentDesign,
@@ -42,6 +44,18 @@ def _index(value) -> int:
     if type(value) is not int or value < 0:
         raise ValueError(f"expected a non-negative integer, got {value!r}")
     return value
+
+
+def _checked_circuit(obj: dict, depth: int, design: ExperimentDesign) -> QirbCircuit:
+    """Decode a file entry's circuit; it must have the entry's depth and the
+    design's wire count and reset mode."""
+    c = serialize.circuit_from_obj(obj)
+    if (c.depth, c.n, c.reset) != (depth, design.n, design.reset):
+        raise SchemaError(
+            f"circuit with depth {c.depth}, n = {c.n} and reset = {c.reset} is filed "
+            f"under depth {depth} in a design with n = {design.n} and reset = {design.reset}"
+        )
+    return c
 
 
 def _parse_depths(text: str) -> tuple[int, ...]:
@@ -119,7 +133,7 @@ def cmd_simulate(args) -> int:
     with serialize.malformed_as_schema_error(args.circuits):
         design = ExperimentDesign.from_obj(obj["design"])
         entries = [(_index(e["id"]), _index(e["depth"]), e) for e in obj["circuits"]]
-    circuits = [(cid, depth, serialize.circuit_from_obj(e)) for cid, depth, e in entries]
+    circuits = [(cid, depth, _checked_circuit(e, depth, design)) for cid, depth, e in entries]
     noise = _noise_from_args(args)
     results = simulate_design(
         circuits,
@@ -159,16 +173,18 @@ def _load_results(path: str) -> tuple[dict, list[CircuitResult]]:
     obj = check_kind(read_json(path), "results")
     results = []
     with serialize.malformed_as_schema_error(path):
-        shots = ExperimentDesign.from_obj(obj["design"]).shots
+        design = ExperimentDesign.from_obj(obj["design"])
+        shots = design.shots
         for entry in obj["results"]:
-            circ = serialize.circuit_from_obj(entry["circuit"])
+            depth = _index(entry["depth"])
+            circ = _checked_circuit(entry["circuit"], depth, design)
             n_success, n_fail = _index(entry["n_success"]), _index(entry["n_fail"])
             counts = entry.get("counts")
             counted = shots if counts is None else sum(map(_index, counts.values()))
             if n_success + n_fail != shots or counted != shots:
                 raise ValueError(f"shot totals differ from the design's {shots} shots")
             res = SimResult(shots=shots, n_success=n_success, n_fail=n_fail, counts=counts)
-            results.append(CircuitResult(_index(entry["id"]), _index(entry["depth"]), circ, res))
+            results.append(CircuitResult(_index(entry["id"]), depth, circ, res))
     return obj, results
 
 
@@ -324,7 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulation master seed (default: the design seed)")
     p.add_argument("--reset-free-mode", choices=["frame-correction", "feedforward-x"],
                    default="frame-correction")
-    p.add_argument("--threads", type=int, default=int(os.environ.get("QIRB_THREADS", "1")))
+    # argparse converts a string default with ``type``, so a bad
+    # QIRB_THREADS is a usage error of simulate, not a traceback of every command.
+    p.add_argument("--threads", type=int, default=os.environ.get("QIRB_THREADS", "1"),
+                   help="accepted and ignored: simulation runs serially "
+                        "(default: $QIRB_THREADS or 1)")
     p.add_argument("--out", required=True, help="results.json path")
     p.set_defaults(func=cmd_simulate)
 

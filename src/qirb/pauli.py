@@ -34,7 +34,6 @@ __all__ = [
     "cliffords_mapping_letter",
     "cliffords_preparing",
     "pauli_gate_indices",
-    "clifford_name",
     "clifford_index_from_name",
 ]
 
@@ -163,10 +162,6 @@ def clifford_action(index: int) -> _Action:
 
 _GATE_NAMES = tuple(f"C{i}" for i in range(NUM_ONEQ_CLIFFORDS)) + ("cnot",)
 _GATE_INDEX = {name: i for i, name in enumerate(_GATE_NAMES)}
-
-
-def clifford_name(index: int) -> str:
-    return _GATE_NAMES[index]
 
 
 def clifford_index_from_name(name: str) -> int:
@@ -323,10 +318,6 @@ class CliffordGate:
     @property
     def is_cnot(self) -> bool:
         return self.index == CNOT_INDEX
-
-    @property
-    def name(self) -> str:
-        return clifford_name(self.index)
 
     def x_image(self) -> tuple[str, int]:
         """Signed image of X under conjugation (single-qubit gates only)."""

@@ -2,13 +2,12 @@
 
 A design pins everything needed to regenerate its circuits bit-for-bit:
 sampling parameters, depths, circuit counts, shots and the master seed.
-Simulation seeds derive per circuit from the master seed, so results are
-identical for any worker count and any execution order.
+Simulation seeds derive per circuit from the master seed, so results do
+not depend on the order in which circuits are simulated.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .analysis import DecayDataset, ErmDatum, erm_counts
@@ -46,6 +45,10 @@ class ExperimentDesign:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        counts = (self.n, self.circuits_per_depth, self.shots, self.seed, *self.depths)
+        if any(type(v) is not int for v in counts) or type(self.reset) is not bool:
+            raise ValueError("n, depths, circuit and shot counts and seed must be integers, "
+                             "reset true or false")
         if self.circuits_per_depth < 1 or self.shots < 1:
             raise ValueError("circuits per depth and shots must be >= 1")
         if list(self.depths) != sorted(set(self.depths)) or any(d < 0 for d in self.depths):
@@ -117,13 +120,6 @@ class CircuitResult:
     result: SimResult
 
 
-def _simulate_one(args) -> tuple[int, SimResult]:
-    cid, circuit, noise, shots, seed, mode, with_counts = args
-    res = simulate_result(circuit, noise, shots, seed, reset_free_mode=mode,
-                          with_counts=with_counts)
-    return cid, res
-
-
 def simulate_design(
     circuits: list[tuple[int, int, QirbCircuit]],
     noise: NoiseModel,
@@ -133,20 +129,15 @@ def simulate_design(
     threads: int = 1,
     with_counts: bool = True,
 ) -> list[CircuitResult]:
-    """Simulate every circuit; output is independent of ``threads``."""
+    """Simulate every circuit, one after another. ``threads`` is accepted and
+    ignored: a process pool cost more in pickling circuits than it saved."""
     master = design.seed if seed is None else seed
-    jobs = [
-        (cid, circ, noise, design.shots, derive_seed(master, "sim", cid), reset_free_mode, with_counts)
-        for cid, _, circ in circuits
-    ]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            got = dict(pool.map(_simulate_one, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
-    else:
-        got = dict(map(_simulate_one, jobs))
-    return [
-        CircuitResult(cid, depth, circ, got[cid]) for cid, depth, circ in circuits
-    ]
+    results = []
+    for cid, depth, circ in circuits:
+        res = simulate_result(circ, noise, design.shots, derive_seed(master, "sim", cid),
+                              reset_free_mode=reset_free_mode, with_counts=with_counts)
+        results.append(CircuitResult(cid, depth, circ, res))
+    return results
 
 
 def decay_dataset_from_results(results: list[CircuitResult]) -> DecayDataset:

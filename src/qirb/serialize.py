@@ -1,23 +1,34 @@
 """Stable JSON encodings for every file the toolchain reads or writes.
 
-Every file carries ``{"schema": "qirb-1", "kind": ...}``; a mismatch is a
-hard error, never a silent reinterpretation. Gates are written by their
-canonical names (``C0``..``C23``, ``cnot``) plus ``measure`` records. Each
+Every file carries ``{"schema": "qirb-2", "kind": ...}``; any other schema,
+``qirb-1`` included, is a hard error, never a silent reinterpretation. Each
 file is one compact line of JSON with sorted keys, so reruns are
 byte-identical and the standard library's C encoder writes it; read one with
 ``python -m json.tool FILE``. Writes go through a temp file and an atomic
 rename.
+
+A circuit layer is one string of space-separated tokens in op order: gates
+in the layer's order, then its measurements by increasing wire. ``C<k>.<w>``
+is single-qubit Clifford ``k`` (0..23, the table of :mod:`qirb.pauli`) on
+wire ``w``, ``c<control>.<target>`` a CNOT and ``m<w>`` a measurement; the
+empty string is an empty layer. Numbers are canonical decimals (no sign, no
+leading zero). Every layer takes its circuit's ``reset`` flag. A signed Pauli
+is one string, its sign then its letters (``"+IZX"``). A circuit's MCM bit
+order and discard mask are not stored: the decoder derives them from the
+layers and the target. Decoding is strict: a non-canonical token or layer,
+or an invalid gate, layer or circuit, raises :class:`SchemaError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 
-from .builder import DressedLayer, QirbCircuit
-from .pauli import CircuitLayer, CliffordGate, SignedPauli, clifford_index_from_name
+from .builder import DressedLayer, QirbCircuit, derived_mcm_fields
+from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate, SignedPauli
 from .simulator import (
     InstrumentErrorSpec,
     NoiseModel,
@@ -32,17 +43,16 @@ __all__ = [
     "write_json",
     "read_json",
     "check_kind",
-    "pauli_to_obj",
-    "pauli_from_obj",
-    "layer_to_ops",
-    "layer_from_ops",
+    "pauli_from_str",
+    "layer_to_str",
+    "layer_from_str",
     "circuit_to_obj",
     "circuit_from_obj",
     "noise_to_obj",
     "noise_from_obj",
 ]
 
-SCHEMA_VERSION = "qirb-1"
+SCHEMA_VERSION = "qirb-2"
 
 
 class SchemaError(Exception):
@@ -107,76 +117,87 @@ def stamp(kind: str, obj: dict) -> dict:
     return out
 
 
-def pauli_to_obj(p: SignedPauli) -> dict:
-    return {"paulis": p.letters(), "sign": p.sign}
+def pauli_from_str(text: str) -> SignedPauli:
+    """Decode ``str(p)`` of a :class:`SignedPauli`: ``+`` or ``-``, then letters."""
+    if type(text) is not str or text[:1] not in ("+", "-"):
+        raise ValueError(f"a signed Pauli is '+' or '-' then its letters, got {text!r}")
+    return SignedPauli.from_string(text[1:], 1 if text[0] == "+" else -1)
 
 
-def pauli_from_obj(obj: dict) -> SignedPauli:
-    return SignedPauli.from_string(obj["paulis"], obj["sign"])
+def layer_to_str(layer: CircuitLayer) -> str:
+    tokens = [
+        f"c{g.wires[0]}.{g.wires[1]}" if g.index == CNOT_INDEX else f"C{g.index}.{g.wires[0]}"
+        for g in layer.gates
+    ]
+    tokens += [f"m{q}" for q in layer.mcm_wires]
+    return " ".join(tokens)
 
 
-def layer_to_ops(layer: CircuitLayer) -> list[dict]:
-    ops: list[dict] = []
-    for g in layer.gates:
-        ops.append({"gate": g.name, "wires": list(g.wires)})
-    for q in layer.mcm_wires:
-        ops.append({"gate": "measure", "wires": [q], "reset": layer.reset})
-    return ops
+# [0-9], not \d, which also matches non-ASCII digits.
+_TOKEN = re.compile(r"([Ccm])(0|[1-9][0-9]*)(?:\.(0|[1-9][0-9]*))?")
 
 
-def layer_from_ops(
-    ops: list[dict], n: int, default_reset: bool = True, interned: dict | None = None
-) -> CircuitLayer:
-    """Decode one layer. ``interned`` maps ``(gate name, wires)`` to a checked
-    :class:`CliffordGate`; share one dict across the layers of a circuit so
-    that repeated placements decode to one (immutable) gate object."""
-    if interned is None:
-        interned = {}
+def _parse_token(token: str) -> CliffordGate | int:
+    """A checked gate, or the measured wire of an ``m`` token."""
+    match = _TOKEN.fullmatch(token)
+    if match is None:
+        raise ValueError(f"malformed layer token {token!r}")
+    kind, first, second = match.groups()
+    if kind == "m":
+        if second is not None:
+            raise ValueError(f"a measurement token names one wire, got {token!r}")
+        return int(first)
+    if second is None:
+        raise ValueError(f"a gate token names its wires, got {token!r}")
+    if kind == "c":
+        return CliffordGate(CNOT_INDEX, (int(first), int(second)))
+    index = int(first)
+    if index >= NUM_ONEQ_CLIFFORDS:
+        raise ValueError(f"unknown single-qubit Clifford in {token!r}")
+    return CliffordGate(index, (int(second),))
+
+
+def layer_from_str(text: str, n: int, reset: bool, cache: dict) -> CircuitLayer:
+    """Decode and check one layer. ``cache`` maps a token to its parse; share
+    one dict across the layers of a circuit so that repeated placements
+    decode to one (immutable) gate object."""
+    if type(text) is not str:
+        raise ValueError(f"a layer is a string of tokens, got {type(text).__name__}")
     gates = []
-    mcm = []
-    reset = default_reset
-    for op in ops:
-        name = op["gate"]
-        if name == "measure":
-            (q,) = op["wires"]
-            mcm.append(q)
-            reset = bool(op["reset"])
-            continue
-        wires = tuple(op["wires"])
-        # 1, 1.0 and True hash equal: only integer wires may share a key.
-        if not all(type(w) is int for w in wires):
-            raise ValueError(f"wire indices must be integers, got {list(wires)!r}")
-        key = (name, wires)
-        gate = interned.get(key)
-        if gate is None:
-            gate = interned[key] = CliffordGate(clifford_index_from_name(name), wires)
-        gates.append(gate)
+    mcm: list[int] = []
+    if text:
+        for token in text.split(" "):
+            item = cache.get(token)
+            if item is None:
+                item = cache[token] = _parse_token(token)
+            if type(item) is int:
+                if mcm and item <= mcm[-1]:
+                    raise ValueError(f"measurements out of increasing wire order in {text!r}")
+                mcm.append(item)
+            elif mcm:
+                raise ValueError(f"a gate follows a measurement in {text!r}")
+            else:
+                gates.append(item)
     return CircuitLayer(n, tuple(gates), tuple(mcm), reset=reset)
 
 
 def circuit_to_obj(c: QirbCircuit) -> dict:
     layers = []
     for d in c.dressed:
-        entry = {
-            "l1": layer_to_ops(d.l1),
-            "l2": layer_to_ops(d.l2),
-            "l3": layer_to_ops(d.l3),
-        }
+        entry = {"l1": layer_to_str(d.l1), "l2": layer_to_str(d.l2), "l3": layer_to_str(d.l3)}
         if d.pre_meas_component is not None:
-            entry["pre_meas"] = pauli_to_obj(d.pre_meas_component)
-            entry["post_meas"] = pauli_to_obj(d.post_meas_component)
+            entry["pre_meas"] = str(d.pre_meas_component)
+            entry["post_meas"] = str(d.post_meas_component)
         layers.append(entry)
     return {
         "n": c.n,
         "m": c.m,
         "reset": c.reset,
-        "prep": layer_to_ops(c.prep_layer),
+        "prep": layer_to_str(c.prep_layer),
         "layers": layers,
-        "final": layer_to_ops(c.final_layer),
-        "target": pauli_to_obj(c.target),
-        "initial": pauli_to_obj(c.initial_pauli),
-        "mcm_bits": [list(pair) for pair in c.mcm_bit_order],
-        "discard": [v for v in range(c.n + c.m) if (c.discard_mask >> v) & 1],
+        "final": layer_to_str(c.final_layer),
+        "target": str(c.target),
+        "initial": str(c.initial_pauli),
     }
 
 
@@ -184,33 +205,35 @@ def circuit_from_obj(obj: dict) -> QirbCircuit:
     """Decode and validate one circuit; a malformed one raises SchemaError."""
     with malformed_as_schema_error("circuit"):
         n = obj["n"]
-        reset = bool(obj["reset"])
-        gates: dict = {}
+        reset = obj["reset"]
+        if type(reset) is not bool:
+            raise ValueError(f"reset must be true or false, got {reset!r}")
+        cache: dict = {}
         dressed = []
         for entry in obj["layers"]:
-            pre = pauli_from_obj(entry["pre_meas"]) if "pre_meas" in entry else None
-            post = pauli_from_obj(entry["post_meas"]) if "post_meas" in entry else None
+            pre = pauli_from_str(entry["pre_meas"]) if "pre_meas" in entry else None
+            post = pauli_from_str(entry["post_meas"]) if "post_meas" in entry else None
             dressed.append(
                 DressedLayer(
-                    l1=layer_from_ops(entry["l1"], n, reset, gates),
-                    l2=layer_from_ops(entry["l2"], n, reset, gates),
-                    l3=layer_from_ops(entry["l3"], n, reset, gates),
+                    l1=layer_from_str(entry["l1"], n, reset, cache),
+                    l2=layer_from_str(entry["l2"], n, reset, cache),
+                    l3=layer_from_str(entry["l3"], n, reset, cache),
                     pre_meas_component=pre,
                     post_meas_component=post,
                 )
             )
-        discard = 0
-        for v in obj["discard"]:
-            discard |= 1 << v
+        dressed = tuple(dressed)
+        target = pauli_from_str(obj["target"])
+        bit_order, discard = derived_mcm_fields(dressed, target)
         return QirbCircuit(
             n=n,
             m=obj["m"],
-            prep_layer=layer_from_ops(obj["prep"], n, reset, gates),
-            dressed=tuple(dressed),
-            final_layer=layer_from_ops(obj["final"], n, reset, gates),
-            target=pauli_from_obj(obj["target"]),
-            initial_pauli=pauli_from_obj(obj["initial"]),
-            mcm_bit_order=tuple((i, q) for i, q in obj["mcm_bits"]),
+            prep_layer=layer_from_str(obj["prep"], n, reset, cache),
+            dressed=dressed,
+            final_layer=layer_from_str(obj["final"], n, reset, cache),
+            target=target,
+            initial_pauli=pauli_from_str(obj["initial"]),
+            mcm_bit_order=bit_order,
             discard_mask=discard,
             reset=reset,
         )

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -112,26 +113,30 @@ class TestDesignCommand:
             assert entry["depth"] == 0 and entry["layers"] == [] and entry["m"] == 0
 
 
-def _ops_in_order(circuit):
-    yield from circuit["prep"]
+def _layer_slots(circuit):
+    """(holder, key) of every layer string of a circuit entry, in op order."""
+    yield circuit, "prep"
     for entry in circuit["layers"]:
         for key in ("l1", "l2", "l3"):
-            yield from entry[key]
-    yield from circuit["final"]
+            yield entry, key
+    yield circuit, "final"
 
 
-def _retype_repeated_wire_one(obj, wire):
-    """Give ``wire`` (1.0 or True, which hash like 1) to a gate op whose gate
-    already sat on wire 1 earlier in the same circuit."""
+def _edit_token(obj, pattern, edit, repeated=False):
+    """Replace the first token that fully matches ``pattern`` (with
+    ``repeated``, the first one that already occurred earlier in the same
+    circuit) by ``edit(token)``."""
     for circuit in obj["circuits"]:
         seen = set()
-        for op in _ops_in_order(circuit):
-            if op["gate"] != "measure" and op["wires"] == [1]:
-                if op["gate"] in seen:
-                    op["wires"] = [wire]
+        for holder, key in _layer_slots(circuit):
+            tokens = holder[key].split(" ")
+            for i, token in enumerate(tokens):
+                if re.fullmatch(pattern, token) and (not repeated or token in seen):
+                    tokens[i] = edit(token)
+                    holder[key] = " ".join(tokens)
                     return
-                seen.add(op["gate"])
-    raise AssertionError("no repeated gate on wire 1")
+                seen.add(token)
+    raise AssertionError(f"no token matches {pattern}")
 
 
 def _make_design(workspace, name, seed=3, depths="0,1,4,8", n=2, k=4, shots=60,
@@ -166,9 +171,15 @@ class TestSimulateCommand:
         bogus.write_text(json.dumps({"schema": "qirb-999", "kind": "circuits"}))
         assert run(["simulate", "--circuits", bogus, "--out", workspace / "x.json"]) == 3
 
+    # Same-intent qirb-2 forms of the qirb-1 op cases: wire-out-of-range is
+    # a token on wire n + 3, wire-float a repeated wire-1 token spelled
+    # ``C<k>.1.0``, wire-bool a layer that is not a string, gate-unknown
+    # ``C24`` on a circuit's last op, measure-two-wires ``m0.1``.
     @pytest.mark.parametrize("damage", [
         "missing-key", "truncated", "wire-out-of-range", "wire-float", "wire-bool",
-        "gate-unknown", "measure-two-wires",
+        "gate-unknown", "measure-two-wires", "leading-zero", "cnot-one-wire", "wire-twice",
+        "double-space", "gate-after-measure", "component-length", "schema-qirb-1",
+        "depth-mismatch", "design-n-mismatch", "design-reset-mismatch", "design-shots-float",
     ])
     def test_malformed_circuits_file_exits_3(self, workspace, damage):
         text = read(_make_design(workspace, "exp") / "circuits.json")
@@ -176,19 +187,47 @@ class TestSimulateCommand:
             text = text[: len(text) // 2]
         else:
             obj = json.loads(text)
+            first = obj["circuits"][0]
             if damage == "missing-key":
                 del obj["circuits"][1]["target"]
             elif damage == "wire-out-of-range":
-                obj["circuits"][0]["prep"][0]["wires"] = [obj["circuits"][0]["n"] + 3]
-            elif damage.startswith("wire-"):
-                _retype_repeated_wire_one(obj, 1.0 if damage == "wire-float" else True)
-            elif damage == "measure-two-wires":
-                op = next(op for c in obj["circuits"] for op in _ops_in_order(c)
-                          if op["gate"] == "measure" and op["wires"] == [0])
-                op["wires"] = [0, 1]
-            else:
+                _edit_token(obj, r"C\d+\.\d+", lambda t: f"{t.split('.')[0]}.{first['n'] + 3}")
+            elif damage == "wire-float":
+                _edit_token(obj, r"C\d+\.1", lambda t: t + ".0", repeated=True)
+            elif damage == "leading-zero":
+                _edit_token(obj, r"C\d+\.1", lambda t: t.replace(".1", ".01"), repeated=True)
+            elif damage == "wire-bool":
+                first["final"] = first["final"].split(" ")
+            elif damage == "gate-unknown":
                 # The last op of a circuit, after valid ops that decoded fine.
-                obj["circuits"][0]["final"][-1]["gate"] = "C24"
+                tokens = first["final"].split(" ")
+                tokens[-1] = "C24." + tokens[-1].split(".")[1]
+                first["final"] = " ".join(tokens)
+            elif damage == "measure-two-wires":
+                _edit_token(obj, "m0", lambda t: "m0.1")
+            elif damage == "cnot-one-wire":
+                _edit_token(obj, r"c\d+\.\d+", lambda t: f"{t.split('.')[0]}.{t[1:].split('.')[0]}")
+            elif damage == "wire-twice":
+                first["prep"] += " " + first["prep"].split(" ")[0]
+            elif damage == "double-space":
+                first["prep"] = first["prep"].replace(" ", "  ", 1)
+            elif damage == "gate-after-measure":
+                entry = next(e for c in obj["circuits"] for e in c["layers"]
+                             if re.fullmatch(r"C\d+\.\d m\d", e["l2"]))
+                entry["l2"] = " ".join(reversed(entry["l2"].split(" ")))
+            elif damage == "component-length":
+                entry = next(e for c in obj["circuits"] for e in c["layers"] if "pre_meas" in e)
+                entry["pre_meas"] += "Z"
+            elif damage == "schema-qirb-1":
+                obj["schema"] = "qirb-1"
+            elif damage == "depth-mismatch":
+                next(c for c in obj["circuits"] if c["depth"] == 8)["depth"] = 0
+            elif damage == "design-n-mismatch":
+                obj["design"]["n"] = 5
+            elif damage == "design-shots-float":
+                obj["design"]["shots"] = 60.0
+            else:
+                obj["design"]["reset"] = False
             text = json.dumps(obj)
         bad = workspace / "bad.json"
         bad.write_text(text)
@@ -196,6 +235,8 @@ class TestSimulateCommand:
         assert proc.returncode == 3
         assert proc.stderr.startswith("schema error:")
         assert "Traceback" not in proc.stderr
+        if damage == "schema-qirb-1":
+            assert "'qirb-1'" in proc.stderr
 
     def test_noise_file_input(self, workspace):
         out = _make_design(workspace, "exp")
@@ -252,12 +293,19 @@ class TestAnalyzeCommand:
 
 
     @pytest.mark.parametrize("damage", [
-        "zero-shots", "total-mismatch", "counts-mismatch", "missing-key",
+        "zero-shots", "total-mismatch", "counts-mismatch", "missing-key", "depth-mismatch",
+        "design-n-mismatch", "design-reset-mismatch",
     ])
     def test_malformed_results_file_exits_3(self, workspace, damage):
         obj = json.loads(read(self._results(workspace)))
         entry = obj["results"][1]
-        if damage == "zero-shots":
+        if damage == "depth-mismatch":
+            next(e for e in obj["results"] if e["depth"] == 8)["depth"] = 0
+        elif damage == "design-n-mismatch":
+            obj["design"]["n"] = 5
+        elif damage == "design-reset-mismatch":
+            obj["design"]["reset"] = False
+        elif damage == "zero-shots":
             entry["n_success"] = entry["n_fail"] = 0
         elif damage == "total-mismatch":
             entry["n_fail"] += 1
@@ -345,3 +393,12 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["design", "--n", "2"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_bad_threads_variable_is_a_usage_error_of_simulate_only(monkeypatch, capsys):
+    monkeypatch.setenv("QIRB_THREADS", "x")
+    assert main(["predict", "--n", "2", "--p-cnot", "0.2", "--p-mcm", "0.2"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--circuits", "c.json", "--out", "r.json"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
