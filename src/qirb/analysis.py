@@ -359,6 +359,8 @@ def bootstrap_erm(data: list[ErmDatum], resamples: int, seed: int):
     then redraws shot counts binomially, and re-fits. Resample fits start
     from the full-data solution (the multi-start search already found it).
     """
+    if resamples < 2:
+        raise ValueError("need at least two ERM bootstrap resamples")
     params, residual = fit_erm(data)
     base_start = [(params.eps_1q, params.eps_2q, params.eps_mcm, params.eps_spam)]
     groups: dict[tuple[int, int], list[int]] = {}

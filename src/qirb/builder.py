@@ -44,7 +44,6 @@ __all__ = [
     "QirbCircuit",
     "OutcomeString",
     "build_qirb_circuit",
-    "derived_mcm_fields",
     "classify_outcome",
     "resolve_reset_free",
     "TrackedWalk",
@@ -113,8 +112,6 @@ class QirbCircuit:
     final_layer: CircuitLayer
     target: SignedPauli
     initial_pauli: SignedPauli
-    mcm_bit_order: tuple[tuple[int, int], ...]
-    discard_mask: int
     reset: bool
 
     def __post_init__(self) -> None:
@@ -124,8 +121,6 @@ class QirbCircuit:
             raise ValueError("target must cover all n+m virtual wires")
         if self.target.x != 0:
             raise ValueError("target must be Z-type")
-        if len(self.mcm_bit_order) != self.m:
-            raise ValueError("mcm_bit_order must list every MCM")
         layers = [self.prep_layer, self.final_layer]
         for d in self.dressed:
             layers += (d.l1, d.l2, d.l3)
@@ -156,16 +151,6 @@ def _set_letter(x: int, z: int, q: int, code: int) -> tuple[int, int]:
     x = (x & ~(1 << q)) | ((code & 1) << q)
     z = (z & ~(1 << q)) | (((code >> 1) & 1) << q)
     return x, z
-
-
-def derived_mcm_fields(
-    dressed: tuple[DressedLayer, ...], target: SignedPauli
-) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The MCM bit order and the discard mask, which follow from the layers
-    and the target: one ``(layer index, wire)`` per MCM in outcome-bit
-    order, and the virtual wires outside the target's support."""
-    order = tuple((i, q) for i, d in enumerate(dressed) for q in d.l2.mcm_wires)
-    return order, ((1 << target.n) - 1) & ~target.support()
 
 
 def build_qirb_circuit(
@@ -293,18 +278,14 @@ def build_qirb_circuit(
         raise RuntimeError("final layer failed to Z-align the tracked Pauli")
     target_z |= cur.z << m
 
-    target = SignedPauli(n + m, target_x, target_z, cur.sign)
-    bit_order, discard = derived_mcm_fields(tuple(dressed), target)
     return QirbCircuit(
         n=n,
         m=m,
         prep_layer=prep_layer,
         dressed=tuple(dressed),
         final_layer=final_layer,
-        target=target,
+        target=SignedPauli(n + m, target_x, target_z, cur.sign),
         initial_pauli=initial,
-        mcm_bit_order=bit_order,
-        discard_mask=discard,
         reset=reset_flag,
     )
 
@@ -313,8 +294,7 @@ def classify_outcome(circuit: QirbCircuit, outcome: OutcomeString, frame_sign: i
     """+1 iff the outcome's parity on the target support matches its sign.
 
     ``frame_sign`` carries the reset-free frame correction (+1 otherwise).
-    Bits under the discard mask can never affect the result because the
-    target has no support there.
+    Bits outside the target's support can never affect the result.
     """
     bits = outcome.bits
     if len(bits) != circuit.n + circuit.m:
@@ -328,29 +308,21 @@ def classify_outcome(circuit: QirbCircuit, outcome: OutcomeString, frame_sign: i
     return 1 if observed == circuit.target.sign * frame_sign else -1
 
 
-def resolve_reset_free(circuit: QirbCircuit, mcm_bits, mode: str = "frame-correction"):
-    """Post-process observed MCM bits for reset-free circuits.
+def resolve_reset_free(circuit: QirbCircuit, mcm_bits) -> int:
+    """Per-shot classification sign of a reset-free circuit from its observed
+    MCM bits (frame-correction post-processing).
 
-    In ``frame-correction`` mode, returns the per-shot classification sign:
-    a classical Pauli frame starts empty; after each MCM with observed bit j
+    A classical Pauli frame starts empty; after each MCM with observed bit j
     on wire q, the frame's component on q becomes X^j; the frame is
     conjugated (unsigned) through all subsequent layers and every later
     readout on a wire where it carries X or Y has its parity flipped. The
     returned sign is (-1)^(number of flipped readouts on the target support).
-
-    In ``feedforward-x`` mode, returns the equivalent in-circuit correction:
-    the list of (mcm index, wire) pairs after which an X gate would fire
-    given these observed bits.
     """
     if circuit.reset:
         raise ValueError("reset circuits need no reset-free resolution")
     bits = tuple(mcm_bits)
     if len(bits) != circuit.m:
         raise ValueError(f"need {circuit.m} MCM bits, got {len(bits)}")
-    if mode == "feedforward-x":
-        return [(k, circuit.mcm_bit_order[k][1]) for k, b in enumerate(bits) if b]
-    if mode != "frame-correction":
-        raise ValueError(f"unknown reset-free mode {mode!r}")
 
     n = circuit.n
     frame = SignedPauli.identity(n)

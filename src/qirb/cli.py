@@ -8,8 +8,9 @@ Subcommands::
     qirb predict   # analytic decay-rate prediction for a noise model
 
 Exit codes: 0 success, 2 usage error, 3 file-schema mismatch, 4 degenerate
-fit. Simulation runs serially: ``simulate --threads`` and ``QIRB_THREADS``
-(its default) are accepted and ignored.
+fit. Two flags are accepted and change nothing: ``simulate --threads``
+(simulation runs serially) and ``predict --reset/--no-reset`` (the
+prediction does not depend on the reset mode).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _load_edges(path: str) -> tuple[tuple[int, int], ...]:
     obj = read_json(path)
     with serialize.malformed_as_schema_error(path):
         edges = obj["edges"] if isinstance(obj, dict) else obj
-        return tuple((int(a), int(b)) for a, b in edges)
+        return tuple((_index(a), _index(b)) for a, b in edges)
 
 
 def _noise_from_args(args) -> NoiseModel:
@@ -141,7 +142,6 @@ def cmd_simulate(args) -> int:
         design,
         seed=args.seed,
         reset_free_mode=args.reset_free_mode,
-        threads=args.threads,
     )
     # Each entry decoded and checked above is written back as read.
     payload = {
@@ -220,11 +220,7 @@ def cmd_analyze(args) -> int:
         rows = ["depth,mean,stderr,n_circuits"]
         for s in stats:
             rows.append(f"{s.depth},{s.mean!r},{s.stderr!r},{len(s.f_values)}")
-        csv_path = os.path.join(args.out, f"{stem}.curve.csv")
-        tmp = csv_path + ".tmp"
-        with open(tmp, "w") as f:
-            f.write("\n".join(rows) + "\n")
-        os.replace(tmp, csv_path)
+        serialize.write_text(os.path.join(args.out, f"{stem}.curve.csv"), "\n".join(rows))
         report_configs.append(
             {
                 "source": source,
@@ -274,7 +270,6 @@ def cmd_predict(args) -> int:
         p_cnot=args.p_cnot,
         p_mcm=args.p_mcm,
         connectivity=connectivity,
-        reset=args.reset,
         mode=args.mode,
     )
     noise = _noise_from_args(args)
@@ -340,11 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulation master seed (default: the design seed)")
     p.add_argument("--reset-free-mode", choices=["frame-correction", "feedforward-x"],
                    default="frame-correction")
-    # argparse converts a string default with ``type``, so a bad
-    # QIRB_THREADS is a usage error of simulate, not a traceback of every command.
-    p.add_argument("--threads", type=int, default=os.environ.get("QIRB_THREADS", "1"),
-                   help="accepted and ignored: simulation runs serially "
-                        "(default: $QIRB_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; changes nothing: simulation runs serially")
     p.add_argument("--out", required=True, help="results.json path")
     p.set_defaults(func=cmd_simulate)
 
@@ -360,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p-cnot", type=float, required=True)
     p.add_argument("--p-mcm", type=float, required=True)
-    p.add_argument("--reset", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--reset", action=argparse.BooleanOptionalAction, default=True,
+                   help="accepted for compatibility; changes nothing: the prediction "
+                        "does not depend on the reset mode")
     p.add_argument("--mode", choices=["at-most-one", "density"], default="at-most-one")
     p.add_argument("--edges", help="JSON file with a connectivity edge list")
     _add_noise_flags(p)

@@ -34,7 +34,6 @@ __all__ = [
     "cliffords_mapping_letter",
     "cliffords_preparing",
     "pauli_gate_indices",
-    "clifford_index_from_name",
 ]
 
 #: Wire-count cap for a SignedPauli. Classification targets live on n+m
@@ -158,17 +157,6 @@ def invert_clifford(index: int) -> int:
 def clifford_action(index: int) -> _Action:
     """(code, sign) images for inputs I, X, Z, Y (indexed by letter code)."""
     return _CLIFFORD_ACTIONS[index]
-
-
-_GATE_NAMES = tuple(f"C{i}" for i in range(NUM_ONEQ_CLIFFORDS)) + ("cnot",)
-_GATE_INDEX = {name: i for i, name in enumerate(_GATE_NAMES)}
-
-
-def clifford_index_from_name(name: str) -> int:
-    index = _GATE_INDEX.get(name)
-    if index is None:
-        raise ValueError(f"unknown gate name: {name!r}")
-    return index
 
 
 def _letter_lookup_tables():
@@ -334,14 +322,13 @@ class CircuitLayer:
     """Parallel gates plus (optionally) computational-basis MCMs.
 
     No wire may appear twice: gates have disjoint support and measured wires
-    carry no gate. ``reset`` records whether this layer's MCMs reinitialize
-    the measured wire to |0>.
+    carry no gate. Whether an MCM resets its wire is a property of the
+    whole circuit (:attr:`qirb.builder.QirbCircuit.reset`).
     """
 
     n: int
     gates: tuple[CliffordGate, ...] = ()
     mcm_wires: tuple[int, ...] = ()
-    reset: bool = True
 
     def __post_init__(self) -> None:
         used = set(self.mcm_wires)
@@ -357,9 +344,6 @@ class CircuitLayer:
         if used and (min(used) < 0 or max(used) >= self.n):
             raise ValueError(f"wire index out of range({self.n})")
         object.__setattr__(self, "mcm_wires", tuple(sorted(self.mcm_wires)))
-        if not self.mcm_wires:
-            # The flag only means something for layers that measure.
-            object.__setattr__(self, "reset", True)
 
     @property
     def has_mcm(self) -> bool:

@@ -62,7 +62,6 @@ class ExperimentDesign:
             p_cnot=self.p_cnot,
             p_mcm=self.p_mcm,
             connectivity=self.connectivity,
-            reset=self.reset,
             mode=self.mode,
         )
 
@@ -126,11 +125,10 @@ def simulate_design(
     design: ExperimentDesign,
     seed: int | None = None,
     reset_free_mode: str = "frame-correction",
-    threads: int = 1,
     with_counts: bool = True,
 ) -> list[CircuitResult]:
-    """Simulate every circuit, one after another. ``threads`` is accepted and
-    ignored: a process pool cost more in pickling circuits than it saved."""
+    """Simulate every circuit, one after another (a process pool cost more in
+    pickling circuits than it saved)."""
     master = design.seed if seed is None else seed
     results = []
     for cid, depth, circ in circuits:

@@ -35,7 +35,6 @@ class SamplingConfig:
     p_cnot: float
     p_mcm: float
     connectivity: tuple[tuple[int, int], ...] | None = None
-    reset: bool = True
     mode: str = "at-most-one"
 
     def __post_init__(self) -> None:
@@ -47,6 +46,8 @@ class SamplingConfig:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         if self.connectivity is not None:
             for a, b in self.connectivity:
+                if type(a) is not int or type(b) is not int:
+                    raise ValueError(f"connectivity edge ({a!r}, {b!r}) needs integer endpoints")
                 if a == b or not (0 <= a < self.n and 0 <= b < self.n):
                     raise ValueError(f"bad connectivity edge ({a}, {b})")
 
@@ -106,7 +107,7 @@ def sample_core_layer(config: SamplingConfig, rng: random.Random) -> CircuitLaye
     for w in range(config.n):
         if w not in occupied:
             gates.append(_random_oneq(rng, w))
-    return CircuitLayer(config.n, tuple(gates), tuple(mcm_wires), reset=config.reset)
+    return CircuitLayer(config.n, tuple(gates), tuple(mcm_wires))
 
 
 def sample_core_circuit(config: SamplingConfig, depth: int, rng: random.Random) -> list[CircuitLayer]:

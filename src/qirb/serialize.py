@@ -2,21 +2,23 @@
 
 Every file carries ``{"schema": "qirb-2", "kind": ...}``; any other schema,
 ``qirb-1`` included, is a hard error, never a silent reinterpretation. Each
-file is one compact line of JSON with sorted keys, so reruns are
-byte-identical and the standard library's C encoder writes it; read one with
-``python -m json.tool FILE``. Writes go through a temp file and an atomic
-rename.
+file is one compact line of strict JSON (no ``NaN`` or ``Infinity``) with
+sorted keys, so reruns are byte-identical and the standard library's C
+encoder writes it; read one with ``python -m json.tool FILE``. Every output
+file, the curve CSVs included, is written through a temp file and an atomic
+rename (:func:`write_text`).
 
 A circuit layer is one string of space-separated tokens in op order: gates
 in the layer's order, then its measurements by increasing wire. ``C<k>.<w>``
 is single-qubit Clifford ``k`` (0..23, the table of :mod:`qirb.pauli`) on
 wire ``w``, ``c<control>.<target>`` a CNOT and ``m<w>`` a measurement; the
 empty string is an empty layer. Numbers are canonical decimals (no sign, no
-leading zero). Every layer takes its circuit's ``reset`` flag. A signed Pauli
-is one string, its sign then its letters (``"+IZX"``). A circuit's MCM bit
-order and discard mask are not stored: the decoder derives them from the
-layers and the target. Decoding is strict: a non-canonical token or layer,
-or an invalid gate, layer or circuit, raises :class:`SchemaError`.
+leading zero). A circuit's one ``reset`` flag covers all its measurements.
+A signed Pauli is one string, its sign then its letters (``"+IZX"``). Which
+outcome bits are MCM bits, and which ones the target ignores, follows from
+the layers and the target and is not stored. Decoding is strict: a
+non-canonical token or layer, or an invalid gate, layer or circuit, raises
+:class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import re
 import tempfile
 from contextlib import contextmanager
 
-from .builder import DressedLayer, QirbCircuit, derived_mcm_fields
+from .builder import DressedLayer, QirbCircuit
 from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate, SignedPauli
 from .simulator import (
     InstrumentErrorSpec,
@@ -72,9 +74,15 @@ def write_json(path: str, obj: dict) -> None:
     """Atomic, byte-stable JSON write: one compact line with sorted keys.
 
     No ``indent``: any indent makes ``json`` fall back to its pure-Python
-    encoder, several times slower on a large results file.
+    encoder, several times slower on a large results file. A ``NaN`` or
+    infinite float raises ValueError rather than write invalid JSON.
     """
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    write_text(path, json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False))
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` plus a newline to ``path`` through a temp file in the
+    same directory and an atomic rename; on failure the temp file is removed."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
@@ -157,7 +165,7 @@ def _parse_token(token: str) -> CliffordGate | int:
     return CliffordGate(index, (int(second),))
 
 
-def layer_from_str(text: str, n: int, reset: bool, cache: dict) -> CircuitLayer:
+def layer_from_str(text: str, n: int, cache: dict) -> CircuitLayer:
     """Decode and check one layer. ``cache`` maps a token to its parse; share
     one dict across the layers of a circuit so that repeated placements
     decode to one (immutable) gate object."""
@@ -178,7 +186,7 @@ def layer_from_str(text: str, n: int, reset: bool, cache: dict) -> CircuitLayer:
                 raise ValueError(f"a gate follows a measurement in {text!r}")
             else:
                 gates.append(item)
-    return CircuitLayer(n, tuple(gates), tuple(mcm), reset=reset)
+    return CircuitLayer(n, tuple(gates), tuple(mcm))
 
 
 def circuit_to_obj(c: QirbCircuit) -> dict:
@@ -215,26 +223,21 @@ def circuit_from_obj(obj: dict) -> QirbCircuit:
             post = pauli_from_str(entry["post_meas"]) if "post_meas" in entry else None
             dressed.append(
                 DressedLayer(
-                    l1=layer_from_str(entry["l1"], n, reset, cache),
-                    l2=layer_from_str(entry["l2"], n, reset, cache),
-                    l3=layer_from_str(entry["l3"], n, reset, cache),
+                    l1=layer_from_str(entry["l1"], n, cache),
+                    l2=layer_from_str(entry["l2"], n, cache),
+                    l3=layer_from_str(entry["l3"], n, cache),
                     pre_meas_component=pre,
                     post_meas_component=post,
                 )
             )
-        dressed = tuple(dressed)
-        target = pauli_from_str(obj["target"])
-        bit_order, discard = derived_mcm_fields(dressed, target)
         return QirbCircuit(
             n=n,
             m=obj["m"],
-            prep_layer=layer_from_str(obj["prep"], n, reset, cache),
-            dressed=dressed,
-            final_layer=layer_from_str(obj["final"], n, reset, cache),
-            target=target,
+            prep_layer=layer_from_str(obj["prep"], n, cache),
+            dressed=tuple(dressed),
+            final_layer=layer_from_str(obj["final"], n, cache),
+            target=pauli_from_str(obj["target"]),
             initial_pauli=pauli_from_str(obj["initial"]),
-            mcm_bit_order=bit_order,
-            discard_mask=discard,
             reset=reset,
         )
 

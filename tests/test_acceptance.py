@@ -118,7 +118,6 @@ def test_criterion_1_zero_noise_invariant():
             n=n,
             p_cnot=round(rng.random(), 3),
             p_mcm=round(rng.random(), 3),
-            reset=reset,
         )
         from qirb.sampler import sample_core_circuit
         from qirb.builder import build_qirb_circuit

@@ -20,7 +20,7 @@ from qirb.simulator import NoiseModel, simulate_result, simulate_shots
 
 def build_random(n, depth, seed, reset=True, p_cnot=0.35, p_mcm=0.5):
     rng = random.Random(seed)
-    config = SamplingConfig(n=n, p_cnot=p_cnot, p_mcm=p_mcm, reset=reset)
+    config = SamplingConfig(n=n, p_cnot=p_cnot, p_mcm=p_mcm)
     core = sample_core_circuit(config, depth, rng)
     return build_qirb_circuit(core, reset, rng, n=n)
 
@@ -37,8 +37,6 @@ def synthetic_circuit(target_string, sign=1):
         final_layer=CircuitLayer(n),
         target=target,
         initial_pauli=SignedPauli.identity(n),
-        mcm_bit_order=(),
-        discard_mask=((1 << n) - 1) & ~target.support(),
         reset=True,
     )
 
@@ -79,7 +77,7 @@ class TestConstruction:
             c = build_random(2, 1, seed=seed, p_mcm=1.0)
             assert c.m == 1 and c.target.n == 3
             was_identity = c.dressed[0].pre_meas_component.letter_code(0) == 0
-            discarded = bool(c.discard_mask & 1)
+            discarded = not c.target.support() & 1
             assert discarded == was_identity
             hits[was_identity] += 1
         assert hits[True] > 0 and hits[False] > 0
@@ -92,7 +90,7 @@ class TestConstruction:
             c = build_random(3, 6, seed=seed, reset=bool(seed % 2))
             assert is_z_type(c.target)
             assert c.target.sign in (1, -1)
-            assert len(c.mcm_bit_order) == c.m
+            assert sum(len(d.l2.mcm_wires) for d in c.dressed) == c.m
 
     def test_tracked_walk_replays_and_validates(self):
         # tracked_walk internally re-derives the target and checks that it
@@ -139,12 +137,6 @@ class TestResetFree:
     def test_all_zero_bits_mean_no_correction(self):
         c = build_random(3, 5, seed=1, reset=False)
         assert resolve_reset_free(c, [0] * c.m) == 1
-
-    def test_feedforward_emission(self):
-        c = build_random(3, 5, seed=2, reset=False, p_mcm=1.0)
-        bits = [1] + [0] * (c.m - 1)
-        gates = resolve_reset_free(c, bits, mode="feedforward-x")
-        assert gates == [(0, c.mcm_bit_order[0][1])]
 
     def test_resolver_matches_simulator_frames(self):
         # The standalone post-processor must reproduce the simulator's

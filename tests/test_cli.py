@@ -66,6 +66,12 @@ class TestWriteJson:
         assert text == '{"a":"x","b":[1,{"a":2.5,"z":null}]}\n'
         assert json.loads(text) == obj
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_floats_are_refused(self, workspace, value):
+        with pytest.raises(ValueError):
+            serialize.write_json(str(workspace / "o.json"), {"sigma": value})
+        assert list(workspace.iterdir()) == []
+
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
     def test_outputs_honour_the_umask(self, workspace, umask):
         old = os.umask(umask)
@@ -180,6 +186,7 @@ class TestSimulateCommand:
         "gate-unknown", "measure-two-wires", "leading-zero", "cnot-one-wire", "wire-twice",
         "double-space", "gate-after-measure", "component-length", "schema-qirb-1",
         "depth-mismatch", "design-n-mismatch", "design-reset-mismatch", "design-shots-float",
+        "design-connectivity-float",
     ])
     def test_malformed_circuits_file_exits_3(self, workspace, damage):
         text = read(_make_design(workspace, "exp") / "circuits.json")
@@ -226,6 +233,8 @@ class TestSimulateCommand:
                 obj["design"]["n"] = 5
             elif damage == "design-shots-float":
                 obj["design"]["shots"] = 60.0
+            elif damage == "design-connectivity-float":
+                obj["design"]["connectivity"] = [[0.5, 1]]
             else:
                 obj["design"]["reset"] = False
             text = json.dumps(obj)
@@ -290,6 +299,27 @@ class TestAnalyzeCommand:
         obj = serialize.read_json(str(rep / "report.json"))
         assert obj["erm"] is not None
         assert 0.0 <= obj["erm"]["eps_mcm"] <= 1.0
+
+    @pytest.mark.parametrize("resamples", [0, 1])
+    def test_too_few_erm_resamples_exit_2(self, workspace, resamples):
+        res_a = self._results(workspace, name="a", p_mcm=0.1, seed=1)
+        res_b = self._results(workspace, name="b", p_mcm=0.6, seed=2)
+        proc = run_process(["analyze", res_a, res_b, "--bootstrap", 4,
+                            "--erm-bootstrap", resamples, "--out", workspace / "rep"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_failed_rename_leaves_no_temp_file(self, workspace, monkeypatch):
+        res = self._results(workspace)
+        rep = workspace / "rep"
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert run(["analyze", res, "--bootstrap", 4, "--out", rep]) == 2
+        assert list(rep.glob("*.tmp")) == []
 
 
     @pytest.mark.parametrize("damage", [
@@ -370,7 +400,16 @@ class TestPredictCommand:
         assert "r_omega" in payload
 
 
-@pytest.mark.parametrize("case", ["edges-missing-key", "edges-not-pairs", "noise-missing-channel"])
+_BAD_EDGES = {
+    "edges-missing-key": {"foo": 1},
+    "edges-not-pairs": {"edges": [[0, 1, 2]]},
+    "edges-float": {"edges": [[0.9, 2.7]]},
+    "edges-string": {"edges": [["0", True]]},
+    "edges-bool": {"edges": [[0, True]]},
+}
+
+
+@pytest.mark.parametrize("case", [*_BAD_EDGES, "noise-missing-channel"])
 def test_malformed_side_file_exits_3(workspace, case):
     side = workspace / "side.json"
     if case == "noise-missing-channel":
@@ -379,8 +418,7 @@ def test_malformed_side_file_exits_3(workspace, case):
         side.write_text(json.dumps(serialize.stamp("noise", obj)))
         argv = ["predict", "--n", 2, "--p-cnot", 0.3, "--p-mcm", 0.2, "--noise", side]
     else:
-        side.write_text(json.dumps({"foo": 1} if case == "edges-missing-key"
-                                   else {"edges": [[0, 1, 2]]}))
+        side.write_text(json.dumps(_BAD_EDGES[case]))
         argv = ["design", "--n", 3, "--p-cnot", 0.3, "--p-mcm", 0.2, "--edges", side,
                 "--out", workspace / "exp"]
     proc = run_process(argv)
@@ -393,12 +431,3 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["design", "--n", "2"])  # missing required flags
     assert exc.value.code == 2
-
-
-def test_bad_threads_variable_is_a_usage_error_of_simulate_only(monkeypatch, capsys):
-    monkeypatch.setenv("QIRB_THREADS", "x")
-    assert main(["predict", "--n", "2", "--p-cnot", "0.2", "--p-mcm", "0.2"]) == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--circuits", "c.json", "--out", "r.json"])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from qirb.pauli import (
     _X,
     _action_from_images,
     clifford_action,
-    clifford_index_from_name,
     cliffords_mapping_letter,
     cliffords_preparing,
     commutes,
@@ -231,9 +230,3 @@ def test_non_hermitian_images_are_rejected():
     # Images X -> X and Z -> X would make Y map to an anti-Hermitian operator.
     with pytest.raises(ValueError, match="non-Hermitian"):
         _action_from_images((_X, 1), (_X, 1))
-
-
-@pytest.mark.parametrize("name", ["C24", "C05", "C-1", "c3", "CNOT", "measure"])
-def test_non_canonical_gate_names_are_rejected(name):
-    with pytest.raises(ValueError, match="unknown gate name"):
-        clifford_index_from_name(name)

@@ -29,7 +29,6 @@ def circuits(draw):
         p_cnot=draw(st.floats(0.0, 1.0)),
         p_mcm=draw(st.floats(0.0, 1.0)),
         connectivity=connectivity,
-        reset=reset,
         mode=draw(st.sampled_from(["at-most-one", "density"])),
     )
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -98,14 +97,14 @@ def test_edited_layer_decodes_checked_or_raises_schema_error(circuit, data):
 ])
 def test_non_canonical_layers_are_rejected(text):
     with pytest.raises(ValueError):
-        serialize.layer_from_str(text, 3, True, {})
+        serialize.layer_from_str(text, 3, {})
 
 
 def test_layer_tokens_in_op_order():
-    layer = CircuitLayer(4, (CliffordGate(24, (3, 0)), CliffordGate(7, (2,))), (1,), reset=False)
+    layer = CircuitLayer(4, (CliffordGate(24, (3, 0)), CliffordGate(7, (2,))), (1,))
     text = serialize.layer_to_str(layer)
     assert text == "c3.0 C7.2 m1"
-    assert serialize.layer_from_str(text, 4, False, {}) == layer
+    assert serialize.layer_from_str(text, 4, {}) == layer
     assert serialize.layer_to_str(CircuitLayer(2)) == ""
 
 

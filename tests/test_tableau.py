@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import random
 import subprocess
@@ -132,3 +134,17 @@ def test_corrupted_tableau_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_assert_statements_in_src():
+    # Every invariant of the package must survive ``python -O``.
+    pkg = os.path.dirname(os.path.abspath(qirb.__file__))
+    paths = sorted(glob.glob(os.path.join(pkg, "*.py")))
+    assert paths
+    found = []
+    for path in paths:
+        with open(path) as f:
+            tree = ast.parse(f.read(), filename=path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
