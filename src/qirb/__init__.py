@@ -17,7 +17,6 @@ from .analysis import (
     FitResult,
     bootstrap_decay,
     bootstrap_erm,
-    compute_f,
     erm_predict,
     fit_decay,
     fit_depumping,
@@ -25,7 +24,6 @@ from .analysis import (
 )
 from .builder import (
     DressedLayer,
-    OutcomeString,
     QirbCircuit,
     build_qirb_circuit,
     classify_outcome,
@@ -51,11 +49,9 @@ from .simulator import (
     InstrumentErrorSpec,
     NoiseModel,
     OneQubitPauliChannel,
-    ShotRecord,
     SimResult,
     TwoQubitDepolarizing,
     simulate_result,
-    simulate_shots,
 )
 from .tableau import StabilizerTableau, TableauError
 from .theory import (

@@ -1,4 +1,4 @@
-"""Turning shot records into error rates.
+"""Turning success counts into error rates.
 
 Covers the success statistic F, the exponential decay fit for the benchmark
 error rate, bootstrap uncertainties, the four-parameter error-rates model
@@ -32,7 +32,6 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .builder import QirbCircuit
 from .seeding import derive_np_rng
-from .simulator import ShotRecord
 
 __all__ = [
     "FitDegenerateError",
@@ -42,7 +41,6 @@ __all__ = [
     "ErmDatum",
     "DepumpFit",
     "DecayDataset",
-    "compute_f",
     "f_from_counts",
     "fit_decay",
     "bootstrap_decay",
@@ -60,18 +58,11 @@ class FitDegenerateError(Exception):
 
 
 def f_from_counts(n_success: int, n_fail: int) -> Fraction:
+    """(N_success - N_fail) / N as an exact rational."""
     n = n_success + n_fail
     if n < 1:
         raise ValueError("need at least one shot")
     return Fraction(n_success - n_fail, n)
-
-
-def compute_f(shots: list[ShotRecord]) -> Fraction:
-    """(N_success - N_fail) / N as an exact rational."""
-    if not shots:
-        raise ValueError("need at least one shot")
-    n_success = sum(1 for s in shots if s.success > 0)
-    return f_from_counts(n_success, len(shots) - n_success)
 
 
 @dataclass(frozen=True)

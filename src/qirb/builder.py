@@ -42,7 +42,6 @@ from .pauli import (
 __all__ = [
     "DressedLayer",
     "QirbCircuit",
-    "OutcomeString",
     "build_qirb_circuit",
     "classify_outcome",
     "resolve_reset_free",
@@ -51,20 +50,7 @@ __all__ = [
 ]
 
 _Z_CODE = 2
-
-
-@dataclass(frozen=True)
-class OutcomeString:
-    """One shot's (m+n)-bit readout record, MCM bits first."""
-
-    bits: tuple[int, ...]
-
-    @classmethod
-    def from_string(cls, s: str) -> "OutcomeString":
-        return cls(tuple(int(c) for c in s))
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+_ALL_CLIFFORDS = tuple(range(NUM_ONEQ_CLIFFORDS))
 
 
 @dataclass(frozen=True)
@@ -147,6 +133,15 @@ def _choose(rng: random.Random, pool) -> int:
     return pool[rng.randrange(len(pool))]
 
 
+def _prepare(rng: random.Random, letter: int) -> tuple[int, int]:
+    """A uniform random Clifford whose action on |0> prepares an eigenstate of
+    ``letter``, and the state's +/-1 eigenvalue; any Clifford, +1, for I."""
+    if letter == 0:
+        return _choose(rng, _ALL_CLIFFORDS), 1
+    idx = _choose(rng, cliffords_preparing(letter))
+    return idx, clifford_action(idx)[_Z_CODE][1]
+
+
 def _set_letter(x: int, z: int, q: int, code: int) -> tuple[int, int]:
     x = (x & ~(1 << q)) | ((code & 1) << q)
     z = (z & ~(1 << q)) | (((code >> 1) & 1) << q)
@@ -174,24 +169,18 @@ def build_qirb_circuit(
 
     sampled = random_pauli(n + m, rng)
     pauli_gates = pauli_gate_indices()
-    all_cliffords = tuple(range(NUM_ONEQ_CLIFFORDS))
 
     # Preparation: wire q gets a uniform random eigenstate of sampled(q);
     # the +/-1 eigenvalue choices accumulate into the tracked sign.
-    x = z = 0
     sign = 1
     prep_gates = []
     for q in range(n):
-        letter = sampled.letter_code(q)
-        if letter == 0:
-            idx = _choose(rng, all_cliffords)
-        else:
-            idx = _choose(rng, cliffords_preparing(letter))
-            sign *= clifford_action(idx)[_Z_CODE][1]
-            x, z = _set_letter(x, z, q, letter)
+        idx, eigenvalue = _prepare(rng, sampled.letter_code(q))
+        sign *= eigenvalue
         prep_gates.append(CliffordGate(idx, (q,)))
     prep_layer = CircuitLayer(n, tuple(prep_gates))
-    initial = SignedPauli(n, x, z, sign)
+    wires = (1 << n) - 1
+    initial = SignedPauli(n, sampled.x & wires, sampled.z & wires, sign)
 
     cur = initial
     target_x = target_z = 0
@@ -206,7 +195,7 @@ def build_qirb_circuit(
         for q in range(n):
             code = cur.letter_code(q)
             if q in mset:
-                pool = all_cliffords if code == 0 else cliffords_mapping_letter(code, _Z_CODE)
+                pool = _ALL_CLIFFORDS if code == 0 else cliffords_mapping_letter(code, _Z_CODE)
                 idx = _choose(rng, pool)
             else:
                 idx = _choose(rng, pauli_gates)
@@ -233,36 +222,31 @@ def build_qirb_circuit(
 
         cur = conjugate(layer, cur)
 
-        # Re-preparation: fresh letters for measured wires, random Paulis
-        # elsewhere. Eigenvalue signs multiply into the running sign.
+        # Re-preparation: measured wires get the fresh letters that sampled
+        # holds on the layer's virtual wires, the other wires random Paulis.
+        # Eigenvalue signs multiply into the running sign.
+        first = n + mcm_counter
         l3_gates = []
         post_comp = None
-        post_x = post_z = 0
         post_sign = 1
-        fresh: list[tuple[int, int]] = []
         for q in range(n):
             if q in mset:
-                k = measured.index(q)
-                letter = sampled.letter_code(n + mcm_counter + k)
-                if letter == 0:
-                    idx = _choose(rng, all_cliffords)
-                else:
-                    idx = _choose(rng, cliffords_preparing(letter))
-                    post_sign *= clifford_action(idx)[_Z_CODE][1]
-                    post_x |= (letter & 1) << k
-                    post_z |= ((letter >> 1) & 1) << k
-                    fresh.append((q, letter))
-                l3_gates.append(CliffordGate(idx, (q,)))
+                idx, eigenvalue = _prepare(rng, sampled.letter_code(first + measured.index(q)))
+                post_sign *= eigenvalue
             else:
-                l3_gates.append(CliffordGate(_choose(rng, pauli_gates), (q,)))
+                idx = _choose(rng, pauli_gates)
+            l3_gates.append(CliffordGate(idx, (q,)))
         l3 = CircuitLayer(n, tuple(l3_gates))
         cur = conjugate(l3, cur)
         if measured:
+            k_wires = (1 << len(measured)) - 1
+            post_comp = SignedPauli(len(measured), (sampled.x >> first) & k_wires,
+                                    (sampled.z >> first) & k_wires, post_sign)
+            # Measured wires carry I here: splice the fresh letters in.
             cx, cz = cur.x, cur.z
-            for q, letter in fresh:
-                cx, cz = _set_letter(cx, cz, q, letter)
+            for k, q in enumerate(measured):
+                cx, cz = _set_letter(cx, cz, q, post_comp.letter_code(k))
             cur = SignedPauli(n, cx, cz, cur.sign * post_sign)
-            post_comp = SignedPauli(len(measured), post_x, post_z, post_sign)
             mcm_counter += len(measured)
 
         dressed.append(DressedLayer(l1, layer, l3, pre_comp, post_comp))
@@ -270,7 +254,7 @@ def build_qirb_circuit(
     final_gates = []
     for q in range(n):
         code = cur.letter_code(q)
-        pool = all_cliffords if code == 0 else cliffords_mapping_letter(code, _Z_CODE)
+        pool = _ALL_CLIFFORDS if code == 0 else cliffords_mapping_letter(code, _Z_CODE)
         final_gates.append(CliffordGate(_choose(rng, pool), (q,)))
     final_layer = CircuitLayer(n, tuple(final_gates))
     cur = conjugate(final_layer, cur)
@@ -290,20 +274,20 @@ def build_qirb_circuit(
     )
 
 
-def classify_outcome(circuit: QirbCircuit, outcome: OutcomeString, frame_sign: int = 1) -> int:
+def classify_outcome(circuit: QirbCircuit, outcome: str, frame_sign: int = 1) -> int:
     """+1 iff the outcome's parity on the target support matches its sign.
 
-    ``frame_sign`` carries the reset-free frame correction (+1 otherwise).
-    Bits outside the target's support can never affect the result.
+    ``outcome`` is an (m+n)-character string of ``0`` and ``1``, MCM bits
+    first, as the keys of a result's counts. ``frame_sign`` carries the
+    reset-free frame correction (+1 otherwise). Bits outside the target's
+    support can never affect the result.
     """
-    bits = outcome.bits
-    if len(bits) != circuit.n + circuit.m:
-        raise ValueError(f"outcome has {len(bits)} bits, circuit needs {circuit.n + circuit.m}")
-    parity = 0
-    zmask = circuit.target.z
-    for v, b in enumerate(bits):
-        if b and (zmask >> v) & 1:
-            parity ^= 1
+    width = circuit.n + circuit.m
+    if len(outcome) != width:
+        raise ValueError(f"outcome has {len(outcome)} bits, circuit needs {width}")
+    if not set(outcome) <= {"0", "1"}:
+        raise ValueError(f"outcome {outcome!r} holds a character other than 0 and 1")
+    parity = (int(outcome[::-1], 2) & circuit.target.z).bit_count() & 1
     observed = -1 if parity else 1
     return 1 if observed == circuit.target.sign * frame_sign else -1
 

@@ -63,11 +63,16 @@ def _parse_depths(text: str) -> tuple[int, ...]:
     return tuple(int(d) for d in text.split(","))
 
 
-def _load_edges(path: str) -> tuple[tuple[int, int], ...]:
+def _load_edges(path: str, n: int) -> tuple[tuple[int, int], ...]:
+    """The edge list of an ``--edges`` file: pairs of distinct wires in range(n)."""
     obj = read_json(path)
     with serialize.malformed_as_schema_error(path):
         edges = obj["edges"] if isinstance(obj, dict) else obj
-        return tuple((_index(a), _index(b)) for a, b in edges)
+        pairs = tuple((_index(a), _index(b)) for a, b in edges)
+        for a, b in pairs:
+            if a == b or max(a, b) >= n:
+                raise ValueError(f"edge ({a}, {b}) is not a pair of distinct wires below {n}")
+        return pairs
 
 
 def _noise_from_args(args) -> NoiseModel:
@@ -96,7 +101,7 @@ def _add_noise_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_design(args) -> int:
-    connectivity = _load_edges(args.edges) if args.edges else None
+    connectivity = _load_edges(args.edges, args.n) if args.edges else None
     design = ExperimentDesign(
         n=args.n,
         p_cnot=args.p_cnot,
@@ -208,6 +213,9 @@ def _input_labels(paths: list[str]) -> list[tuple[str, str]]:
 
 
 def cmd_analyze(args) -> int:
+    # Checked before any output is written, so a bad value leaves no partial output.
+    if len(args.results) > 1 and args.erm_bootstrap < 2:
+        raise ValueError("need at least two ERM bootstrap resamples")
     os.makedirs(args.out, exist_ok=True)
     report_configs = []
     per_config_results = []
@@ -264,7 +272,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    connectivity = _load_edges(args.edges) if args.edges else None
+    connectivity = _load_edges(args.edges, args.n) if args.edges else None
     config = SamplingConfig(
         n=args.n,
         p_cnot=args.p_cnot,

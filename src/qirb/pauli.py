@@ -34,6 +34,7 @@ __all__ = [
     "cliffords_mapping_letter",
     "cliffords_preparing",
     "pauli_gate_indices",
+    "pauli_product_phase",
 ]
 
 #: Wire-count cap for a SignedPauli. Classification targets live on n+m
@@ -46,35 +47,17 @@ _CODE_TO_CHAR = "IXZY"  # indexed by code
 _CHAR_TO_CODE = {"I": _I, "X": _X, "Z": _Z, "Y": _Y}
 
 
-def _mul_1q(code_a: int, code_b: int) -> tuple[int, int]:
-    """Product of two single-wire Paulis: (code, phase exponent of i mod 4)."""
-    return _MUL_TABLE[code_a][code_b]
+def pauli_product_phase(xa: int, za: int, xb: int, zb: int) -> int:
+    """Exponent of i (mod 4) in the product A*B of two Hermitian Paulis."""
+    xc, zc = xa ^ xb, za ^ zb
+    k = (
+        (xa & za).bit_count()
+        + (xb & zb).bit_count()
+        - (xc & zc).bit_count()
+        + 2 * (za & xb).bit_count()
+    )
+    return k % 4
 
-
-def _build_mul_table() -> list[list[tuple[int, int]]]:
-    # i^k bookkeeping for I, X, Z, Y written multiplicatively: XZ = -iY etc.
-    # Built from the defining relations rather than matrices to avoid any
-    # numeric dependency at import time.
-    # Represent each code as (x, z, k) with P = i^k X^x Z^z; Hermitian codes:
-    # I:(0,0,0) X:(1,0,0) Z:(0,1,0) Y:(1,1,1) since Y = iXZ.
-    canon = {_I: (0, 0, 0), _X: (1, 0, 0), _Z: (0, 1, 0), _Y: (1, 1, 1)}
-    table: list[list[tuple[int, int]]] = []
-    for a in range(4):
-        row = []
-        xa, za, ka = canon[a]
-        for b in range(4):
-            xb, zb, kb = canon[b]
-            # (i^ka X^xa Z^za)(i^kb X^xb Z^zb): move Z^za past X^xb.
-            k = ka + kb + 2 * (za * xb)
-            xc, zc = xa ^ xb, za ^ zb
-            code_c = xc | (zc << 1)
-            k -= canon[code_c][2]  # normalize back to the Hermitian form
-            row.append((code_c, k % 4))
-        table.append(row)
-    return table
-
-
-_MUL_TABLE = _build_mul_table()
 
 # --- single-qubit Clifford table -------------------------------------------
 
@@ -86,8 +69,8 @@ _Action = tuple[tuple[int, int], ...]
 def _action_from_images(img_x: tuple[int, int], img_z: tuple[int, int]) -> _Action:
     (cx, sx), (cz, sz) = img_x, img_z
     # Y = iXZ, so g(Y) = i * g(X) g(Z); the result is Hermitian by closure.
-    cy, k = _mul_1q(cx, cz)
-    k = (k + 1) % 4
+    cy = cx ^ cz
+    k = (pauli_product_phase(cx & 1, cx >> 1, cz & 1, cz >> 1) + 1) % 4
     if k % 2:
         raise ValueError("conjugation produced a non-Hermitian image")
     sy = sx * sz * (1 if k == 0 else -1)
@@ -344,10 +327,6 @@ class CircuitLayer:
         if used and (min(used) < 0 or max(used) >= self.n):
             raise ValueError(f"wire index out of range({self.n})")
         object.__setattr__(self, "mcm_wires", tuple(sorted(self.mcm_wires)))
-
-    @property
-    def has_mcm(self) -> bool:
-        return bool(self.mcm_wires)
 
     def oneq_gate_count(self) -> int:
         return sum(1 for g in self.gates if not g.is_cnot)

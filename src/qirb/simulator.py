@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import OutcomeString, QirbCircuit
+from .builder import QirbCircuit
 from .pauli import NUM_ONEQ_CLIFFORDS, clifford_action, compose_cliffords, pauli_gate_indices
 from .seeding import derive_np_rng
 from .tableau import StabilizerTableau
@@ -43,9 +43,7 @@ __all__ = [
     "TwoQubitDepolarizing",
     "InstrumentErrorSpec",
     "NoiseModel",
-    "ShotRecord",
     "SimResult",
-    "simulate_shots",
     "simulate_result",
 ]
 
@@ -62,7 +60,8 @@ class OneQubitPauliChannel:
     pz: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.px, self.py, self.pz) < 0 or self.px + self.py + self.pz > 1 + 1e-12:
+        # Negated so that a NaN rate, which fails every comparison, is rejected.
+        if not (min(self.px, self.py, self.pz) >= 0 and self.total <= 1 + 1e-12):
             raise ValueError("invalid one-qubit error probabilities")
 
     @classmethod
@@ -86,7 +85,8 @@ class TwoQubitDepolarizing:
     eps_each: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.eps_each < 0 or 15 * self.eps_each > 1 + 1e-12:
+        # Negated so that a NaN rate, which fails every comparison, is rejected.
+        if not (self.eps_each >= 0 and self.total <= 1 + 1e-12):
             raise ValueError("invalid two-qubit error probability")
 
     @classmethod
@@ -172,12 +172,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class ShotRecord:
-    outcome: OutcomeString
-    success: int
-
-
-@dataclass(frozen=True)
 class SimResult:
     """Aggregated shots for one circuit."""
 
@@ -189,7 +183,6 @@ class SimResult:
     @property
     def f_value(self) -> float:
         return (self.n_success - self.n_fail) / self.shots
-
 
 
 _GATE, _CNOT, _MCM, _READ = range(4)  # op kinds of a compiled circuit
@@ -460,22 +453,6 @@ def _count_rows(rows: np.ndarray) -> dict[str, int]:
     keys = np.unpackbits(keys, axis=1, count=width)
     text = (keys + ord("0")).tobytes().decode("ascii")
     return {text[i * width:(i + 1) * width]: int(c) for i, c in enumerate(freq.tolist())}
-
-
-def simulate_shots(
-    circuit: QirbCircuit,
-    noise: NoiseModel,
-    shots: int,
-    seed: int,
-    reset_free_mode: str = "frame-correction",
-) -> list[ShotRecord]:
-    """Simulate and return every shot's outcome string and +/-1 success."""
-    records = []
-    for size, fail, outcomes in _batches(circuit, noise, shots, seed, reset_free_mode):
-        failed = _bit_rows([fail], size)[:, 0].tolist()
-        for bits, f in zip(_bit_rows(outcomes, size).tolist(), failed):
-            records.append(ShotRecord(OutcomeString(tuple(bits)), -1 if f else 1))
-    return records
 
 
 def simulate_result(

@@ -9,25 +9,13 @@ against it.
 
 from __future__ import annotations
 
-from .pauli import CNOT_INDEX, SignedPauli, clifford_action
+from .pauli import CNOT_INDEX, SignedPauli, clifford_action, pauli_product_phase
 
-__all__ = ["StabilizerTableau", "TableauError", "pauli_product_phase"]
+__all__ = ["StabilizerTableau", "TableauError"]
 
 
 class TableauError(RuntimeError):
     """A tableau broke an invariant of the stabilizer algebra."""
-
-
-def pauli_product_phase(xa: int, za: int, xb: int, zb: int) -> int:
-    """Exponent of i (mod 4) in the product A*B of two Hermitian Paulis."""
-    xc, zc = xa ^ xb, za ^ zb
-    k = (
-        (xa & za).bit_count()
-        + (xb & zb).bit_count()
-        - (xc & zc).bit_count()
-        + 2 * (za & xb).bit_count()
-    )
-    return k % 4
 
 
 class StabilizerTableau:
@@ -125,36 +113,34 @@ class StabilizerTableau:
             self.x[d], self.z[d], self.r[d] = self.x[pivot], self.z[pivot], self.r[pivot]
             self.x[pivot], self.z[pivot], self.r[pivot] = 0, bit, outcome
             return outcome
-        # Deterministic: accumulate the product of stabilizers indexed by
-        # destabilizers carrying X on q.
-        ax = az = 0
-        phase = 0
-        for i in range(n):
-            if self.x[i] & bit:
-                s = n + i
-                phase += pauli_product_phase(ax, az, self.x[s], self.z[s]) + 2 * self.r[s]
-                ax ^= self.x[s]
-                az ^= self.z[s]
+        # Deterministic: Z on q is, up to its sign, a product of stabilizers.
+        ax, az, phase = self._stabilizer_product(0, bit)
         if ax != 0 or az != bit or phase % 2:
             raise TableauError(f"stabilizers do not generate Z on wire {q}")
-        return (phase >> 1) & 1
+        return phase >> 1
+
+    def _stabilizer_product(self, px: int, pz: int) -> tuple[int, int, int]:
+        """X mask, Z mask and phase (exponent of i, mod 4) of the product of
+        the stabilizers that would generate the Pauli with masks (px, pz).
+
+        Stabilizer i is a factor iff the Pauli anticommutes with destabilizer
+        i; the masks come back equal to (px, pz) iff the group holds +/-it.
+        """
+        n, x, z, r = self.n, self.x, self.z, self.r
+        ax = az = phase = 0
+        for i in range(n):
+            if ((px & z[i]) ^ (pz & x[i])).bit_count() & 1:
+                s = n + i
+                phase += pauli_product_phase(ax, az, x[s], z[s]) + 2 * r[s]
+                ax ^= x[s]
+                az ^= z[s]
+        return ax, az, phase % 4
 
     def expectation(self, p: SignedPauli) -> int | None:
         """<p> for stabilizer states: +/-1 if p is in the +/- group, else None (0)."""
-        ax = az = 0
-        phase = 0
-        # Express p in terms of stabilizers via the destabilizer pairing.
-        for i in range(self.n):
-            s = self.n + i
-            # p anticommutes with destabilizer i iff stabilizer i is needed.
-            if ((p.x & self.z[i]).bit_count() + (p.z & self.x[i]).bit_count()) % 2:
-                phase += pauli_product_phase(ax, az, self.x[s], self.z[s]) + 2 * self.r[s]
-                ax ^= self.x[s]
-                az ^= self.z[s]
+        ax, az, phase = self._stabilizer_product(p.x, p.z)
         if ax != p.x or az != p.z:
             return None
         if phase % 2:
             raise TableauError("stabilizer product has an imaginary phase")
-        sign = -1 if (phase >> 1) & 1 else 1
-        return sign * p.sign
-
+        return -p.sign if phase >> 1 else p.sign

@@ -14,7 +14,6 @@ from qirb.analysis import (
     _depth_moments,
     _resample,
     bootstrap_decay,
-    compute_f,
     erm_predict,
     erm_predict_counts,
     f_from_counts,
@@ -22,31 +21,20 @@ from qirb.analysis import (
     fit_depumping,
     fit_erm,
 )
-from qirb.builder import OutcomeString
-from qirb.simulator import ShotRecord
 
 from test_builder import build_random
 
 
-def fake_shots(n_success, n_fail):
-    rec = lambda s: ShotRecord(OutcomeString((0,)), s)
-    return [rec(1)] * n_success + [rec(-1)] * n_fail
-
-
-class TestComputeF:
+class TestFFromCounts:
     def test_all_successes(self):
-        assert compute_f(fake_shots(100, 0)) == 1
+        assert f_from_counts(100, 0) == 1
 
     def test_even_split(self):
-        assert compute_f(fake_shots(50, 50)) == 0
+        assert f_from_counts(50, 50) == 0
 
     def test_three_quarters(self):
-        f = compute_f(fake_shots(75, 25))
+        f = f_from_counts(75, 25)
         assert f == Fraction(1, 2) and isinstance(f, Fraction)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compute_f([])
 
 
 def synthetic_stats(a, r, depths, k=1):

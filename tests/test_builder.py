@@ -6,7 +6,6 @@ import pytest
 
 from qirb import builder
 from qirb.builder import (
-    OutcomeString,
     QirbCircuit,
     build_qirb_circuit,
     classify_outcome,
@@ -15,7 +14,7 @@ from qirb.builder import (
 )
 from qirb.pauli import CircuitLayer, SignedPauli, commutes, is_z_type, pauli_gate_indices
 from qirb.sampler import SamplingConfig, sample_core_circuit
-from qirb.simulator import NoiseModel, simulate_result, simulate_shots
+from qirb.simulator import NoiseModel, _batches, _bit_rows, simulate_result
 
 
 def build_random(n, depth, seed, reset=True, p_cnot=0.35, p_mcm=0.5):
@@ -23,6 +22,17 @@ def build_random(n, depth, seed, reset=True, p_cnot=0.35, p_mcm=0.5):
     config = SamplingConfig(n=n, p_cnot=p_cnot, p_mcm=p_mcm)
     core = sample_core_circuit(config, depth, rng)
     return build_qirb_circuit(core, reset, rng, n=n)
+
+
+def simulate_outcomes(circuit, noise, shots, seed, reset_free_mode="frame-correction"):
+    """``(outcome string, +/-1 success)`` of every shot, in shot order, from
+    the same batches that ``simulate_result`` aggregates."""
+    records = []
+    for size, fail, outcomes in _batches(circuit, noise, shots, seed, reset_free_mode):
+        failed = _bit_rows([fail], size)[:, 0].tolist()
+        for bits, f in zip(_bit_rows(outcomes, size).tolist(), failed):
+            records.append(("".join(map(str, bits)), -1 if f else 1))
+    return records
 
 
 def synthetic_circuit(target_string, sign=1):
@@ -44,23 +54,28 @@ def synthetic_circuit(target_string, sign=1):
 class TestClassifyOutcome:
     def test_even_parity_on_support(self):
         c = synthetic_circuit("ZIZ")
-        assert classify_outcome(c, OutcomeString.from_string("101")) == 1
+        assert classify_outcome(c, "101") == 1
 
     def test_odd_parity_on_support(self):
         c = synthetic_circuit("ZIZ")
-        assert classify_outcome(c, OutcomeString.from_string("100")) == -1
+        assert classify_outcome(c, "100") == -1
 
     def test_negative_target_sign(self):
         c = synthetic_circuit("Z", sign=-1)
-        assert classify_outcome(c, OutcomeString.from_string("1")) == 1
+        assert classify_outcome(c, "1") == 1
 
     def test_discarded_bits_never_matter(self):
         c = synthetic_circuit("ZIZ")
-        assert classify_outcome(c, OutcomeString.from_string("111")) == 1
+        assert classify_outcome(c, "111") == 1
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            classify_outcome(synthetic_circuit("ZZ"), OutcomeString.from_string("101"))
+            classify_outcome(synthetic_circuit("ZZ"), "101")
+
+    @pytest.mark.parametrize("outcome", ["1 1", "12", "1a", "-1", "+1", "1_0"])
+    def test_rejects_characters_other_than_0_and_1(self, outcome):
+        with pytest.raises(ValueError, match="other than 0 and 1"):
+            classify_outcome(synthetic_circuit("Z" * len(outcome)), outcome)
 
 
 class TestConstruction:
@@ -144,11 +159,9 @@ class TestResetFree:
         noise = NoiseModel.depolarizing(0.995, 0.99, 0.05)
         for seed in range(6):
             c = build_random(3, 6, seed=seed, reset=False)
-            shots = simulate_shots(c, noise, 40, seed=seed)
-            for rec in shots:
-                mcm_bits = rec.outcome.bits[: c.m]
-                sign = resolve_reset_free(c, mcm_bits)
-                assert classify_outcome(c, rec.outcome, sign) == rec.success
+            for outcome, success in simulate_outcomes(c, noise, 40, seed=seed):
+                sign = resolve_reset_free(c, [int(b) for b in outcome[: c.m]])
+                assert classify_outcome(c, outcome, sign) == success
 
 
 class TestDressingDistributions:

@@ -304,11 +304,13 @@ class TestAnalyzeCommand:
     def test_too_few_erm_resamples_exit_2(self, workspace, resamples):
         res_a = self._results(workspace, name="a", p_mcm=0.1, seed=1)
         res_b = self._results(workspace, name="b", p_mcm=0.6, seed=2)
+        rep = workspace / "rep"
         proc = run_process(["analyze", res_a, res_b, "--bootstrap", 4,
-                            "--erm-bootstrap", resamples, "--out", workspace / "rep"])
+                            "--erm-bootstrap", resamples, "--out", rep])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+        assert list(rep.glob("*")) == []
 
     def test_failed_rename_leaves_no_temp_file(self, workspace, monkeypatch):
         res = self._results(workspace)
@@ -406,15 +408,20 @@ _BAD_EDGES = {
     "edges-float": {"edges": [[0.9, 2.7]]},
     "edges-string": {"edges": [["0", True]]},
     "edges-bool": {"edges": [[0, True]]},
+    "edges-out-of-range": {"edges": [[0, 7]]},
+    "edges-self-loop": {"edges": [[1, 1]]},
 }
 
 
-@pytest.mark.parametrize("case", [*_BAD_EDGES, "noise-missing-channel"])
+@pytest.mark.parametrize("case", [*_BAD_EDGES, "noise-missing-channel", "noise-nan"])
 def test_malformed_side_file_exits_3(workspace, case):
     side = workspace / "side.json"
-    if case == "noise-missing-channel":
+    if case.startswith("noise-"):
         obj = serialize.noise_to_obj(NoiseModel.depolarizing())
-        del obj["twoq"]
+        if case == "noise-nan":
+            obj["oneq"]["px"] = float("nan")  # json writes the NaN literal, and reads it
+        else:
+            del obj["twoq"]
         side.write_text(json.dumps(serialize.stamp("noise", obj)))
         argv = ["predict", "--n", 2, "--p-cnot", 0.3, "--p-mcm", 0.2, "--noise", side]
     else:

@@ -223,7 +223,7 @@ class TestCircuitLayer:
 
     def test_pure_gate_layer_allowed(self):
         layer = CircuitLayer(3, (CliffordGate(0, (0,)),))
-        assert not layer.has_mcm
+        assert layer.mcm_wires == ()
 
 
 def test_non_hermitian_images_are_rejected():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qirb.builder import OutcomeString, classify_outcome, resolve_reset_free
+from qirb.builder import classify_outcome, resolve_reset_free
 from qirb.seeding import derive_np_rng
 from qirb.simulator import (
     InstrumentErrorSpec,
@@ -16,12 +16,11 @@ from qirb.simulator import (
     _compile,
     _propagate,
     simulate_result,
-    simulate_shots,
 )
 from qirb.tableau import StabilizerTableau
 from qirb.theory import exact_success_expectation
 
-from test_builder import build_random, circuit_ops
+from test_builder import build_random, circuit_ops, simulate_outcomes
 
 
 class TestNoiseModelTypes:
@@ -40,6 +39,16 @@ class TestNoiseModelTypes:
             TwoQubitDepolarizing(0.1)
         with pytest.raises(ValueError):
             InstrumentErrorSpec(pre_flip=1.5)
+        nan = float("nan")
+        for args in ((nan, 0.0, 0.0), (0.0, nan, 0.0), (0.0, 0.0, nan)):
+            with pytest.raises(ValueError):
+                OneQubitPauliChannel(*args)
+        with pytest.raises(ValueError):
+            TwoQubitDepolarizing(nan)
+        with pytest.raises(ValueError):
+            InstrumentErrorSpec(unmeasured_depol=nan)
+        with pytest.raises(ValueError):
+            NoiseModel.depolarizing(f1q=nan)
 
     def test_instrument_no_error_prob(self):
         spec = InstrumentErrorSpec(0.1, 0.2, 0.3)
@@ -50,14 +59,14 @@ class TestDeterminism:
     def test_same_seed_reproduces_records(self):
         c = build_random(3, 5, seed=0)
         noise = NoiseModel.depolarizing()
-        a = simulate_shots(c, noise, 50, seed=4)
-        b = simulate_shots(c, noise, 50, seed=4)
+        a = simulate_outcomes(c, noise, 50, seed=4)
+        b = simulate_outcomes(c, noise, 50, seed=4)
         assert a == b
 
     def test_shot_records_classify_consistently(self):
         c = build_random(2, 4, seed=1)
-        for rec in simulate_shots(c, NoiseModel.depolarizing(), 60, seed=5):
-            assert classify_outcome(c, rec.outcome) == rec.success
+        for outcome, success in simulate_outcomes(c, NoiseModel.depolarizing(), 60, seed=5):
+            assert classify_outcome(c, outcome) == success
 
 
 class TestMcmStatistics:
@@ -110,11 +119,11 @@ class TestMcmStatistics:
         ones = total = 0
         for seed in range(60):
             c = build_random(2, 2, seed=seed, p_mcm=1.0)
-            res = simulate_shots(c, NoiseModel.zero(), 30, seed=rng.randrange(1 << 30))
+            res = simulate_outcomes(c, NoiseModel.zero(), 30, seed=rng.randrange(1 << 30))
             for k in range(c.m):
                 if not (c.target.support() >> k) & 1:
-                    for rec in res:
-                        ones += rec.outcome.bits[k]
+                    for outcome, _ in res:
+                        ones += int(outcome[k])
                         total += 1
         assert total > 300
         assert abs(ones / total - 0.5) < 3 * math.sqrt(0.25 / total)
@@ -138,9 +147,9 @@ class TestResetFreeModes:
         noise = NoiseModel.depolarizing(0.995, 0.99, 0.04)
         for seed in range(4):
             c = build_random(3, 6, seed=seed, reset=False, p_mcm=0.7)
-            a = simulate_shots(c, noise, 120, seed=seed, reset_free_mode="frame-correction")
-            b = simulate_shots(c, noise, 120, seed=seed, reset_free_mode="feedforward-x")
-            assert [r.success for r in a] == [r.success for r in b]
+            a = simulate_outcomes(c, noise, 120, seed=seed, reset_free_mode="frame-correction")
+            b = simulate_outcomes(c, noise, 120, seed=seed, reset_free_mode="feedforward-x")
+            assert [s for _, s in a] == [s for _, s in b]
 
     def test_counts_histogram_sums_to_shots(self):
         c = build_random(2, 3, seed=3, reset=False)
@@ -152,10 +161,10 @@ class TestResetFreeModes:
 def test_simulator_rejects_bad_arguments():
     c = build_random(2, 2, seed=0)
     with pytest.raises(ValueError):
-        simulate_shots(c, NoiseModel.zero(), 0, seed=1)
+        simulate_result(c, NoiseModel.zero(), 0, seed=1)
     c_free = build_random(2, 2, seed=0, reset=False)
     with pytest.raises(ValueError):
-        simulate_shots(c_free, NoiseModel.zero(), 5, seed=1, reset_free_mode="bogus")
+        simulate_result(c_free, NoiseModel.zero(), 5, seed=1, reset_free_mode="bogus")
 
 
 def test_counts_equal_a_counter_of_the_outcome_strings():
@@ -164,9 +173,9 @@ def test_counts_equal_a_counter_of_the_outcome_strings():
     c = build_random(2, 3, seed=4, reset=False, p_mcm=0.4)
     noise = NoiseModel.depolarizing(0.99, 0.98, 0.05)
     res = simulate_result(c, noise, 5000, seed=2)
-    shots = simulate_shots(c, noise, 5000, seed=2)
-    assert res.counts == Counter(str(rec.outcome) for rec in shots)
-    assert res.n_success == sum(rec.success > 0 for rec in shots)
+    shots = simulate_outcomes(c, noise, 5000, seed=2)
+    assert res.counts == Counter(outcome for outcome, _ in shots)
+    assert res.n_success == sum(success > 0 for _, success in shots)
 
 
 def test_seventy_wires_zero_noise_succeeds_on_every_shot():
@@ -230,7 +239,7 @@ def test_frames_match_per_shot_tableau(n, depth, seed, reset, feedforward, n_fau
         bits = [(o >> shot) & 1 for o in outcomes]
         assert _replay_shot(c, ops, faults, shot, bits, reset=not correct) == []
         sign = resolve_reset_free(c, bits[: c.m]) if correct else 1
-        expected = classify_outcome(c, OutcomeString(tuple(bits)), sign)
+        expected = classify_outcome(c, "".join(map(str, bits)), sign)
         assert (-1 if (failed >> shot) & 1 else 1) == expected
 
 
