@@ -16,6 +16,11 @@ The tracked (n+m)-wire Z-type target Pauli, with its exactly-propagated
 sign, classifies each (m+n)-bit outcome string as success or failure. A
 noiseless execution succeeds with probability 1 by construction.
 
+The tracked Pauli goes through each dressed layer in one private step,
+``_walk_layer``, on ``(x, z, sign)`` integers and the one conjugation loop,
+:func:`qirb.pauli.conjugate_bits`. :func:`build_qirb_circuit` takes that
+step as it samples; :func:`tracked_walk` replays it from a built circuit.
+
 Virtual wire order (= outcome bit order): the m MCM results in temporal
 order (layer-major, wire-minor), then the n final computational-basis
 results.
@@ -34,7 +39,7 @@ from .pauli import (
     clifford_action,
     cliffords_mapping_letter,
     cliffords_preparing,
-    conjugate,
+    conjugate_bits,
     pauli_gate_indices,
     random_pauli,
 )
@@ -142,10 +147,36 @@ def _prepare(rng: random.Random, letter: int) -> tuple[int, int]:
     return idx, clifford_action(idx)[_Z_CODE][1]
 
 
-def _set_letter(x: int, z: int, q: int, code: int) -> tuple[int, int]:
-    x = (x & ~(1 << q)) | ((code & 1) << q)
-    z = (z & ~(1 << q)) | (((code >> 1) & 1) << q)
-    return x, z
+def _letter(x: int, z: int, q: int) -> int:
+    return ((x >> q) & 1) | (((z >> q) & 1) << 1)
+
+
+def _walk_layer(state, l1, l2, l3, post):
+    """One dressed layer of the tracked-Pauli walk, on ``(x, z, sign)`` ints.
+
+    The tracked Pauli goes through ``l1``; its letters on the measured wires
+    (I or Z, else RuntimeError) move out as the k-bit Z mask ``pre``; it goes
+    through ``l2`` and ``l3``, and the fresh letters of ``post`` (a k-wire
+    SignedPauli, ``None`` for a measurement-free layer) are spliced in with
+    their sign. Returns the states after l1, after l2 and after l3, and
+    ``pre``. Both the builder and :func:`tracked_walk` take this step.
+    """
+    after_l1 = x, z, sign = conjugate_bits(l1.gates, *state)
+    pre = 0
+    for k, q in enumerate(l2.mcm_wires):
+        if (x >> q) & 1:
+            raise RuntimeError(f"l1 failed to Z-align measured wire {q}")
+        pre |= ((z >> q) & 1) << k
+        z &= ~(1 << q)
+    after_l2 = x, z, sign = conjugate_bits(l2.gates, x, z, sign)
+    x, z, sign = conjugate_bits(l3.gates, x, z, sign)
+    if post is not None:
+        # Measured wires carry I here: the fresh letters take their place.
+        for k, q in enumerate(l2.mcm_wires):
+            x |= ((post.x >> k) & 1) << q
+            z |= ((post.z >> k) & 1) << q
+        sign *= post.sign
+    return after_l1, after_l2, (x, z, sign), pre
 
 
 def build_qirb_circuit(
@@ -157,7 +188,9 @@ def build_qirb_circuit(
     """Dress a core circuit into a complete benchmark circuit.
 
     ``n`` is only needed for an empty core (depth 0). Construction always
-    succeeds for Clifford cores; all sampling uses the supplied rng.
+    succeeds for Clifford cores; all sampling uses the supplied rng. The
+    tracked Pauli goes through each dressed layer by :func:`_walk_layer`,
+    the step that :func:`tracked_walk` replays.
     """
     if core:
         n = core[0].n
@@ -182,52 +215,32 @@ def build_qirb_circuit(
     wires = (1 << n) - 1
     initial = SignedPauli(n, sampled.x & wires, sampled.z & wires, sign)
 
-    cur = initial
-    target_x = target_z = 0
+    state = (initial.x, initial.z, sign)
+    target_z = 0
     dressed: list[DressedLayer] = []
     mcm_counter = 0
 
     for layer in core:
         measured = layer.mcm_wires
         mset = set(measured)
+        x, z, _ = state
 
         l1_gates = []
         for q in range(n):
-            code = cur.letter_code(q)
             if q in mset:
+                code = _letter(x, z, q)
                 pool = _ALL_CLIFFORDS if code == 0 else cliffords_mapping_letter(code, _Z_CODE)
                 idx = _choose(rng, pool)
             else:
                 idx = _choose(rng, pauli_gates)
             l1_gates.append(CliffordGate(idx, (q,)))
         l1 = CircuitLayer(n, tuple(l1_gates))
-        cur = conjugate(l1, cur)
-
-        # Move the measured components (now I or Z) onto their virtual wires.
-        pre_comp = None
-        if measured:
-            px = pz = 0
-            cx, cz = cur.x, cur.z
-            for k, q in enumerate(measured):
-                code = cur.letter_code(q)
-                if code not in (0, _Z_CODE):
-                    raise RuntimeError(f"l1 failed to Z-align measured wire {q}")
-                if code == _Z_CODE:
-                    pz |= 1 << k
-                    target_z |= 1 << (mcm_counter + k)
-                cx &= ~(1 << q)
-                cz &= ~(1 << q)
-            cur = SignedPauli(n, cx, cz, cur.sign)
-            pre_comp = SignedPauli(len(measured), px, pz, 1)
-
-        cur = conjugate(layer, cur)
 
         # Re-preparation: measured wires get the fresh letters that sampled
         # holds on the layer's virtual wires, the other wires random Paulis.
-        # Eigenvalue signs multiply into the running sign.
+        # Eigenvalue signs multiply into the post-measurement component.
         first = n + mcm_counter
         l3_gates = []
-        post_comp = None
         post_sign = 1
         for q in range(n):
             if q in mset:
@@ -237,30 +250,31 @@ def build_qirb_circuit(
                 idx = _choose(rng, pauli_gates)
             l3_gates.append(CliffordGate(idx, (q,)))
         l3 = CircuitLayer(n, tuple(l3_gates))
-        cur = conjugate(l3, cur)
+
+        pre_comp = post_comp = None
         if measured:
             k_wires = (1 << len(measured)) - 1
             post_comp = SignedPauli(len(measured), (sampled.x >> first) & k_wires,
                                     (sampled.z >> first) & k_wires, post_sign)
-            # Measured wires carry I here: splice the fresh letters in.
-            cx, cz = cur.x, cur.z
-            for k, q in enumerate(measured):
-                cx, cz = _set_letter(cx, cz, q, post_comp.letter_code(k))
-            cur = SignedPauli(n, cx, cz, cur.sign * post_sign)
+        _, _, state, pre = _walk_layer(state, l1, layer, l3, post_comp)
+        if measured:
+            pre_comp = SignedPauli(len(measured), 0, pre, 1)
+            target_z |= pre << mcm_counter
             mcm_counter += len(measured)
 
         dressed.append(DressedLayer(l1, layer, l3, pre_comp, post_comp))
 
+    x, z, sign = state
     final_gates = []
     for q in range(n):
-        code = cur.letter_code(q)
+        code = _letter(x, z, q)
         pool = _ALL_CLIFFORDS if code == 0 else cliffords_mapping_letter(code, _Z_CODE)
         final_gates.append(CliffordGate(_choose(rng, pool), (q,)))
     final_layer = CircuitLayer(n, tuple(final_gates))
-    cur = conjugate(final_layer, cur)
-    if cur.x != 0:
+    x, z, sign = conjugate_bits(final_layer.gates, x, z, sign)
+    if x != 0:
         raise RuntimeError("final layer failed to Z-align the tracked Pauli")
-    target_z |= cur.z << m
+    target_z |= z << m
 
     return QirbCircuit(
         n=n,
@@ -268,7 +282,7 @@ def build_qirb_circuit(
         prep_layer=prep_layer,
         dressed=tuple(dressed),
         final_layer=final_layer,
-        target=SignedPauli(n + m, target_x, target_z, cur.sign),
+        target=SignedPauli(n + m, 0, target_z, sign),
         initial_pauli=initial,
         reset=reset_flag,
     )
@@ -308,15 +322,12 @@ def resolve_reset_free(circuit: QirbCircuit, mcm_bits) -> int:
     if len(bits) != circuit.m:
         raise ValueError(f"need {circuit.m} MCM bits, got {len(bits)}")
 
-    n = circuit.n
-    frame = SignedPauli.identity(n)
+    fx = fz = 0
     flip_parity = 0
     zmask = circuit.target.z
     k = 0
-    for i, d in enumerate(circuit.dressed):
-        frame = conjugate(d.l1.gates, frame)
-        frame = conjugate(d.l2.gates, frame)
-        fx, fz = frame.x, frame.z
+    for d in circuit.dressed:
+        fx, fz, _ = conjugate_bits(d.l1.gates + d.l2.gates, fx, fz, 1)
         for q in d.l2.mcm_wires:
             if (fx >> q) & 1 and (zmask >> k) & 1:
                 flip_parity ^= 1
@@ -326,12 +337,9 @@ def resolve_reset_free(circuit: QirbCircuit, mcm_bits) -> int:
             if bits[k]:
                 fx |= 1 << q
             k += 1
-        frame = SignedPauli(n, fx, fz, 1)
-        frame = conjugate(d.l3.gates, frame)
-    frame = conjugate(circuit.final_layer.gates, frame)
-    for q in range(n):
-        if (frame.x >> q) & 1 and (zmask >> (circuit.m + q)) & 1:
-            flip_parity ^= 1
+        fx, fz, _ = conjugate_bits(d.l3.gates, fx, fz, 1)
+    fx, _, _ = conjugate_bits(circuit.final_layer.gates, fx, fz, 1)
+    flip_parity ^= (fx & (zmask >> circuit.m)).bit_count() & 1
     return -1 if flip_parity else 1
 
 
@@ -345,9 +353,6 @@ class TrackedWalk:
       still carry their I/Z pre-measurement components),
     * ``after_l2[i]``: after the core layer's gates, with measured
       components moved out (I on measured wires),
-    * ``post_meas[i]``: synthetic view between measurement and l3: Z on each
-      measured wire whose fresh component is non-identity, I where it is
-      identity, unmeasured wires as in ``after_l2``,
     * ``after_l3[i]``: fresh components spliced back in.
 
     ``final`` is the Z-type Pauli checked by the end-of-circuit readout.
@@ -356,64 +361,37 @@ class TrackedWalk:
     initial: SignedPauli
     after_l1: tuple[SignedPauli, ...]
     after_l2: tuple[SignedPauli, ...]
-    post_meas: tuple[SignedPauli, ...]
     after_l3: tuple[SignedPauli, ...]
     final: SignedPauli
 
 
 def tracked_walk(circuit: QirbCircuit) -> TrackedWalk:
-    """Recompute every tracked Pauli and cross-check the stored target."""
+    """Replay the builder's walk (:func:`_walk_layer`) through every layer and
+    cross-check each stored pre-measurement component, the target's Z mask
+    and its sign; any disagreement raises ValueError."""
     n, m = circuit.n, circuit.m
-    cur = circuit.initial_pauli
-    after_l1 = []
-    after_l2 = []
-    post_meas = []
-    after_l3 = []
+    p = circuit.initial_pauli
+    state = (p.x, p.z, p.sign)
+    after_l1, after_l2, after_l3 = [], [], []
     target_z = 0
     k = 0
     for d in circuit.dressed:
-        cur = conjugate(d.l1, cur)
-        after_l1.append(cur)
-        measured = d.l2.mcm_wires
-        cx, cz = cur.x, cur.z
-        for j, q in enumerate(measured):
-            code = cur.letter_code(q)
-            if code != d.pre_meas_component.letter_code(j) or code not in (0, _Z_CODE):
+        try:
+            s1, s2, state, pre = _walk_layer(state, d.l1, d.l2, d.l3, d.post_meas_component)
+        except RuntimeError as exc:
+            raise ValueError(f"replayed tracking disagrees with the stored layers: {exc}") from exc
+        after_l1.append(SignedPauli(n, *s1))
+        after_l2.append(SignedPauli(n, *s2))
+        after_l3.append(SignedPauli(n, *state))
+        measured = len(d.l2.mcm_wires)
+        if measured:
+            if d.pre_meas_component != SignedPauli(measured, 0, pre, 1):
                 raise ValueError("stored pre-measurement component disagrees with the replay")
-            if code == _Z_CODE:
-                target_z |= 1 << (k + j)
-            cx &= ~(1 << q)
-            cz &= ~(1 << q)
-        cur = SignedPauli(n, cx, cz, cur.sign)
-        cur = conjugate(d.l2, cur)
-        after_l2.append(cur)
-        if measured:
-            px, pz = cur.x, cur.z
-            for j, q in enumerate(measured):
-                if d.post_meas_component.letter_code(j) != 0:
-                    pz |= 1 << q
-            post_meas.append(SignedPauli(n, px, pz, cur.sign))
-        else:
-            post_meas.append(cur)
-        cur = conjugate(d.l3, cur)
-        if measured:
-            cx, cz = cur.x, cur.z
-            for j, q in enumerate(measured):
-                code = d.post_meas_component.letter_code(j)
-                if code:
-                    cx, cz = _set_letter(cx, cz, q, code)
-            cur = SignedPauli(n, cx, cz, cur.sign * d.post_meas_component.sign)
-            k += len(measured)
-        after_l3.append(cur)
-    cur = conjugate(circuit.final_layer, cur)
-    target_z |= cur.z << m
-    if cur.x or target_z != circuit.target.z or cur.sign != circuit.target.sign:
+            target_z |= pre << k
+            k += measured
+    x, z, sign = conjugate_bits(circuit.final_layer.gates, *state)
+    target_z |= z << m
+    if x or target_z != circuit.target.z or sign != circuit.target.sign:
         raise ValueError("replayed tracking disagrees with the stored target")
-    return TrackedWalk(
-        initial=circuit.initial_pauli,
-        after_l1=tuple(after_l1),
-        after_l2=tuple(after_l2),
-        post_meas=tuple(post_meas),
-        after_l3=tuple(after_l3),
-        final=cur,
-    )
+    return TrackedWalk(p, tuple(after_l1), tuple(after_l2), tuple(after_l3),
+                       SignedPauli(n, x, z, sign))

@@ -16,6 +16,8 @@ prediction does not depend on the reset mode).
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
 
@@ -272,6 +274,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    depths = tuple(args.depths)
+    if not math.isfinite(args.amplitude):
+        raise ValueError(f"--amplitude must be finite, got {args.amplitude}")
+    if min(depths) < 0:
+        raise ValueError(f"--depths must be non-negative, got {min(depths)}")
     connectivity = _load_edges(args.edges, args.n) if args.edges else None
     config = SamplingConfig(
         n=args.n,
@@ -285,7 +292,6 @@ def cmd_predict(args) -> int:
     prediction = predict_r_omega(noise, config)
     if prediction.method != "closed-form":
         warnings.append("density-mode prediction computed by Monte Carlo over sampled layers")
-    depths = tuple(args.depths)
     payload = {
         "n": args.n,
         "p_cnot": args.p_cnot,
@@ -306,9 +312,7 @@ def cmd_predict(args) -> int:
     if args.out:
         write_json(args.out, stamp("prediction", payload))
     else:
-        import json
-
-        print(json.dumps(payload, sort_keys=True, indent=1))
+        print(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False))
     print(
         f"r_omega = {prediction.r_omega:.6f} in [{prediction.bound_lower:.6f}, "
         f"{prediction.bound_upper:.6f}]",

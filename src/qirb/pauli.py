@@ -15,7 +15,7 @@ by the JSON circuit format (see the README for the full table).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "MAX_WIRES",
@@ -26,6 +26,7 @@ __all__ = [
     "NUM_ONEQ_CLIFFORDS",
     "commutes",
     "conjugate",
+    "conjugate_bits",
     "random_pauli",
     "is_z_type",
     "compose_cliffords",
@@ -335,15 +336,26 @@ class CircuitLayer:
         return sum(1 for g in self.gates if g.is_cnot)
 
 
-def _conjugate_cnot_bits(x: int, z: int, sign: int, c: int, t: int) -> tuple[int, int, int]:
-    xc, zc = (x >> c) & 1, (z >> c) & 1
-    xt, zt = (x >> t) & 1, (z >> t) & 1
-    if xc & zt & (xt ^ zc ^ 1):
-        sign = -sign
-    if xc:
-        x ^= 1 << t
-    if zt:
-        z ^= 1 << c
+def conjugate_bits(gates: Iterable[CliffordGate], x: int, z: int, sign: int) -> tuple[int, int, int]:
+    """Conjugate the Pauli ``sign * (x, z)`` by ``gates`` in order: the one
+    conjugation loop, on bare bitmasks with the sign tracked exactly."""
+    for g in gates:
+        if g.index == CNOT_INDEX:
+            c, t = g.wires
+            xc, zc = (x >> c) & 1, (z >> c) & 1
+            xt, zt = (x >> t) & 1, (z >> t) & 1
+            if xc & zt & (xt ^ zc ^ 1):
+                sign = -sign
+            x ^= xc << t
+            z ^= zt << c
+        else:
+            q = g.wires[0]
+            code = ((x >> q) & 1) | (((z >> q) & 1) << 1)
+            if code:
+                new_code, s = _CLIFFORD_ACTIONS[g.index][code]
+                x = (x & ~(1 << q)) | ((new_code & 1) << q)
+                z = (z & ~(1 << q)) | (((new_code >> 1) & 1) << q)
+                sign *= s
     return x, z, sign
 
 
@@ -356,25 +368,7 @@ def conjugate(layer: CircuitLayer | Iterable[CliffordGate], p: SignedPauli) -> S
     if isinstance(layer, CircuitLayer):
         if layer.n != p.n:
             raise ValueError("layer/Pauli wire-count mismatch")
-        if layer.mcm_wires:
-            mmask = 0
-            for w in layer.mcm_wires:
-                mmask |= 1 << w
-            if (p.x | p.z) & mmask:
-                raise ValueError("Pauli supported on a measured wire of the layer")
-        gates: Sequence[CliffordGate] = layer.gates
-    else:
-        gates = tuple(layer)
-    x, z, sign = p.x, p.z, p.sign
-    for g in gates:
-        if g.is_cnot:
-            x, z, sign = _conjugate_cnot_bits(x, z, sign, g.wires[0], g.wires[1])
-        else:
-            q = g.wires[0]
-            code = ((x >> q) & 1) | (((z >> q) & 1) << 1)
-            if code:
-                new_code, s = _CLIFFORD_ACTIONS[g.index][code]
-                x = (x & ~(1 << q)) | ((new_code & 1) << q)
-                z = (z & ~(1 << q)) | (((new_code >> 1) & 1) << q)
-                sign *= s
-    return SignedPauli(p.n, x, z, sign)
+        if (p.x | p.z) & sum(1 << w for w in layer.mcm_wires):
+            raise ValueError("Pauli supported on a measured wire of the layer")
+        layer = layer.gates
+    return SignedPauli(p.n, *conjugate_bits(layer, p.x, p.z, p.sign))

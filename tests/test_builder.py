@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qirb import builder
 from qirb.builder import (
@@ -119,19 +121,50 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 tracked_walk(tampered)
 
+    @pytest.mark.parametrize("tamper", ["target-letter-moved", "pre-meas-flipped",
+                                        "pre-meas-negative"])
+    def test_tracked_walk_rejects_tampered_circuits(self, tamper):
+        c = build_random(4, 8, seed=0)
+        z, wires = c.target.z, (1 << c.target.n) - 1
+        i = next(i for i, d in enumerate(c.dressed)
+                 if d.pre_meas_component is not None and d.pre_meas_component.z)
+        assert 0 < z < wires
+        tracked_walk(c)
+        if tamper == "target-letter-moved":
+            free = wires & ~z
+            moved = (z & (z - 1)) | (free & -free)
+            tampered = dataclasses.replace(c, target=SignedPauli(c.target.n, 0, moved,
+                                                                 c.target.sign))
+        else:
+            pre = c.dressed[i].pre_meas_component
+            pre = (SignedPauli(pre.n, 0, pre.z ^ 1, 1) if tamper == "pre-meas-flipped"
+                   else pre.with_sign(-1))
+            dressed = list(c.dressed)
+            dressed[i] = dataclasses.replace(dressed[i], pre_meas_component=pre)
+            tampered = dataclasses.replace(c, dressed=tuple(dressed))
+        with pytest.raises(ValueError):
+            tracked_walk(tampered)
+
     def test_empty_core_needs_wire_count(self):
         with pytest.raises(ValueError):
             build_qirb_circuit([], True, random.Random(0))
 
 
 class TestZeroNoise:
-    def test_every_shot_succeeds(self):
-        noise = NoiseModel.zero()
-        for seed in range(12):
-            for reset in (True, False):
-                c = build_random(1 + seed % 4, 2 + seed, seed=seed, reset=reset)
-                res = simulate_result(c, noise, 64, seed=seed, with_counts=False)
-                assert res.f_value == 1.0
+    @given(n=st.integers(1, 6), depth=st.integers(0, 8), reset=st.booleans(),
+           mode=st.sampled_from(["at-most-one", "density"]),
+           p_cnot=st.floats(0, 1), p_mcm=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_every_shot_succeeds(self, n, depth, reset, mode, p_cnot, p_mcm, seed):
+        # The reference tableau in simulate_result shares no code with the
+        # tracked-Pauli walk, so this checks the builder independently; the
+        # replay must also agree with every stored component and the target.
+        rng = random.Random(seed)
+        config = SamplingConfig(n=n, p_cnot=p_cnot, p_mcm=p_mcm, mode=mode)
+        c = build_qirb_circuit(sample_core_circuit(config, depth, rng), reset, rng, n=n)
+        tracked_walk(c)
+        res = simulate_result(c, NoiseModel.zero(), 64, seed=seed, with_counts=False)
+        assert res.f_value == 1.0
 
     def test_binary_rb_degenerate_case(self):
         # p_mcm = 0 gives measurement-free circuits; still exact successes.
@@ -203,23 +236,25 @@ class TestDressingDistributions:
         assert abs(signs[1] - total / 2) < 4 * (total * 0.25) ** 0.5
 
 
-def _premeas_full(circuit, walk, i):
-    d = circuit.dressed[i]
-    s = walk.after_l2[i]
-    z = s.z
-    for j, q in enumerate(d.l2.mcm_wires):
-        if d.pre_meas_component.letter_code(j):
+def _measured_as_z(after_l2, measured, component):
+    """``after_l2`` with Z on each measured wire where the layer's pre- or
+    post-measurement ``component`` is not the identity: the tracked Pauli
+    just before (pre) or just after (post) the layer's measurements."""
+    z = after_l2.z
+    for j, q in enumerate(measured):
+        if component.letter_code(j):
             z |= 1 << q
-    return SignedPauli(circuit.n, s.x, z, 1)
+    return SignedPauli(after_l2.n, after_l2.x, z, after_l2.sign)
 
 
 def _injection_points(circuit):
     walk = tracked_walk(circuit)
     yield ("prep",), walk.initial
-    for i in range(circuit.depth):
+    for i, d in enumerate(circuit.dressed):
         yield ("l1", i), walk.after_l1[i]
-        yield ("l2", i), _premeas_full(circuit, walk, i)
-        yield ("postmeas", i), walk.post_meas[i]
+        after_l2, measured = walk.after_l2[i], d.l2.mcm_wires
+        yield ("l2", i), _measured_as_z(after_l2, measured, d.pre_meas_component)
+        yield ("postmeas", i), _measured_as_z(after_l2, measured, d.post_meas_component)
         yield ("l3", i), walk.after_l3[i]
     yield ("final",), walk.final
 

@@ -401,6 +401,14 @@ class TestPredictCommand:
         payload = json.loads(capsys.readouterr().out)
         assert "r_omega" in payload
 
+    @pytest.mark.parametrize("flag", ["--amplitude=nan", "--amplitude=inf", "--depths=-3"])
+    def test_non_finite_amplitude_or_negative_depth_exits_2(self, workspace, capsys, flag):
+        argv = ["predict", "--n", 2, "--p-cnot", 0.3, "--p-mcm", 0.2, flag]
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert run(argv + ["--out", workspace / "pred.json"]) == 2
+        assert list(workspace.iterdir()) == []
+
 
 _BAD_EDGES = {
     "edges-missing-key": {"foo": 1},
