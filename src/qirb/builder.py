@@ -16,6 +16,12 @@ The tracked (n+m)-wire Z-type target Pauli, with its exactly-propagated
 sign, classifies each (m+n)-bit outcome string as success or failure. A
 noiseless execution succeeds with probability 1 by construction.
 
+A circuit stores only what was sampled: its layers, its reset flag and
+where the tracked Pauli starts as Z, before the preparation layer
+(``tracked``) and right after each measurement (``fresh``). The preparing
+gates turn those Z letters into the sampled letters, with the prepared
+eigenvalues as signs, so the walk derives every letter, sign and the target.
+
 The tracked Pauli goes through each dressed layer in one private step,
 ``_walk_layer``, on ``(x, z, sign)`` integers and the one conjugation loop,
 :func:`qirb.pauli.conjugate_bits`. :func:`build_qirb_circuit` takes that
@@ -30,13 +36,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .pauli import (
+    CNOT_INDEX,
     NUM_ONEQ_CLIFFORDS,
     CircuitLayer,
     CliffordGate,
     SignedPauli,
-    clifford_action,
     cliffords_mapping_letter,
     cliffords_preparing,
     conjugate_bits,
@@ -62,67 +69,66 @@ _ALL_CLIFFORDS = tuple(range(NUM_ONEQ_CLIFFORDS))
 class DressedLayer:
     """One l1/l2/l3 sandwich around a core layer.
 
-    ``pre_meas_component`` holds the tracked letters (I or Z, sign +1; the
-    running sign stays global) on the measured wires just before they are
-    measured; ``post_meas_component`` holds the freshly sampled letters that
-    re-enter the tracked Pauli, with the eigenvalue signs of their prepared
-    states multiplied into its sign. Both are ``None`` for measurement-free
-    layers.
+    ``fresh`` is the mask of the measured wires that the tracked Pauli picks
+    up again right after the measurement, as Z; ``l3`` turns each into the
+    wire's freshly sampled letter. It is 0 for a measurement-free layer.
     """
 
     l1: CircuitLayer
     l2: CircuitLayer
     l3: CircuitLayer
-    pre_meas_component: SignedPauli | None
-    post_meas_component: SignedPauli | None
+    fresh: int
 
     def __post_init__(self) -> None:
         for sub in (self.l1, self.l3):
-            if sub.mcm_wires or any(g.is_cnot for g in sub.gates):
+            if sub.mcm_wires or CNOT_INDEX in [g.index for g in sub.gates]:
                 raise ValueError("dressing sublayers must be single-qubit gate layers")
-        if self.l2.mcm_wires:
-            if self.pre_meas_component is None or self.post_meas_component is None:
-                raise ValueError("measured layer needs pre/post components")
-            if not (self.pre_meas_component.n == self.post_meas_component.n
-                    == len(self.l2.mcm_wires)):
-                raise ValueError("pre/post components need one letter per measured wire")
-            if self.pre_meas_component.x != 0:
-                raise ValueError("pre-measurement component must be Z-type")
-        elif self.pre_meas_component is not None or self.post_meas_component is not None:
-            raise ValueError("a layer without measurements has no pre/post components")
+        measured = sum(1 << q for q in self.l2.mcm_wires)
+        if type(self.fresh) is not int or self.fresh & ~measured:
+            raise ValueError("fresh letters must sit on the layer's measured wires")
 
 
 @dataclass(frozen=True)
 class QirbCircuit:
-    """A fully dressed benchmark circuit with its classification metadata."""
+    """A fully dressed benchmark circuit: what was sampled, and nothing else.
+
+    ``tracked`` is the mask of the wires on which the tracked Pauli starts,
+    as Z on |0> before ``prep_layer``. The walk (:func:`tracked_walk`)
+    derives everything else, the target included.
+    """
 
     n: int
-    m: int
     prep_layer: CircuitLayer
     dressed: tuple[DressedLayer, ...]
     final_layer: CircuitLayer
-    target: SignedPauli
-    initial_pauli: SignedPauli
+    tracked: int
     reset: bool
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or type(self.m) is not int:
-            raise ValueError("wire and MCM counts must be integers")
-        if self.target.n != self.n + self.m:
-            raise ValueError("target must cover all n+m virtual wires")
-        if self.target.x != 0:
-            raise ValueError("target must be Z-type")
+        if type(self.n) is not int:
+            raise ValueError("the wire count must be an integer")
+        if type(self.tracked) is not int or self.tracked < 0 or self.tracked >> self.n:
+            raise ValueError(f"tracked wires must lie in range({self.n})")
         layers = [self.prep_layer, self.final_layer]
         for d in self.dressed:
             layers += (d.l1, d.l2, d.l3)
         if any(layer.n != self.n for layer in layers):
             raise ValueError(f"every layer must span the circuit's {self.n} wires")
-        if sum(len(d.l2.mcm_wires) for d in self.dressed) != self.m:
-            raise ValueError(f"layers measure a number of wires other than m = {self.m}")
 
     @property
     def depth(self) -> int:
         return len(self.dressed)
+
+    @property
+    def m(self) -> int:
+        """The number of mid-circuit measurements."""
+        return sum(len(d.l2.mcm_wires) for d in self.dressed)
+
+    @cached_property
+    def target(self) -> SignedPauli:
+        """The Z-type (n+m)-wire Pauli that classifies outcomes; ValueError if
+        the layers cannot track a Pauli."""
+        return tracked_walk(self).target
 
     def oneq_gate_count(self) -> int:
         total = self.prep_layer.oneq_gate_count() + self.final_layer.oneq_gate_count()
@@ -138,45 +144,40 @@ def _choose(rng: random.Random, pool) -> int:
     return pool[rng.randrange(len(pool))]
 
 
-def _prepare(rng: random.Random, letter: int) -> tuple[int, int]:
+def _prepare(rng: random.Random, letter: int) -> int:
     """A uniform random Clifford whose action on |0> prepares an eigenstate of
-    ``letter``, and the state's +/-1 eigenvalue; any Clifford, +1, for I."""
-    if letter == 0:
-        return _choose(rng, _ALL_CLIFFORDS), 1
-    idx = _choose(rng, cliffords_preparing(letter))
-    return idx, clifford_action(idx)[_Z_CODE][1]
+    ``letter`` (its Z image is +/-letter); any Clifford for I."""
+    return _choose(rng, _ALL_CLIFFORDS if letter == 0 else cliffords_preparing(letter))
+
+
+def _align(rng: random.Random, letter: int) -> int:
+    """A uniform random Clifford mapping ``letter`` to +/-Z; any Clifford for I."""
+    return _choose(rng, _ALL_CLIFFORDS if letter == 0 else cliffords_mapping_letter(letter, _Z_CODE))
 
 
 def _letter(x: int, z: int, q: int) -> int:
     return ((x >> q) & 1) | (((z >> q) & 1) << 1)
 
 
-def _walk_layer(state, l1, l2, l3, post):
+def _walk_layer(state, d: DressedLayer):
     """One dressed layer of the tracked-Pauli walk, on ``(x, z, sign)`` ints.
 
     The tracked Pauli goes through ``l1``; its letters on the measured wires
     (I or Z, else RuntimeError) move out as the k-bit Z mask ``pre``; it goes
-    through ``l2`` and ``l3``, and the fresh letters of ``post`` (a k-wire
-    SignedPauli, ``None`` for a measurement-free layer) are spliced in with
-    their sign. Returns the states after l1, after l2 and after l3, and
-    ``pre``. Both the builder and :func:`tracked_walk` take this step.
+    through ``l2``, picks up Z on the ``fresh`` wires and goes through
+    ``l3``, which turns those into the fresh letters and their eigenvalue
+    signs. Returns the states after l1, after l2 and after l3, and ``pre``.
+    Both the builder and :func:`tracked_walk` take this step.
     """
-    after_l1 = x, z, sign = conjugate_bits(l1.gates, *state)
+    after_l1 = x, z, sign = conjugate_bits(d.l1.gates, *state)
     pre = 0
-    for k, q in enumerate(l2.mcm_wires):
+    for k, q in enumerate(d.l2.mcm_wires):
         if (x >> q) & 1:
             raise RuntimeError(f"l1 failed to Z-align measured wire {q}")
         pre |= ((z >> q) & 1) << k
         z &= ~(1 << q)
-    after_l2 = x, z, sign = conjugate_bits(l2.gates, x, z, sign)
-    x, z, sign = conjugate_bits(l3.gates, x, z, sign)
-    if post is not None:
-        # Measured wires carry I here: the fresh letters take their place.
-        for k, q in enumerate(l2.mcm_wires):
-            x |= ((post.x >> k) & 1) << q
-            z |= ((post.z >> k) & 1) << q
-        sign *= post.sign
-    return after_l1, after_l2, (x, z, sign), pre
+    after_l2 = x, z, sign = conjugate_bits(d.l2.gates, x, z, sign)
+    return after_l1, after_l2, conjugate_bits(d.l3.gates, x, z | d.fresh, sign), pre
 
 
 def build_qirb_circuit(
@@ -201,91 +202,52 @@ def build_qirb_circuit(
     m = sum(len(layer.mcm_wires) for layer in core)
 
     sampled = random_pauli(n + m, rng)
+    support = sampled.support()
     pauli_gates = pauli_gate_indices()
 
-    # Preparation: wire q gets a uniform random eigenstate of sampled(q);
-    # the +/-1 eigenvalue choices accumulate into the tracked sign.
-    sign = 1
-    prep_gates = []
-    for q in range(n):
-        idx, eigenvalue = _prepare(rng, sampled.letter_code(q))
-        sign *= eigenvalue
-        prep_gates.append(CliffordGate(idx, (q,)))
-    prep_layer = CircuitLayer(n, tuple(prep_gates))
-    wires = (1 << n) - 1
-    initial = SignedPauli(n, sampled.x & wires, sampled.z & wires, sign)
-
-    state = (initial.x, initial.z, sign)
-    target_z = 0
+    # Preparation: wire q gets a uniform random eigenstate of sampled(q).
+    prep_layer = CircuitLayer(n, tuple(
+        CliffordGate(_prepare(rng, sampled.letter_code(q)), (q,)) for q in range(n)
+    ))
+    tracked = support & ((1 << n) - 1)
+    state = conjugate_bits(prep_layer.gates, 0, tracked, 1)
     dressed: list[DressedLayer] = []
-    mcm_counter = 0
+    first = n
 
     for layer in core:
         measured = layer.mcm_wires
         mset = set(measured)
         x, z, _ = state
-
         l1_gates = []
         for q in range(n):
-            if q in mset:
-                code = _letter(x, z, q)
-                pool = _ALL_CLIFFORDS if code == 0 else cliffords_mapping_letter(code, _Z_CODE)
-                idx = _choose(rng, pool)
-            else:
-                idx = _choose(rng, pauli_gates)
+            idx = _align(rng, _letter(x, z, q)) if q in mset else _choose(rng, pauli_gates)
             l1_gates.append(CliffordGate(idx, (q,)))
         l1 = CircuitLayer(n, tuple(l1_gates))
 
         # Re-preparation: measured wires get the fresh letters that sampled
         # holds on the layer's virtual wires, the other wires random Paulis.
-        # Eigenvalue signs multiply into the post-measurement component.
-        first = n + mcm_counter
         l3_gates = []
-        post_sign = 1
+        fresh = 0
         for q in range(n):
             if q in mset:
-                idx, eigenvalue = _prepare(rng, sampled.letter_code(first + measured.index(q)))
-                post_sign *= eigenvalue
+                k = first + measured.index(q)
+                idx = _prepare(rng, sampled.letter_code(k))
+                fresh |= ((support >> k) & 1) << q
             else:
                 idx = _choose(rng, pauli_gates)
             l3_gates.append(CliffordGate(idx, (q,)))
-        l3 = CircuitLayer(n, tuple(l3_gates))
+        d = DressedLayer(l1, layer, CircuitLayer(n, tuple(l3_gates)), fresh)
+        _, _, state, _ = _walk_layer(state, d)
+        dressed.append(d)
+        first += len(measured)
 
-        pre_comp = post_comp = None
-        if measured:
-            k_wires = (1 << len(measured)) - 1
-            post_comp = SignedPauli(len(measured), (sampled.x >> first) & k_wires,
-                                    (sampled.z >> first) & k_wires, post_sign)
-        _, _, state, pre = _walk_layer(state, l1, layer, l3, post_comp)
-        if measured:
-            pre_comp = SignedPauli(len(measured), 0, pre, 1)
-            target_z |= pre << mcm_counter
-            mcm_counter += len(measured)
-
-        dressed.append(DressedLayer(l1, layer, l3, pre_comp, post_comp))
-
-    x, z, sign = state
-    final_gates = []
-    for q in range(n):
-        code = _letter(x, z, q)
-        pool = _ALL_CLIFFORDS if code == 0 else cliffords_mapping_letter(code, _Z_CODE)
-        final_gates.append(CliffordGate(_choose(rng, pool), (q,)))
-    final_layer = CircuitLayer(n, tuple(final_gates))
-    x, z, sign = conjugate_bits(final_layer.gates, x, z, sign)
-    if x != 0:
+    x, z, _ = state
+    final_layer = CircuitLayer(n, tuple(
+        CliffordGate(_align(rng, _letter(x, z, q)), (q,)) for q in range(n)
+    ))
+    if conjugate_bits(final_layer.gates, *state)[0]:
         raise RuntimeError("final layer failed to Z-align the tracked Pauli")
-    target_z |= z << m
-
-    return QirbCircuit(
-        n=n,
-        m=m,
-        prep_layer=prep_layer,
-        dressed=tuple(dressed),
-        final_layer=final_layer,
-        target=SignedPauli(n + m, 0, target_z, sign),
-        initial_pauli=initial,
-        reset=reset_flag,
-    )
+    return QirbCircuit(n, prep_layer, tuple(dressed), final_layer, tracked, reset_flag)
 
 
 def classify_outcome(circuit: QirbCircuit, outcome: str, frame_sign: int = 1) -> int:
@@ -345,53 +307,44 @@ def resolve_reset_free(circuit: QirbCircuit, mcm_bits) -> int:
 
 @dataclass(frozen=True)
 class TrackedWalk:
-    """Tracked-Pauli snapshots replayed from a built circuit.
+    """The tracked Pauli through a circuit, each snapshot an ``(x, z, sign)``
+    triple of ints on the n wires: ``initial`` after the preparation layer;
+    per dressed layer ``i``, ``after_l1[i]`` (measured wires carry the I/Z
+    letters they measure), ``after_l2[i]`` (I on measured wires) and
+    ``after_l3[i]``; ``final``, the Z-type Pauli the final readout checks.
 
-    Per dressed layer ``i``:
-
-    * ``after_l1[i]``: tracked Pauli after the l1 sublayer (measured wires
-      still carry their I/Z pre-measurement components),
-    * ``after_l2[i]``: after the core layer's gates, with measured
-      components moved out (I on measured wires),
-    * ``after_l3[i]``: fresh components spliced back in.
-
-    ``final`` is the Z-type Pauli checked by the end-of-circuit readout.
+    ``target`` is the (n+m)-wire Z-type Pauli that classifies outcomes: the
+    measured letters in outcome-bit order, then ``final``'s, with its sign.
     """
 
-    initial: SignedPauli
-    after_l1: tuple[SignedPauli, ...]
-    after_l2: tuple[SignedPauli, ...]
-    after_l3: tuple[SignedPauli, ...]
-    final: SignedPauli
+    initial: tuple[int, int, int]
+    after_l1: tuple[tuple[int, int, int], ...]
+    after_l2: tuple[tuple[int, int, int], ...]
+    after_l3: tuple[tuple[int, int, int], ...]
+    final: tuple[int, int, int]
+    target: SignedPauli
 
 
 def tracked_walk(circuit: QirbCircuit) -> TrackedWalk:
-    """Replay the builder's walk (:func:`_walk_layer`) through every layer and
-    cross-check each stored pre-measurement component, the target's Z mask
-    and its sign; any disagreement raises ValueError."""
-    n, m = circuit.n, circuit.m
-    p = circuit.initial_pauli
-    state = (p.x, p.z, p.sign)
+    """Walk the tracked Pauli through every layer by the builder's step
+    (:func:`_walk_layer`) and derive the target. A layer that fails to
+    Z-align the Pauli where it must raises ValueError."""
+    initial = state = conjugate_bits(circuit.prep_layer.gates, 0, circuit.tracked, 1)
     after_l1, after_l2, after_l3 = [], [], []
     target_z = 0
     k = 0
     for d in circuit.dressed:
         try:
-            s1, s2, state, pre = _walk_layer(state, d.l1, d.l2, d.l3, d.post_meas_component)
+            s1, s2, state, pre = _walk_layer(state, d)
         except RuntimeError as exc:
-            raise ValueError(f"replayed tracking disagrees with the stored layers: {exc}") from exc
-        after_l1.append(SignedPauli(n, *s1))
-        after_l2.append(SignedPauli(n, *s2))
-        after_l3.append(SignedPauli(n, *state))
-        measured = len(d.l2.mcm_wires)
-        if measured:
-            if d.pre_meas_component != SignedPauli(measured, 0, pre, 1):
-                raise ValueError("stored pre-measurement component disagrees with the replay")
-            target_z |= pre << k
-            k += measured
-    x, z, sign = conjugate_bits(circuit.final_layer.gates, *state)
-    target_z |= z << m
-    if x or target_z != circuit.target.z or sign != circuit.target.sign:
-        raise ValueError("replayed tracking disagrees with the stored target")
-    return TrackedWalk(p, tuple(after_l1), tuple(after_l2), tuple(after_l3),
-                       SignedPauli(n, x, z, sign))
+            raise ValueError(f"the layers cannot track a Pauli: {exc}") from exc
+        after_l1.append(s1)
+        after_l2.append(s2)
+        after_l3.append(state)
+        target_z |= pre << k
+        k += len(d.l2.mcm_wires)
+    final = x, z, sign = conjugate_bits(circuit.final_layer.gates, *state)
+    if x:
+        raise ValueError("the layers cannot track a Pauli: final layer failed to Z-align it")
+    return TrackedWalk(initial, tuple(after_l1), tuple(after_l2), tuple(after_l3), final,
+                       SignedPauli(circuit.n + k, 0, target_z | z << k, sign))

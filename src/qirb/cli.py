@@ -65,15 +65,20 @@ def _parse_depths(text: str) -> tuple[int, ...]:
     return tuple(int(d) for d in text.split(","))
 
 
+def _unique_ids(ids: list[int]) -> None:
+    """Circuit ids must not repeat: each one seeds its circuit's noise stream."""
+    if len(set(ids)) != len(ids):
+        raise ValueError("a circuit id is listed more than once")
+
+
 def _load_edges(path: str, n: int) -> tuple[tuple[int, int], ...]:
-    """The edge list of an ``--edges`` file: pairs of distinct wires in range(n)."""
+    """The edge list of an ``--edges`` file, checked as an n-wire connectivity:
+    pairs of distinct wires in range(n), no edge twice."""
     obj = read_json(path)
     with serialize.malformed_as_schema_error(path):
         edges = obj["edges"] if isinstance(obj, dict) else obj
-        pairs = tuple((_index(a), _index(b)) for a, b in edges)
-        for a, b in pairs:
-            if a == b or max(a, b) >= n:
-                raise ValueError(f"edge ({a}, {b}) is not a pair of distinct wires below {n}")
+        pairs = tuple((a, b) for a, b in edges)
+        SamplingConfig(n=n, p_cnot=0.0, p_mcm=0.0, connectivity=pairs)
         return pairs
 
 
@@ -141,6 +146,7 @@ def cmd_simulate(args) -> int:
     with serialize.malformed_as_schema_error(args.circuits):
         design = ExperimentDesign.from_obj(obj["design"])
         entries = [(_index(e["id"]), _index(e["depth"]), e) for e in obj["circuits"]]
+        _unique_ids([cid for cid, _, _ in entries])
     circuits = [(cid, depth, _checked_circuit(e, depth, design)) for cid, depth, e in entries]
     noise = _noise_from_args(args)
     results = simulate_design(
@@ -192,6 +198,7 @@ def _load_results(path: str) -> tuple[dict, list[CircuitResult]]:
                 raise ValueError(f"shot totals differ from the design's {shots} shots")
             res = SimResult(shots=shots, n_success=n_success, n_fail=n_fail, counts=counts)
             results.append(CircuitResult(_index(entry["id"]), depth, circ, res))
+        _unique_ids([r.circuit_id for r in results])
     return obj, results
 
 

@@ -315,15 +315,12 @@ class CircuitLayer:
     mcm_wires: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        used = set(self.mcm_wires)
-        if len(used) != len(self.mcm_wires):
-            raise ValueError("duplicate MCM wire")
-        for g in self.gates:
-            for w in g.wires:
-                if w in used:
-                    raise ValueError(f"wire {w} used more than once in a layer")
-                used.add(w)
-        if any(type(w) is not int for w in used):
+        wires = [w for g in self.gates for w in g.wires]
+        wires += self.mcm_wires
+        used = set(wires)
+        if len(used) != len(wires):
+            raise ValueError("a wire is used more than once in a layer")
+        if not set(map(type, used)) <= {int}:
             raise ValueError("wire indices must be integers")
         if used and (min(used) < 0 or max(used) >= self.n):
             raise ValueError(f"wire index out of range({self.n})")
@@ -353,8 +350,9 @@ def conjugate_bits(gates: Iterable[CliffordGate], x: int, z: int, sign: int) -> 
             code = ((x >> q) & 1) | (((z >> q) & 1) << 1)
             if code:
                 new_code, s = _CLIFFORD_ACTIONS[g.index][code]
-                x = (x & ~(1 << q)) | ((new_code & 1) << q)
-                z = (z & ~(1 << q)) | (((new_code >> 1) & 1) << q)
+                flip = new_code ^ code
+                x ^= (flip & 1) << q
+                z ^= (flip >> 1) << q
                 sign *= s
     return x, z, sign
 

@@ -50,6 +50,9 @@ class SamplingConfig:
                     raise ValueError(f"connectivity edge ({a!r}, {b!r}) needs integer endpoints")
                 if a == b or not (0 <= a < self.n and 0 <= b < self.n):
                     raise ValueError(f"bad connectivity edge ({a}, {b})")
+            # A repeated edge would weigh more in the draws than the others.
+            if len(set(map(frozenset, self.connectivity))) != len(self.connectivity):
+                raise ValueError("a connectivity edge is listed twice")
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -1,24 +1,27 @@
 """Stable JSON encodings for every file the toolchain reads or writes.
 
-Every file carries ``{"schema": "qirb-2", "kind": ...}``; any other schema,
-``qirb-1`` included, is a hard error, never a silent reinterpretation. Each
-file is one compact line of strict JSON (no ``NaN`` or ``Infinity``) with
-sorted keys, so reruns are byte-identical and the standard library's C
-encoder writes it; read one with ``python -m json.tool FILE``. Every output
-file, the curve CSVs included, is written through a temp file and an atomic
-rename (:func:`write_text`).
+Every file carries ``{"schema": "qirb-3", "kind": ...}``; any other schema,
+``qirb-1`` and ``qirb-2`` included, is a hard error, never a silent
+reinterpretation. Each file is one compact line of strict JSON (no ``NaN``
+or ``Infinity``) with sorted keys, so reruns are byte-identical and the
+standard library's C encoder writes it; read one with
+``python -m json.tool FILE``. Every output file, the curve CSVs included, is
+written through a temp file and an atomic rename (:func:`write_text`).
 
-A circuit layer is one string of space-separated tokens in op order: gates
-in the layer's order, then its measurements by increasing wire. ``C<k>.<w>``
-is single-qubit Clifford ``k`` (0..23, the table of :mod:`qirb.pauli`) on
-wire ``w``, ``c<control>.<target>`` a CNOT and ``m<w>`` a measurement; the
-empty string is an empty layer. Numbers are canonical decimals (no sign, no
-leading zero). A circuit's one ``reset`` flag covers all its measurements.
-A signed Pauli is one string, its sign then its letters (``"+IZX"``). Which
-outcome bits are MCM bits, and which ones the target ignores, follows from
-the layers and the target and is not stored. Decoding is strict: a
-non-canonical token or layer, or an invalid gate, layer or circuit, raises
-:class:`SchemaError`.
+A circuit stores only what was sampled. A layer is one string of
+space-separated tokens in op order: gates in the layer's order, then its
+measurements by increasing wire. ``C<k>.<w>`` is single-qubit Clifford
+``k`` (0..23, the table of :mod:`qirb.pauli`) on wire ``w``,
+``c<control>.<target>`` a CNOT and ``m<w>`` a measurement; the empty string
+is an empty layer. Numbers are canonical decimals (no sign, no leading
+zero). A circuit's one ``reset`` flag covers all its measurements.
+``tracked`` (a letter per wire) and each measuring layer's ``fresh`` (a
+letter per measured wire, by increasing wire) hold ``Z`` where the tracked
+Pauli starts as Z, before ``prep`` or right after the measurement, else
+``I``. The MCM count, every tracked letter and sign and the target follow
+by the tracked-Pauli walk. Decoding is strict: a non-canonical token or
+layer, an invalid gate, layer or circuit, or layers that cannot track a
+Pauli raise :class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import os
 import re
 import tempfile
 from contextlib import contextmanager
+from functools import lru_cache
 
 from .builder import DressedLayer, QirbCircuit
 from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate, SignedPauli
@@ -54,7 +58,7 @@ __all__ = [
     "noise_from_obj",
 ]
 
-SCHEMA_VERSION = "qirb-2"
+SCHEMA_VERSION = "qirb-3"
 
 
 class SchemaError(Exception):
@@ -145,8 +149,10 @@ def layer_to_str(layer: CircuitLayer) -> str:
 _TOKEN = re.compile(r"([Ccm])(0|[1-9][0-9]*)(?:\.(0|[1-9][0-9]*))?")
 
 
+@lru_cache(maxsize=1 << 16)
 def _parse_token(token: str) -> CliffordGate | int:
-    """A checked gate, or the measured wire of an ``m`` token."""
+    """A checked gate, or the measured wire of an ``m`` token. Cached across
+    circuits: a parse is immutable, and a failed one is not cached."""
     match = _TOKEN.fullmatch(token)
     if match is None:
         raise ValueError(f"malformed layer token {token!r}")
@@ -165,81 +171,78 @@ def _parse_token(token: str) -> CliffordGate | int:
     return CliffordGate(index, (int(second),))
 
 
-def layer_from_str(text: str, n: int, cache: dict) -> CircuitLayer:
-    """Decode and check one layer. ``cache`` maps a token to its parse; share
-    one dict across the layers of a circuit so that repeated placements
-    decode to one (immutable) gate object."""
+def layer_from_str(text: str, n: int) -> CircuitLayer:
+    """Decode and check one layer."""
     if type(text) is not str:
         raise ValueError(f"a layer is a string of tokens, got {type(text).__name__}")
-    gates = []
-    mcm: list[int] = []
-    if text:
-        for token in text.split(" "):
-            item = cache.get(token)
-            if item is None:
-                item = cache[token] = _parse_token(token)
-            if type(item) is int:
-                if mcm and item <= mcm[-1]:
-                    raise ValueError(f"measurements out of increasing wire order in {text!r}")
-                mcm.append(item)
-            elif mcm:
-                raise ValueError(f"a gate follows a measurement in {text!r}")
-            else:
-                gates.append(item)
-    return CircuitLayer(n, tuple(gates), tuple(mcm))
+    items = list(map(_parse_token, text.split(" "))) if text else []
+    gates = tuple(g for g in items if type(g) is not int)
+    mcm = items[len(gates):]
+    if any(type(w) is not int for w in mcm):
+        raise ValueError(f"a gate follows a measurement in {text!r}")
+    if mcm != sorted(set(mcm)):
+        raise ValueError(f"measurements out of increasing wire order in {text!r}")
+    return CircuitLayer(n, gates, tuple(mcm))
+
+
+def _letters(mask: int, wires) -> str:
+    return "".join("Z" if (mask >> q) & 1 else "I" for q in wires)
+
+
+def _mask_from_letters(text: str, wires) -> int:
+    """The mask of ``wires`` whose letter in ``text``, one ``I`` or ``Z`` per
+    wire, is ``Z``."""
+    if type(text) is not str or len(text) != len(wires) or not set(text) <= {"I", "Z"}:
+        raise ValueError(f"expected {len(wires)} letters I or Z, got {text!r}")
+    return sum(1 << q for q, letter in zip(wires, text) if letter == "Z")
 
 
 def circuit_to_obj(c: QirbCircuit) -> dict:
     layers = []
     for d in c.dressed:
         entry = {"l1": layer_to_str(d.l1), "l2": layer_to_str(d.l2), "l3": layer_to_str(d.l3)}
-        if d.pre_meas_component is not None:
-            entry["pre_meas"] = str(d.pre_meas_component)
-            entry["post_meas"] = str(d.post_meas_component)
+        if d.l2.mcm_wires:
+            entry["fresh"] = _letters(d.fresh, d.l2.mcm_wires)
         layers.append(entry)
     return {
         "n": c.n,
-        "m": c.m,
         "reset": c.reset,
         "prep": layer_to_str(c.prep_layer),
         "layers": layers,
         "final": layer_to_str(c.final_layer),
-        "target": str(c.target),
-        "initial": str(c.initial_pauli),
+        "tracked": _letters(c.tracked, range(c.n)),
     }
 
 
 def circuit_from_obj(obj: dict) -> QirbCircuit:
-    """Decode and validate one circuit; a malformed one raises SchemaError."""
+    """Decode and validate one circuit; a malformed one, or one whose layers
+    cannot track a Pauli, raises SchemaError."""
     with malformed_as_schema_error("circuit"):
         n = obj["n"]
         reset = obj["reset"]
         if type(reset) is not bool:
             raise ValueError(f"reset must be true or false, got {reset!r}")
-        cache: dict = {}
         dressed = []
         for entry in obj["layers"]:
-            pre = pauli_from_str(entry["pre_meas"]) if "pre_meas" in entry else None
-            post = pauli_from_str(entry["post_meas"]) if "post_meas" in entry else None
-            dressed.append(
-                DressedLayer(
-                    l1=layer_from_str(entry["l1"], n, cache),
-                    l2=layer_from_str(entry["l2"], n, cache),
-                    l3=layer_from_str(entry["l3"], n, cache),
-                    pre_meas_component=pre,
-                    post_meas_component=post,
-                )
-            )
-        return QirbCircuit(
+            l2 = layer_from_str(entry["l2"], n)
+            if l2.mcm_wires:
+                fresh = _mask_from_letters(entry["fresh"], l2.mcm_wires)
+            elif "fresh" in entry:
+                raise ValueError("a layer without measurements has no fresh letters")
+            else:
+                fresh = 0
+            dressed.append(DressedLayer(layer_from_str(entry["l1"], n), l2,
+                                        layer_from_str(entry["l3"], n), fresh))
+        circuit = QirbCircuit(
             n=n,
-            m=obj["m"],
-            prep_layer=layer_from_str(obj["prep"], n, cache),
+            prep_layer=layer_from_str(obj["prep"], n),
             dressed=tuple(dressed),
-            final_layer=layer_from_str(obj["final"], n, cache),
-            target=pauli_from_str(obj["target"]),
-            initial_pauli=pauli_from_str(obj["initial"]),
+            final_layer=layer_from_str(obj["final"], n),
+            tracked=_mask_from_letters(obj["tracked"], range(n)),
             reset=reset,
         )
+        circuit.target  # the walk: layers that cannot track a Pauli raise here
+    return circuit
 
 
 def noise_to_obj(noise: NoiseModel) -> dict:

@@ -353,8 +353,9 @@ def exact_success_expectation(circuit: QirbCircuit, noise: NoiseModel) -> float:
     spec = noise.mcm
     prod = 1.0
 
-    def oneq_factor(snapshot: SignedPauli, wire: int) -> float:
-        return 1.0 - 2.0 * _ANTI_PROB_1Q[snapshot.letter_code(wire)](oneq)
+    def oneq_factor(state, wire: int) -> float:
+        x, z, _ = state
+        return 1.0 - 2.0 * _ANTI_PROB_1Q[((x >> wire) & 1) | (((z >> wire) & 1) << 1)](oneq)
 
     for g in circuit.prep_layer.gates:
         prod *= oneq_factor(walk.initial, g.wires[0])
@@ -363,24 +364,26 @@ def exact_success_expectation(circuit: QirbCircuit, noise: NoiseModel) -> float:
         for g in d.l1.gates:
             prod *= oneq_factor(s1, g.wires[0])
         s2 = walk.after_l2[i]
+        support = s2[0] | s2[1]
         for g in d.l2.gates:
             if g.is_cnot:
                 c, t = g.wires
-                if s2.letter_code(c) or s2.letter_code(t):
+                if (support >> c) & 1 or (support >> t) & 1:
                     prod *= 1.0 - 2.0 * (8.0 * noise.twoq.eps_each)
             else:
                 prod *= oneq_factor(s2, g.wires[0])
         measured = d.l2.mcm_wires
         if measured:
-            for j, q in enumerate(measured):
-                if d.pre_meas_component.letter_code(j) != 0:
+            for q in measured:
+                # l1 left I or Z on q, the letter the MCM measures.
+                if (s1[1] >> q) & 1:
                     prod *= 1.0 - 2.0 * spec.pre_flip
-                if d.post_meas_component.letter_code(j) != 0:
+                if (d.fresh >> q) & 1:
                     prod *= 1.0 - 2.0 * spec.post_flip
             if spec.unmeasured_depol > 0.0:
                 mset = set(measured)
                 for w in range(circuit.n):
-                    if w not in mset and s2.letter_code(w):
+                    if w not in mset and (support >> w) & 1:
                         prod *= 1.0 - 2.0 * (2.0 / 3.0) * spec.unmeasured_depol
         s3 = walk.after_l3[i]
         for g in d.l3.gates:
@@ -388,7 +391,7 @@ def exact_success_expectation(circuit: QirbCircuit, noise: NoiseModel) -> float:
     for g in circuit.final_layer.gates:
         prod *= oneq_factor(walk.final, g.wires[0])
     for q in range(circuit.n):
-        if walk.final.letter_code(q) != 0:
+        if (walk.final[1] >> q) & 1:
             prod *= 1.0 - 2.0 * noise.readout_flip
     return prod
 

@@ -8,7 +8,9 @@ import pytest
 
 import qirb
 from qirb import serialize
+from qirb.builder import tracked_walk
 from qirb.cli import main
+from qirb.pauli import cliffords_mapping_letter
 from qirb.pipeline import ExperimentDesign
 from qirb.simulator import NoiseModel
 
@@ -116,7 +118,8 @@ class TestDesignCommand:
                     "--depths", "0", "--circuits-per-depth", 4, "--out", out]) == 0
         obj = serialize.read_json(str(out / "circuits.json"))
         for entry in obj["circuits"]:
-            assert entry["depth"] == 0 and entry["layers"] == [] and entry["m"] == 0
+            assert entry["depth"] == 0 and entry["layers"] == []
+            assert serialize.circuit_from_obj(entry).m == 0
 
 
 def _layer_slots(circuit):
@@ -186,7 +189,9 @@ class TestSimulateCommand:
         "gate-unknown", "measure-two-wires", "leading-zero", "cnot-one-wire", "wire-twice",
         "double-space", "gate-after-measure", "component-length", "schema-qirb-1",
         "depth-mismatch", "design-n-mismatch", "design-reset-mismatch", "design-shots-float",
-        "design-connectivity-float",
+        "design-connectivity-float", "design-connectivity-twice", "final-not-z-aligned",
+        "tracked-length", "tracked-letter", "fresh-unmeasured", "fresh-missing",
+        "schema-qirb-2", "repeated-id",
     ])
     def test_malformed_circuits_file_exits_3(self, workspace, damage):
         text = read(_make_design(workspace, "exp") / "circuits.json")
@@ -196,7 +201,7 @@ class TestSimulateCommand:
             obj = json.loads(text)
             first = obj["circuits"][0]
             if damage == "missing-key":
-                del obj["circuits"][1]["target"]
+                del obj["circuits"][1]["tracked"]
             elif damage == "wire-out-of-range":
                 _edit_token(obj, r"C\d+\.\d+", lambda t: f"{t.split('.')[0]}.{first['n'] + 3}")
             elif damage == "wire-float":
@@ -223,10 +228,31 @@ class TestSimulateCommand:
                              if re.fullmatch(r"C\d+\.\d m\d", e["l2"]))
                 entry["l2"] = " ".join(reversed(entry["l2"].split(" ")))
             elif damage == "component-length":
-                entry = next(e for c in obj["circuits"] for e in c["layers"] if "pre_meas" in e)
-                entry["pre_meas"] += "Z"
-            elif damage == "schema-qirb-1":
-                obj["schema"] = "qirb-1"
+                entry = next(e for c in obj["circuits"] for e in c["layers"] if "fresh" in e)
+                entry["fresh"] += "Z"
+            elif damage == "final-not-z-aligned":
+                # The final gate on a tracked wire of a depth-0 circuit maps
+                # the tracked letter there to X instead of Z.
+                entry = next(c for c in obj["circuits"] if c["depth"] == 0 and "Z" in c["tracked"])
+                q = entry["tracked"].index("Z")
+                x, z, _ = tracked_walk(serialize.circuit_from_obj(entry)).initial
+                letter = ((x >> q) & 1) | (((z >> q) & 1) << 1)
+                tokens = entry["final"].split(" ")
+                tokens[q] = f"C{cliffords_mapping_letter(letter, 'X')[0]}.{q}"
+                entry["final"] = " ".join(tokens)
+            elif damage == "tracked-length":
+                first["tracked"] += "I"
+            elif damage == "tracked-letter":
+                first["tracked"] = "X" + first["tracked"][1:]
+            elif damage == "fresh-unmeasured":
+                next(e for c in obj["circuits"] for e in c["layers"] if "m" not in e["l2"])["fresh"] = ""
+            elif damage == "fresh-missing":
+                del next(e for c in obj["circuits"] for e in c["layers"] if "fresh" in e)["fresh"]
+            elif damage in ("schema-qirb-1", "schema-qirb-2"):
+                obj["schema"] = damage[len("schema-"):]
+            elif damage == "repeated-id":
+                for c in obj["circuits"]:
+                    c["id"] = 0
             elif damage == "depth-mismatch":
                 next(c for c in obj["circuits"] if c["depth"] == 8)["depth"] = 0
             elif damage == "design-n-mismatch":
@@ -235,6 +261,8 @@ class TestSimulateCommand:
                 obj["design"]["shots"] = 60.0
             elif damage == "design-connectivity-float":
                 obj["design"]["connectivity"] = [[0.5, 1]]
+            elif damage == "design-connectivity-twice":
+                obj["design"]["connectivity"] = [[0, 1], [1, 0]]
             else:
                 obj["design"]["reset"] = False
             text = json.dumps(obj)
@@ -244,8 +272,8 @@ class TestSimulateCommand:
         assert proc.returncode == 3
         assert proc.stderr.startswith("schema error:")
         assert "Traceback" not in proc.stderr
-        if damage == "schema-qirb-1":
-            assert "'qirb-1'" in proc.stderr
+        if damage.startswith("schema-"):
+            assert f"'{damage[len('schema-'):]}'" in proc.stderr
 
     def test_noise_file_input(self, workspace):
         out = _make_design(workspace, "exp")
@@ -326,7 +354,7 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("damage", [
         "zero-shots", "total-mismatch", "counts-mismatch", "missing-key", "depth-mismatch",
-        "design-n-mismatch", "design-reset-mismatch",
+        "design-n-mismatch", "design-reset-mismatch", "repeated-id",
     ])
     def test_malformed_results_file_exits_3(self, workspace, damage):
         obj = json.loads(read(self._results(workspace)))
@@ -339,6 +367,8 @@ class TestAnalyzeCommand:
             obj["design"]["reset"] = False
         elif damage == "zero-shots":
             entry["n_success"] = entry["n_fail"] = 0
+        elif damage == "repeated-id":
+            entry["id"] = obj["results"][0]["id"]
         elif damage == "total-mismatch":
             entry["n_fail"] += 1
         elif damage == "counts-mismatch":
@@ -418,6 +448,7 @@ _BAD_EDGES = {
     "edges-bool": {"edges": [[0, True]]},
     "edges-out-of-range": {"edges": [[0, 7]]},
     "edges-self-loop": {"edges": [[1, 1]]},
+    "edges-twice": {"edges": [[0, 1], [1, 0], [0, 1]]},
 }
 
 

@@ -101,7 +101,7 @@ class TestMcmStatistics:
         )
         for seed in range(40):
             c = build_random(1, 1, seed=seed, p_mcm=1.0, p_cnot=0.0)
-            if c.dressed[0].pre_meas_component.letter_code(0) == 0:
+            if not c.target.z & 1:  # the MCM measured I
                 continue
             shots = 20000
             mean = simulate_result(c, noise, shots, seed=seed, with_counts=False).f_value
