@@ -17,7 +17,6 @@ from .analysis import (
     FitResult,
     bootstrap_decay,
     bootstrap_erm,
-    erm_predict,
     fit_decay,
     fit_depumping,
     fit_erm,
@@ -35,7 +34,6 @@ from .pauli import (
     SignedPauli,
     commutes,
     conjugate,
-    is_z_type,
     random_pauli,
 )
 from .pipeline import (

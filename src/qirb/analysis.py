@@ -44,7 +44,6 @@ __all__ = [
     "f_from_counts",
     "fit_decay",
     "bootstrap_decay",
-    "erm_predict",
     "erm_predict_counts",
     "erm_counts",
     "fit_erm",
@@ -67,10 +66,10 @@ def f_from_counts(n_success: int, n_fail: int) -> Fraction:
 
 @dataclass(frozen=True)
 class DepthStats:
-    """Per-depth aggregation of per-circuit F values (empty for bootstrap resamples)."""
+    """Per-depth mean and standard error of the circuits' F values."""
 
     depth: int
-    f_values: tuple[Fraction, ...]
+    n_circuits: int
     mean: float
     stderr: float
 
@@ -85,7 +84,7 @@ class DepthStats:
             stderr = math.sqrt(var / len(fs))
         else:
             stderr = 0.0
-        return cls(depth, fs, mean, stderr)
+        return cls(depth, len(fs), mean, stderr)
 
 
 @dataclass
@@ -200,7 +199,7 @@ def bootstrap_decay(data: DecayDataset, resamples: int, seed: int) -> FitResult:
     moments = [_depth_moments(f[:, g]) for g in groups]
     samples = []
     for j in range(resamples):
-        stats = [DepthStats(d, (), mean[j], se[j]) for d, (mean, se) in zip(depths, moments)]
+        stats = [DepthStats(d, k, mean[j], se[j]) for d, k, (mean, se) in zip(depths, sizes, moments)]
         try:
             samples.append(fit_decay(stats).r_omega)
         except FitDegenerateError:
@@ -239,29 +238,24 @@ class ErmParams:
             if not 0.0 <= v <= 1.0:
                 raise ValueError("ERM parameters must lie in [0, 1]")
 
+    def __iter__(self):
+        return iter((self.eps_1q, self.eps_2q, self.eps_mcm, self.eps_spam))
+
 
 def erm_counts(circuit: QirbCircuit) -> tuple[int, int, int]:
     """(single-qubit gates, CNOTs, MCMs), dressing and prep/final included."""
     return circuit.oneq_gate_count(), circuit.cnot_count(), circuit.m
 
 
-def erm_predict_counts(params: ErmParams, k1: int, k2: int, km: int) -> float:
-    """Model prediction from operation counts.
+def erm_predict_counts(params, k1, k2, km):
+    """Model prediction from operation counts, for an :class:`ErmParams` or
+    the four rates in its field order; counts may be arrays.
 
     The per-MCM factor is the effective fidelity of a one-measurement
     subsystem at bitflip rate eps_mcm, i.e. (1 - 1.5 eps_mcm) per MCM.
     """
-    return (
-        params.eps_spam
-        * (1.0 - params.eps_1q) ** k1
-        * (1.0 - params.eps_2q) ** k2
-        * (1.0 - 1.5 * params.eps_mcm) ** km
-    )
-
-
-def erm_predict(params: ErmParams, circuit: QirbCircuit) -> float:
-    k1, k2, km = erm_counts(circuit)
-    return erm_predict_counts(params, k1, k2, km)
+    e1, e2, em, spam = params
+    return spam * (1.0 - e1) ** k1 * (1.0 - e2) ** k2 * (1.0 - 1.5 * em) ** km
 
 
 @dataclass(frozen=True)
@@ -293,9 +287,7 @@ def _erm_loss_arrays(data: list[ErmDatum]):
 
 
 def _erm_loss(params, k1, k2, km, f):
-    e1, e2, em, spam = params
-    pred = spam * (1.0 - e1) ** k1 * (1.0 - e2) ** k2 * (1.0 - 1.5 * em) ** km
-    return float(np.mean((pred - f) ** 2))
+    return float(np.mean((erm_predict_counts(params, k1, k2, km) - f) ** 2))
 
 
 _DEFAULT_ERM_STARTS = (
@@ -353,7 +345,7 @@ def bootstrap_erm(data: list[ErmDatum], resamples: int, seed: int):
     if resamples < 2:
         raise ValueError("need at least two ERM bootstrap resamples")
     params, residual = fit_erm(data)
-    base_start = [(params.eps_1q, params.eps_2q, params.eps_mcm, params.eps_spam)]
+    base_start = [tuple(params)]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, d in enumerate(data):
         groups.setdefault((d.config_id, d.depth), []).append(i)
@@ -364,7 +356,7 @@ def bootstrap_erm(data: list[ErmDatum], resamples: int, seed: int):
     draws = []
     for c, f_row in zip(idx, f):
         p, _ = _fit_erm_arrays((k1[c], k2[c], km[c], f_row), base_start)
-        draws.append((p.eps_1q, p.eps_2q, p.eps_mcm, p.eps_spam))
+        draws.append(tuple(p))
     sigma = np.array(draws).std(axis=0, ddof=1)
     return params, residual, {
         "eps_1q": float(sigma[0]),

@@ -236,7 +236,7 @@ def cmd_analyze(args) -> int:
         stats = data.depth_stats()
         rows = ["depth,mean,stderr,n_circuits"]
         for s in stats:
-            rows.append(f"{s.depth},{s.mean!r},{s.stderr!r},{len(s.f_values)}")
+            rows.append(f"{s.depth},{s.mean!r},{s.stderr!r},{s.n_circuits}")
         serialize.write_text(os.path.join(args.out, f"{stem}.curve.csv"), "\n".join(rows))
         report_configs.append(
             {
@@ -248,7 +248,7 @@ def cmd_analyze(args) -> int:
                 "residual": fit.residual,
                 "per_depth": [
                     {"depth": s.depth, "mean": s.mean, "stderr": s.stderr,
-                     "n_circuits": len(s.f_values)}
+                     "n_circuits": s.n_circuits}
                     for s in stats
                 ],
             }

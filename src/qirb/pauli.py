@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 __all__ = [
-    "MAX_WIRES",
     "SignedPauli",
     "CliffordGate",
     "CircuitLayer",
@@ -28,19 +27,13 @@ __all__ = [
     "conjugate",
     "conjugate_bits",
     "random_pauli",
-    "is_z_type",
     "compose_cliffords",
-    "invert_clifford",
     "clifford_action",
     "cliffords_mapping_letter",
     "cliffords_preparing",
     "pauli_gate_indices",
     "pauli_product_phase",
 ]
-
-#: Wire-count cap for a SignedPauli. Classification targets live on n+m
-#: virtual wires, and deep circuits accumulate one per MCM.
-MAX_WIRES = 4096
 
 # Per-wire letter codes: bit0 = X component, bit1 = Z component.
 _I, _X, _Z, _Y = 0, 1, 2, 3
@@ -121,21 +114,11 @@ _COMPOSE = [
     [_ACTION_TO_INDEX[_compose_actions(_CLIFFORD_ACTIONS[i], _CLIFFORD_ACTIONS[j])] for j in range(24)]
     for i in range(24)
 ]
-_INVERSE = [0] * 24
-for _i in range(24):
-    for _j in range(24):
-        if _COMPOSE[_i][_j] == 0:
-            _INVERSE[_i] = _j
-            break
 
 
 def compose_cliffords(outer: int, inner: int) -> int:
     """Index of the composite acting as ``inner`` first, then ``outer``."""
     return _COMPOSE[outer][inner]
-
-
-def invert_clifford(index: int) -> int:
-    return _INVERSE[index]
 
 
 def clifford_action(index: int) -> _Action:
@@ -206,26 +189,13 @@ class SignedPauli:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_WIRES:
-            raise ValueError(f"wire count must be in [1, {MAX_WIRES}], got {self.n}")
+        if self.n < 1:
+            raise ValueError(f"wire count must be >= 1, got {self.n}")
         mask = (1 << self.n) - 1
         if self.x & ~mask or self.z & ~mask:
             raise ValueError("x/z bits outside the declared wire count")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-
-    @classmethod
-    def identity(cls, n: int) -> "SignedPauli":
-        return cls(n, 0, 0, 1)
-
-    @classmethod
-    def from_string(cls, letters: str, sign: int = 1) -> "SignedPauli":
-        x = z = 0
-        for q, ch in enumerate(letters):
-            code = _CHAR_TO_CODE[ch]
-            x |= (code & 1) << q
-            z |= ((code >> 1) & 1) << q
-        return cls(len(letters), x, z, sign)
 
     def letters(self) -> str:
         return "".join(_CODE_TO_CHAR[self.letter_code(q)] for q in range(self.n))
@@ -233,14 +203,8 @@ class SignedPauli:
     def letter_code(self, q: int) -> int:
         return ((self.x >> q) & 1) | (((self.z >> q) & 1) << 1)
 
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
     def support(self) -> int:
         return self.x | self.z
-
-    def with_sign(self, sign: int) -> "SignedPauli":
-        return SignedPauli(self.n, self.x, self.z, sign)
 
     def __str__(self) -> str:
         return ("+" if self.sign > 0 else "-") + self.letters()
@@ -251,11 +215,6 @@ def commutes(p: SignedPauli, q: SignedPauli) -> bool:
     if p.n != q.n:
         raise ValueError(f"wire-count mismatch: {p.n} vs {q.n}")
     return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
-
-
-def is_z_type(p: SignedPauli) -> bool:
-    """True iff every component is I or Z."""
-    return p.x == 0
 
 
 def random_pauli(n: int, rng) -> SignedPauli:
@@ -290,15 +249,6 @@ class CliffordGate:
     @property
     def is_cnot(self) -> bool:
         return self.index == CNOT_INDEX
-
-    def x_image(self) -> tuple[str, int]:
-        """Signed image of X under conjugation (single-qubit gates only)."""
-        code, sign = _CLIFFORD_ACTIONS[self.index][_X]
-        return _CODE_TO_CHAR[code], sign
-
-    def z_image(self) -> tuple[str, int]:
-        code, sign = _CLIFFORD_ACTIONS[self.index][_Z]
-        return _CODE_TO_CHAR[code], sign
 
 
 @dataclass(frozen=True)

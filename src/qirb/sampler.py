@@ -40,6 +40,8 @@ class SamplingConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if isinstance(self.p_cnot, bool) or isinstance(self.p_mcm, bool):
+            raise ValueError("p_cnot and p_mcm must be numbers, not true or false")
         if not (0.0 <= self.p_cnot <= 1.0 and 0.0 <= self.p_mcm <= 1.0):
             raise ValueError("p_cnot and p_mcm must lie in [0, 1]")
         if self.mode not in ("at-most-one", "density"):

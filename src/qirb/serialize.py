@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from .builder import DressedLayer, QirbCircuit
-from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate, SignedPauli
+from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate
 from .simulator import (
     InstrumentErrorSpec,
     NoiseModel,
@@ -49,7 +49,6 @@ __all__ = [
     "write_json",
     "read_json",
     "check_kind",
-    "pauli_from_str",
     "layer_to_str",
     "layer_from_str",
     "circuit_to_obj",
@@ -127,13 +126,6 @@ def stamp(kind: str, obj: dict) -> dict:
     out = {"schema": SCHEMA_VERSION, "kind": kind}
     out.update(obj)
     return out
-
-
-def pauli_from_str(text: str) -> SignedPauli:
-    """Decode ``str(p)`` of a :class:`SignedPauli`: ``+`` or ``-``, then letters."""
-    if type(text) is not str or text[:1] not in ("+", "-"):
-        raise ValueError(f"a signed Pauli is '+' or '-' then its letters, got {text!r}")
-    return SignedPauli.from_string(text[1:], 1 if text[0] == "+" else -1)
 
 
 def layer_to_str(layer: CircuitLayer) -> str:
@@ -258,9 +250,23 @@ def noise_to_obj(noise: NoiseModel) -> dict:
     }
 
 
+def _check_rates(obj, template: dict, ignore=()) -> None:
+    """``obj`` must hold exactly ``template``'s keys, past ``ignore``, and a
+    number wherever ``template`` holds one: a JSON true or false is no rate."""
+    if type(obj) is not dict or set(obj) - set(ignore) != set(template):
+        raise ValueError(f"expected exactly the keys {sorted(template)}, got {obj!r}")
+    for key, value in template.items():
+        if type(value) is dict:
+            _check_rates(obj[key], value)
+        elif type(obj[key]) not in (int, float):
+            raise ValueError(f"rate {key!r} must be a number, got {obj[key]!r}")
+
+
 def noise_from_obj(obj: dict) -> NoiseModel:
-    """Decode a noise model; a malformed one raises SchemaError."""
+    """Decode a noise model, which holds exactly the keys that
+    :func:`noise_to_obj` writes; a malformed one raises SchemaError."""
     with malformed_as_schema_error("noise model"):
+        _check_rates(obj, noise_to_obj(NoiseModel.zero()), ignore=("schema", "kind"))
         return NoiseModel(
             oneq=OneQubitPauliChannel(**obj["oneq"]),
             twoq=TwoQubitDepolarizing(**obj["twoq"]),

@@ -123,13 +123,6 @@ class InstrumentErrorSpec:
             if not 0.0 <= p <= 1.0:
                 raise ValueError("instrument error probabilities must lie in [0, 1]")
 
-    def no_error_prob(self, n_unmeasured: int = 0) -> float:
-        return (
-            (1.0 - self.pre_flip)
-            * (1.0 - self.post_flip)
-            * (1.0 - self.unmeasured_depol) ** n_unmeasured
-        )
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -179,10 +172,6 @@ class SimResult:
     n_success: int
     n_fail: int
     counts: dict[str, int] | None = None
-
-    @property
-    def f_value(self) -> float:
-        return (self.n_success - self.n_fail) / self.shots
 
 
 _GATE, _CNOT, _MCM, _READ = range(4)  # op kinds of a compiled circuit

@@ -14,7 +14,7 @@ from qirb.analysis import (
     _depth_moments,
     _resample,
     bootstrap_decay,
-    erm_predict,
+    erm_counts,
     erm_predict_counts,
     f_from_counts,
     fit_decay,
@@ -132,9 +132,9 @@ class TestFitDecay:
     def test_weighted_fit_uses_stderr(self):
         # A wildly off point with a huge error bar barely moves the fit.
         good = synthetic_stats(1.0, 0.02, (0, 1, 4, 32), k=5)
-        bad = DepthStats(depth=128, f_values=(Fraction(1, 2),) * 5, mean=0.5, stderr=10.0)
+        bad = DepthStats(depth=128, n_circuits=5, mean=0.5, stderr=10.0)
         tight = [
-            DepthStats(s.depth, s.f_values, s.mean, 1e-4) for s in good
+            DepthStats(s.depth, s.n_circuits, s.mean, 1e-4) for s in good
         ]
         fit = fit_decay(tight + [bad])
         assert abs(fit.r_omega - 0.02) < 1e-3
@@ -200,7 +200,7 @@ class TestErm:
     def test_zero_error_prediction_is_unity(self):
         params = ErmParams(0.0, 0.0, 0.0, 1.0)
         c = build_random(3, 4, seed=0)
-        assert erm_predict(params, c) == 1.0
+        assert erm_predict_counts(params, *erm_counts(c)) == 1.0
 
     def test_counts_substitution(self):
         params = ErmParams(0.001, 0.005, 0.0, 1.0)
@@ -214,13 +214,13 @@ class TestErm:
     def test_monotone_in_each_parameter(self):
         c = build_random(3, 5, seed=1, p_mcm=0.8)
         base = ErmParams(0.001, 0.005, 0.02, 0.98)
-        val = erm_predict(base, c)
+        val = erm_predict_counts(base, *erm_counts(c))
         for bump in (
             ErmParams(0.002, 0.005, 0.02, 0.98),
             ErmParams(0.001, 0.01, 0.02, 0.98),
             ErmParams(0.001, 0.005, 0.04, 0.98),
         ):
-            assert erm_predict(bump, c) < val
+            assert erm_predict_counts(bump, *erm_counts(c)) < val
 
     @staticmethod
     def _synthetic_data(params, rng):

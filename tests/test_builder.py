@@ -18,11 +18,12 @@ from qirb.pauli import (
     CliffordGate,
     SignedPauli,
     commutes,
-    is_z_type,
     pauli_gate_indices,
 )
 from qirb.sampler import SamplingConfig, sample_core_circuit
 from qirb.simulator import NoiseModel, _batches, _bit_rows, simulate_result
+
+from test_pauli import sp
 
 
 def build_random(n, depth, seed, reset=True, p_cnot=0.35, p_mcm=0.5):
@@ -48,13 +49,13 @@ def synthetic_circuit(target_string, sign=1):
     is tracked from |0>, and a prep X gate on the first wire (which the
     target must cover) gives it a negative sign."""
     n = len(target_string)
-    tracked = SignedPauli.from_string(target_string).z
+    tracked = sp(target_string).z
     prep = CircuitLayer(n)
     if sign < 0:
         assert tracked & 1
         prep = CircuitLayer(n, (CliffordGate(pauli_gate_indices()[1], (0,)),))
     c = QirbCircuit(n, prep, (), CircuitLayer(n), tracked, reset=True)
-    assert c.target == SignedPauli.from_string(target_string, sign)
+    assert c.target == sp(target_string, sign)
     return c
 
 
@@ -89,7 +90,7 @@ class TestConstruction:
     def test_depth_zero_is_prep_plus_final(self):
         c = build_random(3, 0, seed=1)
         assert c.m == 0 and c.depth == 0
-        assert is_z_type(c.target) and c.target.n == 3
+        assert c.target.x == 0 and c.target.n == 3
 
     def test_single_mcm_discard_rule(self):
         # The MCM's virtual wire is discarded exactly when the tracked
@@ -111,7 +112,7 @@ class TestConstruction:
     def test_targets_are_z_type_and_signed(self):
         for seed in range(20):
             c = build_random(3, 6, seed=seed, reset=bool(seed % 2))
-            assert is_z_type(c.target)
+            assert c.target.x == 0
             assert c.target.sign in (1, -1)
             assert sum(len(d.l2.mcm_wires) for d in c.dressed) == c.m
 
@@ -133,7 +134,7 @@ class TestZeroNoise:
         config = SamplingConfig(n=n, p_cnot=p_cnot, p_mcm=p_mcm, mode=mode)
         c = build_qirb_circuit(sample_core_circuit(config, depth, rng), reset, rng, n=n)
         res = simulate_result(c, NoiseModel.zero(), 64, seed=seed, with_counts=False)
-        assert res.f_value == 1.0
+        assert res.n_success == res.shots
 
     def test_binary_rb_degenerate_case(self):
         # p_mcm = 0 gives measurement-free circuits; still exact successes.
@@ -142,7 +143,7 @@ class TestZeroNoise:
             c = build_random(3, 6, seed=seed, p_mcm=0.0)
             assert c.m == 0
             res = simulate_result(c, noise, 32, seed=seed, with_counts=False)
-            assert res.f_value == 1.0
+            assert res.n_success == res.shots
 
 
 class TestResetFree:
@@ -270,7 +271,7 @@ def test_single_error_injection_flips_iff_anticommuting(reset):
     for tag, tracked in _injection_points(c):
         for wire in range(c.n):
             for letter in ("X", "Z", "Y"):
-                inject = SignedPauli.from_string(
+                inject = sp(
                     "".join(letter if w == wire else "I" for w in range(c.n))
                 )
                 expected_flip = not commutes(inject, tracked)

@@ -191,7 +191,7 @@ class TestSimulateCommand:
         "depth-mismatch", "design-n-mismatch", "design-reset-mismatch", "design-shots-float",
         "design-connectivity-float", "design-connectivity-twice", "final-not-z-aligned",
         "tracked-length", "tracked-letter", "fresh-unmeasured", "fresh-missing",
-        "schema-qirb-2", "repeated-id",
+        "schema-qirb-2", "repeated-id", "design-rate-bool",
     ])
     def test_malformed_circuits_file_exits_3(self, workspace, damage):
         text = read(_make_design(workspace, "exp") / "circuits.json")
@@ -263,6 +263,8 @@ class TestSimulateCommand:
                 obj["design"]["connectivity"] = [[0.5, 1]]
             elif damage == "design-connectivity-twice":
                 obj["design"]["connectivity"] = [[0, 1], [1, 0]]
+            elif damage == "design-rate-bool":
+                obj["design"]["p_cnot"] = True
             else:
                 obj["design"]["reset"] = False
             text = json.dumps(obj)
@@ -452,13 +454,18 @@ _BAD_EDGES = {
 }
 
 
-@pytest.mark.parametrize("case", [*_BAD_EDGES, "noise-missing-channel", "noise-nan"])
+@pytest.mark.parametrize("case", [*_BAD_EDGES, "noise-missing-channel", "noise-nan",
+                                  "noise-bool-rate", "noise-missing-rate"])
 def test_malformed_side_file_exits_3(workspace, case):
     side = workspace / "side.json"
     if case.startswith("noise-"):
         obj = serialize.noise_to_obj(NoiseModel.depolarizing())
         if case == "noise-nan":
             obj["oneq"]["px"] = float("nan")  # json writes the NaN literal, and reads it
+        elif case == "noise-bool-rate":
+            obj["oneq"] = {"px": True, "py": 0.0, "pz": 0.0}  # as a rate, true would be 1
+        elif case == "noise-missing-rate":
+            obj["mcm"] = {}
         else:
             del obj["twoq"]
         side.write_text(json.dumps(serialize.stamp("noise", obj)))

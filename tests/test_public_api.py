@@ -32,3 +32,57 @@ def test_package_reexports_only_public_names():
         stale += [f"{node.module}.{a.name}" for a in node.names
                   if a.name not in getattr(module, "__all__", ())]
     assert stale == []
+
+
+# Exported names that nothing in the package or the benchmark calls, kept on
+# purpose; every other exported name must have a caller outside the tests.
+_KEPT_UNCALLED = {
+    "p_anti_literal": "the defining sum, checked against p_anti (acceptance 7)",
+    "r_omega_via_lambda_sum": "an independent route to r_omega for the theory cross-checks",
+    "bound_terms_extrema": "brute-force extrema of the bound suite (acceptance 4)",
+    "instrument_rates": "one instrument's (r, eps), the bound suite's input (acceptance 4)",
+    "fit_depumping": "the bright-state depumping fit of acceptance 8",
+    "classify_outcome": "public post-processor of a raw outcome string",
+    "resolve_reset_free": "public post-processor giving the reset-free correction",
+    "commutes": "the symplectic product, part of the Pauli algebra's public API",
+    "conjugate": "signed conjugation of a SignedPauli, the Pauli algebra's public API",
+}
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _loaded_names(path):
+    """(name, enclosing top-level definition or None) of every name that the
+    file at ``path`` reads, as a bare name or as an attribute."""
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                if isinstance(node, ast.Name):
+                    yield node.id, owner
+                elif isinstance(node, ast.Attribute):
+                    yield node.attr, owner
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # Imports and ``__all__`` lists are not reads, and a read inside the
+    # name's own definition (recursion) does not count either.
+    sources = [os.path.join(os.path.dirname(qirb.__file__), f"{m.split('.')[1]}.py")
+               for m in _MODULES]
+    for dirpath, dirnames, files in os.walk(os.path.join(_ROOT, "perfbench")):
+        dirnames[:] = [d for d in dirnames if d != "tests"]
+        sources += [os.path.join(dirpath, f) for f in files if f.endswith(".py")]
+    readers = {}
+    for path in sources:
+        for name, owner in _loaded_names(path):
+            readers.setdefault(name, set()).add((os.path.abspath(path), owner))
+    uncalled = set()
+    for module_name in _MODULES:
+        module = importlib.import_module(module_name)
+        own = os.path.abspath(module.__file__)
+        uncalled |= {name for name in getattr(module, "__all__", ())
+                     if not readers.get(name, set()) - {(own, name)}}
+    assert sorted(uncalled - set(_KEPT_UNCALLED)) == [], "exported, but only tests call these"
+    assert sorted(set(_KEPT_UNCALLED) - uncalled) == [], "kept as uncalled, but now called"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,19 @@ def json_round_trip(obj):
 def test_circuit_round_trip(circuit):
     obj = json_round_trip(serialize.circuit_to_obj(circuit))
     assert serialize.circuit_from_obj(obj) == circuit
+
+
+def test_deep_circuit_tracks_more_than_4096_virtual_wires():
+    # Every layer measures both wires: the target lives on n + m = 4,202
+    # virtual wires, past any fixed wire cap.
+    config = SamplingConfig(n=2, p_cnot=0.0, p_mcm=1.0, mode="density")
+    rng = random.Random(5)
+    circuit = build_qirb_circuit(sample_core_circuit(config, 2100, rng), True, rng, n=2)
+    decoded = serialize.circuit_from_obj(json_round_trip(serialize.circuit_to_obj(circuit)))
+    assert decoded == circuit and decoded.m == 4200
+    assert decoded.target.n == 4202
+    res = simulate_result(decoded, NoiseModel.zero(), 64, seed=1, with_counts=False)
+    assert res.n_success == res.shots
 
 
 # Characters an edit may insert: the token alphabet, plus near misses.
@@ -120,7 +134,7 @@ def test_edited_circuit_is_a_valid_benchmark_or_raises_schema_error(circuit, dat
     except SchemaError:
         return
     res = simulate_result(decoded, NoiseModel.zero(), 32, seed=1, with_counts=False)
-    assert res.f_value == 1.0
+    assert res.n_success == res.shots
 
 
 @pytest.mark.parametrize("text", [
@@ -141,12 +155,6 @@ def test_layer_tokens_in_op_order():
     assert serialize.layer_to_str(CircuitLayer(2)) == ""
 
 
-@pytest.mark.parametrize("text", ["+", "IZ", "*IZ", "+IQ", 1])
-def test_malformed_pauli_strings_are_rejected(text):
-    with pytest.raises((ValueError, KeyError)):
-        serialize.pauli_from_str(text)
-
-
 # Changes only when the circuits.json format or the sampled circuits change.
 PINNED_CIRCUITS_SHA256 = "11a655274000defd48aa27ba480a63a696054abdd304e3b490ac292fa226ca52"
 
@@ -157,3 +165,36 @@ def test_circuits_file_is_pinned(tmp_path):
                  "--seed", "11", "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "circuits.json").read_bytes()).hexdigest()
     assert digest == PINNED_CIRCUITS_SHA256
+
+
+# Changes only when the simulator's draws, the file formats or the
+# prediction change, or when numpy changes its Generator streams, which it
+# does not promise to keep across releases.
+PINNED_RUN_SHA256 = {
+    "reset.json": "4e231df56280d20029321babae814104b154d63415e74d0e9f9fa907b8b31ed7",
+    "frame-correction.json": "2ebd4c9df593bef5dcd33d465943397147c15d286b90d8cb97a74a67c8479155",
+    "feedforward-x.json": "5a3c42341da52d2b65acd690036eb466fe14deda9796bcbc414edbc96ffce25c",
+    "reset.curve.csv": "4e3cbc8da7635464eeb185cc12e3080e1aff8a69b2224477bac8059e50f86e4b",
+    "predict.stdout": "4eeb6264ce3583b9d5b93195514a1e0e2237c6ea3ba646e8c1b62d609b84183a",
+}
+
+
+def test_run_outputs_are_pinned(tmp_path, capsys):
+    shape = ["--n", "2", "--p-cnot", "0.4", "--p-mcm", "0.3", "--depths", "0,2,5"]
+    noise = ["--f1q", "0.99", "--f2q", "0.97", "--mcm-flip", "0.05"]
+    for reset in ("reset", "no-reset"):
+        assert main(["design", *shape, "--circuits-per-depth", "2", "--shots", "40",
+                     "--seed", "11", f"--{reset}", "--out", str(tmp_path / reset)]) == 0
+    for out, reset, mode in [("reset", "reset", "frame-correction"),
+                             ("frame-correction", "no-reset", "frame-correction"),
+                             ("feedforward-x", "no-reset", "feedforward-x")]:
+        assert main(["simulate", "--circuits", str(tmp_path / reset / "circuits.json"), *noise,
+                     "--reset-free-mode", mode, "--out", str(tmp_path / f"{out}.json")]) == 0
+    assert main(["analyze", str(tmp_path / "reset.json"), "--bootstrap", "4",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["predict", *shape, *noise]) == 0
+    (tmp_path / "predict.stdout").write_text(capsys.readouterr().out)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_RUN_SHA256}
+    assert digests == PINNED_RUN_SHA256, f"pinned with numpy 2.4.6, run with numpy {np.__version__}"

@@ -23,6 +23,11 @@ from qirb.theory import exact_success_expectation
 from test_builder import build_random, circuit_ops, simulate_outcomes
 
 
+def f_value(res):
+    """The success statistic F = (N_success - N_fail) / N of one result."""
+    return (res.n_success - res.n_fail) / res.shots
+
+
 class TestNoiseModelTypes:
     def test_fidelity_shorthand(self):
         noise = NoiseModel.depolarizing(0.999, 0.995, 0.02)
@@ -49,10 +54,6 @@ class TestNoiseModelTypes:
             InstrumentErrorSpec(unmeasured_depol=nan)
         with pytest.raises(ValueError):
             NoiseModel.depolarizing(f1q=nan)
-
-    def test_instrument_no_error_prob(self):
-        spec = InstrumentErrorSpec(0.1, 0.2, 0.3)
-        assert math.isclose(spec.no_error_prob(2), 0.9 * 0.8 * 0.49)
 
 
 class TestDeterminism:
@@ -85,7 +86,7 @@ class TestMcmStatistics:
         reps = 600
         for seed in range(reps):
             c = build_random(1, 1, seed=seed, p_mcm=1.0, p_cnot=0.0)
-            total += simulate_result(c, noise, 8, seed=seed, with_counts=False).f_value
+            total += f_value(simulate_result(c, noise, 8, seed=seed, with_counts=False))
         mean = total / reps
         sigma = math.sqrt(0.75 / reps)  # per-circuit F is +/-1 here
         assert abs(mean - (-0.5)) < 3 * sigma
@@ -104,7 +105,7 @@ class TestMcmStatistics:
             if not c.target.z & 1:  # the MCM measured I
                 continue
             shots = 20000
-            mean = simulate_result(c, noise, shots, seed=seed, with_counts=False).f_value
+            mean = f_value(simulate_result(c, noise, shots, seed=seed, with_counts=False))
             expect = 1 - 2 * q
             sigma = math.sqrt((1 - expect**2) / shots)
             assert abs(mean - expect) < 4 * sigma
@@ -137,7 +138,7 @@ class TestOracleAgreement:
         for seed in range(5):
             c = build_random(3, 5, seed=seed, reset=bool(seed % 2))
             exact = exact_success_expectation(c, noise)
-            mc = simulate_result(c, noise, shots, seed=seed + 100, with_counts=False).f_value
+            mc = f_value(simulate_result(c, noise, shots, seed=seed + 100, with_counts=False))
             sigma = math.sqrt(max(1e-12, 1 - exact**2) / shots)
             assert abs(mc - exact) < 4 * sigma
 

@@ -11,7 +11,7 @@ import qirb
 from qirb.pauli import CNOT_INDEX, CliffordGate, SignedPauli, conjugate
 from qirb.tableau import StabilizerTableau, TableauError
 
-from test_pauli import H, S  # canonical indices resolved from the table
+from test_pauli import H, S, sp  # canonical indices resolved from the table
 
 
 def test_zero_state_measures_zero_deterministically():
@@ -69,7 +69,7 @@ def test_expectation_tracks_conjugated_stabilizers():
             z_q = SignedPauli(n, 0, 1 << q, 1)
             image = conjugate(layer_gates, z_q)
             assert t.expectation(image) == 1
-            assert t.expectation(image.with_sign(-image.sign)) == -1
+            assert t.expectation(SignedPauli(n, image.x, image.z, -image.sign)) == -1
 
 
 def test_apply_pauli_flips_anticommuting_stabilizers():
@@ -86,12 +86,12 @@ def test_phase_gate_sign_via_tableau():
     t = StabilizerTableau(1)
     t.apply_clifford(H, 0)
     t.apply_clifford(S, 0)
-    assert t.expectation(SignedPauli.from_string("Y")) == 1
+    assert t.expectation(sp("Y")) == 1
 
     image = conjugate(
-        (CliffordGate(H, (0,)), CliffordGate(S, (0,))), SignedPauli.from_string("Z")
+        (CliffordGate(H, (0,)), CliffordGate(S, (0,))), sp("Z")
     )
-    assert image == SignedPauli.from_string("Y")
+    assert image == sp("Y")
 
 
 def _erased_stabilizer():

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from qirb import theory
-from qirb.pauli import SignedPauli
 from qirb.sampler import SamplingConfig
 from qirb.simulator import (
     InstrumentErrorSpec,
@@ -30,6 +29,7 @@ from qirb.theory import (
 )
 
 from test_builder import build_random
+from test_pauli import sp
 
 METHODS_NOISE = NoiseModel.depolarizing(0.999, 0.995, 0.02)
 
@@ -57,7 +57,7 @@ class TestPAnti:
 
 class TestLambdaContribution:
     def test_nontrivial_pauli_contributes_full_probability(self):
-        err = InstrumentError(0, SignedPauli.from_string("X"), 0)
+        err = InstrumentError(0, sp("X"), 0)
         assert lambda_contribution(err, 0.01) == 0.01
 
     def test_trivial_pauli_weight_one_mask(self):
@@ -199,7 +199,7 @@ def random_instrument_terms(rng, max_terms=8, weight_cap=8, min_weight=0):
             nontrivial = True
         a = (1 << wa) - 1
         b = (1 << wb) - 1
-        p = SignedPauli.from_string("X") if nontrivial else None
+        p = sp("X") if nontrivial else None
         terms.append((InstrumentError(a, p, b), prob))
     return terms
 
