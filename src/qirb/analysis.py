@@ -4,6 +4,11 @@ Covers the success statistic F, the exponential decay fit for the benchmark
 error rate, bootstrap uncertainties, the four-parameter error-rates model
 (ERM), and the bright-state depumping curve fit.
 
+scipy is most of a cold start, so only the three fits import it, each in
+its own body: ``fit_decay``, the ERM fit and ``fit_depumping``. Importing
+this module, and so the ``design``, ``simulate`` and ``predict`` commands,
+never loads it.
+
 Declared conventions (the underlying protocol fixes none of these):
 
 * decay fits minimize weighted least squares, weights 1/SE_d^2 when every
@@ -28,7 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .builder import QirbCircuit
 from .seeding import derive_np_rng
@@ -134,6 +138,8 @@ def _profile(t, depths, means, weights):
 
 def fit_decay(stats: list[DepthStats]) -> FitResult:
     """Weighted least-squares fit of mean-F(d) = A (1 - r)^d."""
+    from scipy.optimize import minimize_scalar
+
     stats = sorted(stats, key=lambda s: s.depth)
     depths = np.array([s.depth for s in stats], dtype=float)
     means = np.array([s.mean for s in stats], dtype=float)
@@ -303,6 +309,8 @@ _DEFAULT_ERM_STARTS = (
 
 
 def _fit_erm_arrays(arrays, starts) -> tuple[ErmParams, float]:
+    from scipy.optimize import minimize
+
     best_x = None
     best_loss = math.inf
     for s in starts:
@@ -377,6 +385,8 @@ class DepumpFit:
 
 def fit_depumping(samples) -> DepumpFit:
     """Least-squares rate for the depumping curve (2/3)(1 - exp(-3 gamma t))."""
+    from scipy.optimize import minimize, minimize_scalar
+
     pts = [(float(t), float(p)) for t, p in samples]
     if len(pts) < 2:
         raise FitDegenerateError("need at least two samples")

@@ -223,6 +223,8 @@ def _input_labels(paths: list[str]) -> list[tuple[str, str]]:
 
 def cmd_analyze(args) -> int:
     # Checked before any output is written, so a bad value leaves no partial output.
+    if args.bootstrap < 2:
+        raise ValueError("need at least two bootstrap resamples")
     if len(args.results) > 1 and args.erm_bootstrap < 2:
         raise ValueError("need at least two ERM bootstrap resamples")
     os.makedirs(args.out, exist_ok=True)

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qirb
 from qirb import serialize
@@ -21,17 +27,49 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(qirb.__file__)))
+
+
 def run_process(argv):
     """The CLI in a fresh interpreter, to see its exit code and stderr."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qirb.__file__)))
     return subprocess.run([sys.executable, "-m", "qirb.cli", *map(str, argv)],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True,
                           text=True, timeout=120)
 
 
 def read(path):
     with open(path) as f:
         return f.read()
+
+
+_COLD_START = """
+import os, sys
+from qirb.cli import main
+
+d = sys.argv[1]
+argv = [
+    ["design", "--n", "2", "--p-cnot", "0.3", "--p-mcm", "0.4", "--depths", "0,2,4",
+     "--circuits-per-depth", "2", "--shots", "10", "--out", os.path.join(d, "exp")],
+    ["simulate", "--circuits", os.path.join(d, "exp", "circuits.json"),
+     "--out", os.path.join(d, "results.json")],
+    ["predict", "--n", "2", "--p-cnot", "0.3", "--p-mcm", "0.4",
+     "--out", os.path.join(d, "pred.json")],
+]
+for a in argv:
+    assert main(a) == 0, a[0]
+assert "scipy" not in sys.modules, "design, simulate or predict imported scipy"
+assert main(["analyze", os.path.join(d, "results.json"), "--bootstrap", "3",
+             "--out", os.path.join(d, "rep")]) == 0
+assert "scipy.optimize" in sys.modules, "analyze ran no fit"
+"""
+
+
+def test_only_analyze_imports_scipy(tmp_path):
+    # scipy takes most of a cold start; only the fits use it.
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture
@@ -342,6 +380,15 @@ class TestAnalyzeCommand:
         assert "Traceback" not in proc.stderr
         assert list(rep.glob("*")) == []
 
+    @pytest.mark.parametrize("resamples", [0, 1])
+    def test_too_few_decay_resamples_leave_no_output(self, workspace, capsys, resamples):
+        res = self._results(workspace)
+        capsys.readouterr()
+        rep = workspace / "rep"
+        assert run(["analyze", res, "--bootstrap", resamples, "--out", rep]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not rep.exists()
+
     def test_failed_rename_leaves_no_temp_file(self, workspace, monkeypatch):
         res = self._results(workspace)
         rep = workspace / "rep"
@@ -484,3 +531,117 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["design", "--n", "2"])  # missing required flags
     assert exc.value.code == 2
+
+
+# --- malformed-file fuzz ------------------------------------------------------
+
+# Substituted integers stay small: a design's ``shots`` is any positive int,
+# and ``simulate`` runs every shot it is given.
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1000, 1000), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+
+
+def _dump(value, extra=None):
+    """JSON text of ``value``; ``extra``, an (object, key, value) triple,
+    writes that key a second time in that object."""
+    if isinstance(value, dict):
+        pairs = list(value.items())
+        if extra is not None and extra[0] is value:
+            pairs.append(extra[1:])
+        return "{" + ",".join(f"{json.dumps(k)}:{_dump(v, extra)}" for k, v in pairs) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(_dump(v, extra) for v in value) + "]"
+    return json.dumps(value)
+
+
+def _paths(value, path=()):
+    """The path of every value below the root of a JSON tree."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _damaged(draw, text):
+    """(edit, file text) with one key or value truncated, retyped, dropped or
+    duplicated; a duplicated object key carries a new value."""
+    edit = draw(st.sampled_from(["truncate", "retype", "drop", "duplicate"]))
+    if edit == "truncate":
+        return edit, text[: draw(st.integers(0, len(text.rstrip()) - 1))]
+    obj = json.loads(text)
+    *head, key = draw(st.sampled_from(list(_paths(obj))))
+    parent = obj
+    for k in head:
+        parent = parent[k]
+    old = parent[key]
+    extra = None
+    if edit == "retype":
+        parent[key] = draw(_JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+    elif edit == "drop":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, old)
+    else:
+        extra = (parent, key, draw(_JSON_VALUES))
+    return edit, _dump(obj, extra)
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """Text of a valid file of each kind the CLI reads."""
+    d = _make_design(tmp_path_factory.mktemp("valid"), "exp", depths="0,1,4", k=2, shots=20)
+    assert run(["simulate", "--circuits", d / "circuits.json",
+                "--out", d / "results.json"]) == 0
+    return {
+        "circuits": read(d / "circuits.json"),
+        "results": read(d / "results.json"),
+        "noise": json.dumps(serialize.stamp("noise", serialize.noise_to_obj(
+            NoiseModel.depolarizing()))),
+        "edges": json.dumps({"edges": [[0, 1], [1, 2]]}),
+    }
+
+
+def _reader_argv(kind, bad, out):
+    """The command that reads a file of ``kind``, and its allowed exit codes."""
+    if kind == "circuits":
+        return ["simulate", "--circuits", bad, "--out", out / "r.json"], {0, 2, 3}
+    if kind == "results":
+        return ["analyze", bad, "--bootstrap", 2, "--out", out / "rep"], {0, 2, 3, 4}
+    if kind == "noise":
+        return ["predict", "--n", 2, "--p-cnot", 0.3, "--p-mcm", 0.2, "--noise", bad,
+                "--out", out / "p.json"], {0, 2, 3}
+    return ["design", "--n", 3, "--p-cnot", 0.3, "--p-mcm", 0.2, "--depths", "0,1",
+            "--circuits-per-depth", 1, "--shots", 5, "--edges", bad,
+            "--out", out / "exp"], {0, 2, 3}
+
+
+@pytest.mark.parametrize("kind", ["circuits", "results", "noise", "edges"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_damaged_input_file_fails_cleanly(valid_inputs, kind, data):
+    # An edit can leave a valid file (one circuit fewer, a rate 0.0 written
+    # as 0), which runs; any failure is one line on stderr and an exit code.
+    edit, text = data.draw(_damaged(valid_inputs[kind]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp)
+        bad = out / "bad.json"
+        bad.write_text(text)
+        argv, allowed = _reader_argv(kind, bad, out)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv)
+    if edit == "truncate":
+        assert code == 3
+    assert code in allowed
+    if code:
+        message = stderr.getvalue()
+        assert message.count("\n") == 1 and message.endswith("\n"), message
