@@ -43,14 +43,7 @@ from .pipeline import (
     simulate_design,
 )
 from .sampler import SamplingConfig, sample_core_circuit, sample_core_layer
-from .simulator import (
-    InstrumentErrorSpec,
-    NoiseModel,
-    OneQubitPauliChannel,
-    SimResult,
-    TwoQubitDepolarizing,
-    simulate_result,
-)
+from .simulator import NoiseModel, SimResult, simulate_result
 from .tableau import StabilizerTableau, TableauError
 from .theory import (
     InstrumentError,

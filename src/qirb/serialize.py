@@ -35,12 +35,7 @@ from functools import lru_cache
 
 from .builder import DressedLayer, QirbCircuit
 from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate
-from .simulator import (
-    InstrumentErrorSpec,
-    NoiseModel,
-    OneQubitPauliChannel,
-    TwoQubitDepolarizing,
-)
+from .simulator import NoiseModel
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -239,12 +234,12 @@ def circuit_from_obj(obj: dict) -> QirbCircuit:
 
 def noise_to_obj(noise: NoiseModel) -> dict:
     return {
-        "oneq": {"px": noise.oneq.px, "py": noise.oneq.py, "pz": noise.oneq.pz},
-        "twoq": {"eps_each": noise.twoq.eps_each},
+        "oneq": {"px": noise.px, "py": noise.py, "pz": noise.pz},
+        "twoq": {"eps_each": noise.twoq_each},
         "mcm": {
-            "pre_flip": noise.mcm.pre_flip,
-            "post_flip": noise.mcm.post_flip,
-            "unmeasured_depol": noise.mcm.unmeasured_depol,
+            "pre_flip": noise.pre_flip,
+            "post_flip": noise.post_flip,
+            "unmeasured_depol": noise.unmeasured_depol,
         },
         "readout_flip": noise.readout_flip,
     }
@@ -267,9 +262,5 @@ def noise_from_obj(obj: dict) -> NoiseModel:
     :func:`noise_to_obj` writes; a malformed one raises SchemaError."""
     with malformed_as_schema_error("noise model"):
         _check_rates(obj, noise_to_obj(NoiseModel.zero()), ignore=("schema", "kind"))
-        return NoiseModel(
-            oneq=OneQubitPauliChannel(**obj["oneq"]),
-            twoq=TwoQubitDepolarizing(**obj["twoq"]),
-            mcm=InstrumentErrorSpec(**obj["mcm"]),
-            readout_flip=obj["readout_flip"],
-        )
+        return NoiseModel(**obj["oneq"], twoq_each=obj["twoq"]["eps_each"], **obj["mcm"],
+                          readout_flip=obj["readout_flip"])

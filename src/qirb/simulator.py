@@ -29,7 +29,9 @@ modes consume identical draws and agree shot by shot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,9 +41,6 @@ from .seeding import derive_np_rng
 from .tableau import StabilizerTableau
 
 __all__ = [
-    "OneQubitPauliChannel",
-    "TwoQubitDepolarizing",
-    "InstrumentErrorSpec",
     "NoiseModel",
     "SimResult",
     "simulate_result",
@@ -52,94 +51,51 @@ _BATCH = 4096
 
 
 @dataclass(frozen=True)
-class OneQubitPauliChannel:
-    """Stochastic Pauli error attached to every single-qubit gate."""
+class NoiseModel:
+    """Per-operation stochastic noise for the whole simulation, as eight rates.
+
+    Every single-qubit gate takes an X, Y or Z error with probability ``px``,
+    ``py`` or ``pz``, and every CNOT each of the 15 non-identity two-qubit
+    Paulis with probability ``twoq_each``. Each MCM layer is a factorized
+    uniform stochastic instrument: each measured wire takes an independent
+    pre-measurement bitflip with probability ``pre_flip`` and a
+    post-measurement bitflip with probability ``post_flip``, and each
+    unmeasured wire an independent uniformly random non-identity Pauli with
+    total probability ``unmeasured_depol``. Each final readout flips with
+    probability ``readout_flip``.
+    """
 
     px: float = 0.0
     py: float = 0.0
     pz: float = 0.0
-
-    def __post_init__(self) -> None:
-        # Negated so that a NaN rate, which fails every comparison, is rejected.
-        if not (min(self.px, self.py, self.pz) >= 0 and self.total <= 1 + 1e-12):
-            raise ValueError("invalid one-qubit error probabilities")
-
-    @classmethod
-    def from_fidelity(cls, f1q: float) -> "OneQubitPauliChannel":
-        eps = (1.0 - f1q) / 3.0
-        return cls(eps, eps, eps)
-
-    @property
-    def total(self) -> float:
-        return self.px + self.py + self.pz
-
-    @property
-    def fidelity(self) -> float:
-        return 1.0 - self.total
-
-
-@dataclass(frozen=True)
-class TwoQubitDepolarizing:
-    """Each of the 15 non-identity two-qubit Paulis with equal probability."""
-
-    eps_each: float = 0.0
-
-    def __post_init__(self) -> None:
-        # Negated so that a NaN rate, which fails every comparison, is rejected.
-        if not (self.eps_each >= 0 and self.total <= 1 + 1e-12):
-            raise ValueError("invalid two-qubit error probability")
-
-    @classmethod
-    def from_fidelity(cls, f2q: float) -> "TwoQubitDepolarizing":
-        return cls((1.0 - f2q) / 15.0)
-
-    @property
-    def total(self) -> float:
-        return 15 * self.eps_each
-
-    @property
-    def fidelity(self) -> float:
-        return 1.0 - self.total
-
-
-@dataclass(frozen=True)
-class InstrumentErrorSpec:
-    """Factorized uniform-stochastic-instrument noise for one MCM layer.
-
-    Each measured wire takes an independent pre-measurement bitflip with
-    probability ``pre_flip`` and a post-measurement bitflip with probability
-    ``post_flip``; each unmeasured wire takes an independent depolarizing
-    Pauli with total probability ``unmeasured_depol``. The induced joint
-    distribution over (a, P, b) tuples is a uniform stochastic instrument
-    whose no-error probability is its process fidelity.
-    """
-
+    twoq_each: float = 0.0
     pre_flip: float = 0.0
     post_flip: float = 0.0
     unmeasured_depol: float = 0.0
-
-    def __post_init__(self) -> None:
-        for p in (self.pre_flip, self.post_flip, self.unmeasured_depol):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("instrument error probabilities must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-operation stochastic noise for the whole simulation."""
-
-    oneq: OneQubitPauliChannel
-    twoq: TwoQubitDepolarizing
-    mcm: InstrumentErrorSpec
     readout_flip: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.readout_flip <= 1.0:
-            raise ValueError("readout flip probability must lie in [0, 1]")
+        for f in fields(self):
+            rate = getattr(self, f.name)
+            # A NaN rate fails every comparison, so it is rejected too.
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"noise rate {f.name} must lie in [0, 1], got {rate!r}")
+        if self.oneq_total > 1 + 1e-12:
+            raise ValueError("one-qubit error probabilities px + py + pz exceed 1")
+        if self.twoq_total > 1 + 1e-12:
+            raise ValueError("two-qubit error probability 15 * twoq_each exceeds 1")
+
+    @property
+    def oneq_total(self) -> float:
+        return self.px + self.py + self.pz
+
+    @property
+    def twoq_total(self) -> float:
+        return 15 * self.twoq_each
 
     @classmethod
     def zero(cls) -> "NoiseModel":
-        return cls(OneQubitPauliChannel(), TwoQubitDepolarizing(), InstrumentErrorSpec(), 0.0)
+        return cls()
 
     @classmethod
     def depolarizing(
@@ -156,10 +112,15 @@ class NoiseModel:
         The end-of-circuit readout flip defaults to the MCM pre-measurement
         flip rate.
         """
+        eps = (1.0 - f1q) / 3.0
         return cls(
-            oneq=OneQubitPauliChannel.from_fidelity(f1q),
-            twoq=TwoQubitDepolarizing.from_fidelity(f2q),
-            mcm=InstrumentErrorSpec(mcm_flip, mcm_post_flip, mcm_unmeasured_depol),
+            px=eps,
+            py=eps,
+            pz=eps,
+            twoq_each=(1.0 - f2q) / 15.0,
+            pre_flip=mcm_flip,
+            post_flip=mcm_post_flip,
+            unmeasured_depol=mcm_unmeasured_depol,
             readout_flip=mcm_flip if readout_flip is None else readout_flip,
         )
 
@@ -328,20 +289,19 @@ def _sample_faults(prog: _Program, noise: NoiseModel, shots: int,
             if c & 2:
                 masks[1] ^= 1 << s
 
-    oneq = noise.oneq
-    rows, s = hits("oneq", oneq.total)
-    u = rng.random(s.size) * oneq.total
-    add(rows, s, np.where(u < oneq.px, 1, np.where(u < oneq.px + oneq.py, 3, 2)))
-    rows, s = hits("twoq", noise.twoq.total)
+    total = noise.oneq_total
+    rows, s = hits("oneq", total)
+    u = rng.random(s.size) * total
+    add(rows, s, np.where(u < noise.px, 1, np.where(u < noise.px + noise.py, 3, 2)))
+    rows, s = hits("twoq", noise.twoq_total)
     pairs = _TWOQ_PAIRS[rng.integers(0, 15, s.size)]
     add(rows, s, pairs[:, 0], 1)
     add(rows, s, pairs[:, 1], 2)
-    spec = noise.mcm
-    for name, p in (("pre", spec.pre_flip), ("post", spec.post_flip),
+    for name, p in (("pre", noise.pre_flip), ("post", noise.post_flip),
                     ("readout", noise.readout_flip)):
         rows, s = hits(name, p)
         add(rows, s, np.ones_like(s))  # X
-    rows, s = hits("depol", spec.unmeasured_depol)
+    rows, s = hits("depol", noise.unmeasured_depol)
     add(rows, s, rng.integers(1, 4, s.size))
     return [(p, w, x, z) for (p, w), (x, z) in sorted(faults.items())]
 
@@ -409,8 +369,10 @@ def _propagate(prog: _Program, shots: int, faults: list[tuple[int, int, int, int
 
 
 def _batches(circuit: QirbCircuit, noise: NoiseModel, shots: int, seed: int,
-             reset_free_mode: str) -> list[tuple[int, int, list[int]]]:
-    """(shots, failure bits, outcome bits) per batch of at most ``_BATCH`` shots."""
+             reset_free_mode: str) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (shots, failure bits, outcome bits) per batch of at most
+    ``_BATCH`` shots; each batch is drawn only when the previous one has been
+    consumed."""
     if shots < 1:
         raise ValueError("shot count must be >= 1")
     if not circuit.reset and reset_free_mode not in ("frame-correction", "feedforward-x"):
@@ -418,12 +380,10 @@ def _batches(circuit: QirbCircuit, noise: NoiseModel, shots: int, seed: int,
     correct = not circuit.reset and reset_free_mode == "frame-correction"
     prog = _compile(circuit)
     rng = derive_np_rng(seed)
-    out = []
     for start in range(0, shots, _BATCH):
         size = min(_BATCH, shots - start)
         faults = _sample_faults(prog, noise, size, rng)
-        out.append((size, *_propagate(prog, size, faults, rng, correct)))
-    return out
+        yield (size, *_propagate(prog, size, faults, rng, correct))
 
 
 def _bit_rows(ints: list[int], shots: int) -> np.ndarray:
@@ -452,10 +412,15 @@ def simulate_result(
     reset_free_mode: str = "frame-correction",
     with_counts: bool = True,
 ) -> SimResult:
-    """Simulate and aggregate: success/fail totals plus outcome counts."""
-    batches = _batches(circuit, noise, shots, seed, reset_free_mode)
-    n_fail = sum(fail.bit_count() for _, fail, _ in batches)
-    counts = None
-    if with_counts:
-        counts = _count_rows(np.concatenate([_bit_rows(o, size) for size, _, o in batches]))
-    return SimResult(shots, shots - n_fail, n_fail, counts)
+    """Simulate and aggregate: success/fail totals plus outcome counts.
+
+    Each batch is counted before the next is drawn, so only one batch's
+    outcome bits are held at a time, whatever ``shots`` is.
+    """
+    n_fail = 0
+    counts = Counter()
+    for size, fail, outcomes in _batches(circuit, noise, shots, seed, reset_free_mode):
+        n_fail += fail.bit_count()
+        if with_counts:
+            counts.update(_count_rows(_bit_rows(outcomes, size)))
+    return SimResult(shots, shots - n_fail, n_fail, dict(counts) if with_counts else None)

@@ -39,6 +39,12 @@ __all__ = [
     "predict_fbar_curve",
 ]
 
+# Seed of the density-mode Monte Carlo in predict_r_omega.
+_MC_SEED = 0
+# Largest weight that bound_terms_extrema scans; the transition term is
+# monotone toward 1/2 beyond small weights, so this is ample.
+_WEIGHT_CAP = 32
+
 
 def p_anti(w: int) -> float:
     """Probability that a weight-w X mask anticommutes with a random Z-type
@@ -126,18 +132,17 @@ def instrument_rates(terms: list[tuple[InstrumentError, float]]) -> tuple[float,
     return r, eps
 
 
-def bound_terms_extrema(weight_cap: int = 32) -> tuple[float, float, tuple[int, int], tuple[int, int]]:
+def bound_terms_extrema() -> tuple[float, float, tuple[int, int], tuple[int, int]]:
     """Brute-force extrema of the transition term over weight pairs.
 
-    Scans all (|a|, |b|) up to the cap, excluding (0, 0); the term is
-    monotone toward 1/2 beyond small weights, so the default cap is ample.
+    Scans all (|a|, |b|) up to ``_WEIGHT_CAP``, excluding (0, 0).
     Returns (minimum, maximum, argmin weights, argmax weights).
     """
     best_min = math.inf
     best_max = -math.inf
     argmin = argmax = (0, 0)
-    for wa in range(weight_cap + 1):
-        for wb in range(weight_cap + 1):
+    for wa in range(_WEIGHT_CAP + 1):
+        for wb in range(_WEIGHT_CAP + 1):
             if wa == 0 and wb == 0:
                 continue
             val = transition_term(wa, wb)
@@ -220,21 +225,20 @@ def layer_class_distribution(config: SamplingConfig) -> list[tuple[float, LayerC
 
 def _layer_factor(noise: NoiseModel, counts: LayerCounts, n: int, for_rate: bool) -> float:
     """Per-layer retained-coherence factor (for_rate) or no-error probability."""
-    f1 = noise.oneq.fidelity
-    f2 = noise.twoq.fidelity
-    spec = noise.mcm
+    f1 = 1.0 - noise.oneq_total
+    f2 = 1.0 - noise.twoq_total
     out = f1 ** counts.k1 * f2 ** counts.k2
     if counts.km:
         if for_rate:
             out *= (
-                mcm_effective_fidelity(counts.km, spec.pre_flip)
-                * mcm_effective_fidelity(counts.km, spec.post_flip)
-                * (1.0 - spec.unmeasured_depol) ** (n - counts.km)
+                mcm_effective_fidelity(counts.km, noise.pre_flip)
+                * mcm_effective_fidelity(counts.km, noise.post_flip)
+                * (1.0 - noise.unmeasured_depol) ** (n - counts.km)
             )
         else:
             out *= (
-                ((1.0 - spec.pre_flip) * (1.0 - spec.post_flip)) ** counts.km
-                * (1.0 - spec.unmeasured_depol) ** (n - counts.km)
+                ((1.0 - noise.pre_flip) * (1.0 - noise.post_flip)) ** counts.km
+                * (1.0 - noise.unmeasured_depol) ** (n - counts.km)
             )
     return out
 
@@ -252,7 +256,6 @@ def predict_r_omega(
     noise: NoiseModel,
     config: SamplingConfig,
     mc_samples: int = 20000,
-    mc_seed: int = 0,
 ) -> TheoryPrediction:
     """Predict the decay rate and its infidelity bracket for a noise model.
 
@@ -266,7 +269,7 @@ def predict_r_omega(
         method = "closed-form"
         stderr = None
     else:
-        rng = random.Random(mc_seed)
+        rng = random.Random(_MC_SEED)
         rates = []
         fids = []
         for _ in range(mc_samples):
@@ -299,26 +302,25 @@ def r_omega_via_lambda_sum(noise: NoiseModel, config: SamplingConfig) -> float:
     tuples. Agrees with :func:`predict_r_omega` to floating-point accuracy.
     """
     classes = layer_class_distribution(config)
-    f1 = noise.oneq.fidelity
-    f2 = noise.twoq.fidelity
-    spec = noise.mcm
+    f1 = 1.0 - noise.oneq_total
+    f2 = 1.0 - noise.twoq_total
     total = 0.0
     dummy_p = SignedPauli(1, 1, 0, 1)
     for p_class, counts in classes:
         pg = 1.0 - f1 ** counts.k1 * f2 ** counts.k2
         if counts.km:
-            pg = 1.0 - (1.0 - pg) * (1.0 - spec.unmeasured_depol) ** (config.n - counts.km)
+            pg = 1.0 - (1.0 - pg) * (1.0 - noise.unmeasured_depol) ** (config.n - counts.km)
         # Joint tuples over per-wire independent flips; at-most-one sampling
         # keeps km <= 1 so the masks are single bits.
         if counts.km > 1:
             raise RuntimeError(f"layer class measures {counts.km} wires, at most 1 expected")
         contrib = 0.0
         for a in range(counts.km + 1):
-            pa = spec.pre_flip if a else 1.0 - spec.pre_flip
+            pa = noise.pre_flip if a else 1.0 - noise.pre_flip
             if counts.km == 0:
                 pa = 1.0
             for b in range(counts.km + 1):
-                pb = spec.post_flip if b else 1.0 - spec.post_flip
+                pb = noise.post_flip if b else 1.0 - noise.post_flip
                 if counts.km == 0:
                     pb = 1.0
                 for nontrivial in (False, True):
@@ -333,10 +335,10 @@ def r_omega_via_lambda_sum(noise: NoiseModel, config: SamplingConfig) -> float:
 
 
 _ANTI_PROB_1Q = {
-    0: lambda ch: 0.0,
-    1: lambda ch: ch.py + ch.pz,  # X component: Y and Z errors anticommute
-    2: lambda ch: ch.px + ch.py,  # Z component
-    3: lambda ch: ch.px + ch.pz,  # Y component
+    0: lambda noise: 0.0,
+    1: lambda noise: noise.py + noise.pz,  # X component: Y and Z errors anticommute
+    2: lambda noise: noise.px + noise.py,  # Z component
+    3: lambda noise: noise.px + noise.pz,  # Y component
 }
 
 
@@ -349,13 +351,11 @@ def exact_success_expectation(circuit: QirbCircuit, noise: NoiseModel) -> float:
     (1 - 2q) over locations.
     """
     walk = tracked_walk(circuit)
-    oneq = noise.oneq
-    spec = noise.mcm
     prod = 1.0
 
     def oneq_factor(state, wire: int) -> float:
         x, z, _ = state
-        return 1.0 - 2.0 * _ANTI_PROB_1Q[((x >> wire) & 1) | (((z >> wire) & 1) << 1)](oneq)
+        return 1.0 - 2.0 * _ANTI_PROB_1Q[((x >> wire) & 1) | (((z >> wire) & 1) << 1)](noise)
 
     for g in circuit.prep_layer.gates:
         prod *= oneq_factor(walk.initial, g.wires[0])
@@ -369,7 +369,7 @@ def exact_success_expectation(circuit: QirbCircuit, noise: NoiseModel) -> float:
             if g.is_cnot:
                 c, t = g.wires
                 if (support >> c) & 1 or (support >> t) & 1:
-                    prod *= 1.0 - 2.0 * (8.0 * noise.twoq.eps_each)
+                    prod *= 1.0 - 2.0 * (8.0 * noise.twoq_each)
             else:
                 prod *= oneq_factor(s2, g.wires[0])
         measured = d.l2.mcm_wires
@@ -377,14 +377,14 @@ def exact_success_expectation(circuit: QirbCircuit, noise: NoiseModel) -> float:
             for q in measured:
                 # l1 left I or Z on q, the letter the MCM measures.
                 if (s1[1] >> q) & 1:
-                    prod *= 1.0 - 2.0 * spec.pre_flip
+                    prod *= 1.0 - 2.0 * noise.pre_flip
                 if (d.fresh >> q) & 1:
-                    prod *= 1.0 - 2.0 * spec.post_flip
-            if spec.unmeasured_depol > 0.0:
+                    prod *= 1.0 - 2.0 * noise.post_flip
+            if noise.unmeasured_depol > 0.0:
                 mset = set(measured)
                 for w in range(circuit.n):
                     if w not in mset and (support >> w) & 1:
-                        prod *= 1.0 - 2.0 * (2.0 / 3.0) * spec.unmeasured_depol
+                        prod *= 1.0 - 2.0 * (2.0 / 3.0) * noise.unmeasured_depol
         s3 = walk.after_l3[i]
         for g in d.l3.gates:
             prod *= oneq_factor(s3, g.wires[0])

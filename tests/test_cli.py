@@ -502,13 +502,15 @@ _BAD_EDGES = {
 
 
 @pytest.mark.parametrize("case", [*_BAD_EDGES, "noise-missing-channel", "noise-nan",
-                                  "noise-bool-rate", "noise-missing-rate"])
+                                  "noise-nan-mcm", "noise-bool-rate", "noise-missing-rate"])
 def test_malformed_side_file_exits_3(workspace, case):
     side = workspace / "side.json"
     if case.startswith("noise-"):
         obj = serialize.noise_to_obj(NoiseModel.depolarizing())
         if case == "noise-nan":
             obj["oneq"]["px"] = float("nan")  # json writes the NaN literal, and reads it
+        elif case == "noise-nan-mcm":
+            obj["mcm"]["post_flip"] = float("nan")
         elif case == "noise-bool-rate":
             obj["oneq"] = {"px": True, "py": 0.0, "pz": 0.0}  # as a rate, true would be 1
         elif case == "noise-missing-rate":
@@ -525,6 +527,8 @@ def test_malformed_side_file_exits_3(workspace, case):
     assert proc.returncode == 3
     assert proc.stderr.startswith("schema error:")
     assert "Traceback" not in proc.stderr
+    if case == "noise-nan-mcm":
+        assert "post_flip" in proc.stderr
 
 
 def test_usage_errors_exit_2():

@@ -48,41 +48,95 @@ _KEPT_UNCALLED = {
     "conjugate": "signed conjugation of a SignedPauli, the Pauli algebra's public API",
 }
 
+# Public methods and properties that nothing in the package or the benchmark
+# reads, kept on purpose; every other one must be read outside the tests.
+_KEPT_UNCALLED_METHODS = {
+    "StabilizerTableau.apply_gate":
+        "oracle API of the shot-by-shot frame differential test and test_tableau.py",
+    "StabilizerTableau.is_deterministic":
+        "oracle API of the shot-by-shot frame differential test and test_tableau.py",
+    "StabilizerTableau.expectation": "oracle API of test_tableau.py's Clifford-image checks",
+}
+
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SOURCES = [os.path.join(os.path.dirname(qirb.__file__), f"{m.split('.')[1]}.py")
+            for m in _MODULES]
 
 
 def _loaded_names(path):
-    """(name, enclosing top-level definition or None) of every name that the
-    file at ``path`` reads, as a bare name or as an attribute."""
+    """(name, enclosing definitions) of every name that the file at ``path``
+    reads, as a bare name or as an attribute; the enclosing definitions are
+    the names of the classes and functions around the read, outermost first."""
     with open(path) as f:
         tree = ast.parse(f.read())
-    for top in tree.body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(getattr(node, "ctx", None), ast.Load):
-                if isinstance(node, ast.Name):
-                    yield node.id, owner
-                elif isinstance(node, ast.Attribute):
-                    yield node.attr, owner
+
+    def walk(node, owners):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(getattr(child, "ctx", None), ast.Load):
+                if isinstance(child, ast.Name):
+                    yield child.id, owners
+                elif isinstance(child, ast.Attribute):
+                    yield child.attr, owners
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, (*owners, child.name))
+            else:
+                yield from walk(child, owners)
+
+    yield from walk(tree, ())
 
 
-def test_every_exported_name_has_a_caller_outside_the_tests():
-    # Imports and ``__all__`` lists are not reads, and a read inside the
-    # name's own definition (recursion) does not count either.
-    sources = [os.path.join(os.path.dirname(qirb.__file__), f"{m.split('.')[1]}.py")
-               for m in _MODULES]
+def _readers():
+    """name -> {(file, enclosing definitions)} over the package and the
+    benchmark harness, its tests left out."""
+    sources = list(_SOURCES)
     for dirpath, dirnames, files in os.walk(os.path.join(_ROOT, "perfbench")):
         dirnames[:] = [d for d in dirnames if d != "tests"]
         sources += [os.path.join(dirpath, f) for f in files if f.endswith(".py")]
     readers = {}
     for path in sources:
-        for name, owner in _loaded_names(path):
-            readers.setdefault(name, set()).add((os.path.abspath(path), owner))
+        for name, owners in _loaded_names(path):
+            readers.setdefault(name, set()).add((os.path.abspath(path), owners))
+    return readers
+
+
+def _read_outside(readers, name, path, definition):
+    """Whether ``name`` is read anywhere but inside ``definition`` (the
+    enclosing-definition names of its own body) of the file at ``path``."""
+    return any(p != path or owners[:len(definition)] != definition
+               for p, owners in readers.get(name, ()))
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # Imports and ``__all__`` lists are not reads, and a read inside the
+    # name's own definition (recursion) does not count either.
+    readers = _readers()
     uncalled = set()
     for module_name in _MODULES:
         module = importlib.import_module(module_name)
         own = os.path.abspath(module.__file__)
         uncalled |= {name for name in getattr(module, "__all__", ())
-                     if not readers.get(name, set()) - {(own, name)}}
+                     if not _read_outside(readers, name, own, (name,))}
     assert sorted(uncalled - set(_KEPT_UNCALLED)) == [], "exported, but only tests call these"
     assert sorted(set(_KEPT_UNCALLED) - uncalled) == [], "kept as uncalled, but now called"
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    # The same rule for the public methods and properties of every class in
+    # the package: matched by name, so a read of any attribute of that name
+    # counts, and reads inside the method itself do not.
+    readers = _readers()
+    uncalled = set()
+    for path in _SOURCES:
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    if not _read_outside(readers, node.name, os.path.abspath(path),
+                                         (cls.name, node.name)):
+                        uncalled.add(f"{cls.name}.{node.name}")
+    kept = set(_KEPT_UNCALLED_METHODS)
+    assert sorted(uncalled - kept) == [], "public, but only tests call these"
+    assert sorted(kept - uncalled) == [], "kept as uncalled, but now called"

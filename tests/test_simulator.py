@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -8,15 +10,7 @@ from hypothesis import strategies as st
 
 from qirb.builder import classify_outcome, resolve_reset_free
 from qirb.seeding import derive_np_rng
-from qirb.simulator import (
-    InstrumentErrorSpec,
-    NoiseModel,
-    OneQubitPauliChannel,
-    TwoQubitDepolarizing,
-    _compile,
-    _propagate,
-    simulate_result,
-)
+from qirb.simulator import _BATCH, NoiseModel, _compile, _propagate, simulate_result
 from qirb.tableau import StabilizerTableau
 from qirb.theory import exact_success_expectation
 
@@ -28,32 +22,36 @@ def f_value(res):
     return (res.n_success - res.n_fail) / res.shots
 
 
+_RATES = ("px", "py", "pz", "twoq_each", "pre_flip", "post_flip", "unmeasured_depol",
+          "readout_flip")
+
+
 class TestNoiseModelTypes:
     def test_fidelity_shorthand(self):
         noise = NoiseModel.depolarizing(0.999, 0.995, 0.02)
-        assert math.isclose(noise.oneq.fidelity, 0.999)
-        assert math.isclose(noise.oneq.px, 0.001 / 3)
-        assert math.isclose(noise.twoq.fidelity, 0.995)
-        assert math.isclose(noise.twoq.eps_each, 0.005 / 15)
+        assert math.isclose(1.0 - noise.oneq_total, 0.999)
+        assert math.isclose(noise.px, 0.001 / 3)
+        assert math.isclose(1.0 - noise.twoq_total, 0.995)
+        assert math.isclose(noise.twoq_each, 0.005 / 15)
         assert noise.readout_flip == 0.02
 
+    def test_the_rates_are_the_only_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(NoiseModel)) == _RATES
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    @pytest.mark.parametrize("field", _RATES)
+    def test_each_rate_is_validated(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**{field: bad})
+
     def test_validation(self):
+        # Each rate lies in [0, 1], but the per-gate totals can still exceed 1.
+        with pytest.raises(ValueError, match="px"):
+            NoiseModel(px=0.5, py=0.4, pz=0.3)
+        with pytest.raises(ValueError, match="twoq_each"):
+            NoiseModel(twoq_each=0.1)
         with pytest.raises(ValueError):
-            OneQubitPauliChannel(0.5, 0.4, 0.3)
-        with pytest.raises(ValueError):
-            TwoQubitDepolarizing(0.1)
-        with pytest.raises(ValueError):
-            InstrumentErrorSpec(pre_flip=1.5)
-        nan = float("nan")
-        for args in ((nan, 0.0, 0.0), (0.0, nan, 0.0), (0.0, 0.0, nan)):
-            with pytest.raises(ValueError):
-                OneQubitPauliChannel(*args)
-        with pytest.raises(ValueError):
-            TwoQubitDepolarizing(nan)
-        with pytest.raises(ValueError):
-            InstrumentErrorSpec(unmeasured_depol=nan)
-        with pytest.raises(ValueError):
-            NoiseModel.depolarizing(f1q=nan)
+            NoiseModel.depolarizing(f1q=float("nan"))
 
 
 class TestDeterminism:
@@ -76,12 +74,7 @@ class TestMcmStatistics:
         # single-MCM circuit flips classification exactly when the tracked
         # component on the measured wire is Z, which happens for 3/4 of the
         # sampled circuits: the circuit-averaged mean success is -1/2.
-        noise = NoiseModel(
-            oneq=OneQubitPauliChannel(),
-            twoq=TwoQubitDepolarizing(),
-            mcm=InstrumentErrorSpec(pre_flip=1.0),
-            readout_flip=0.0,
-        )
+        noise = NoiseModel(pre_flip=1.0)
         total = 0.0
         reps = 600
         for seed in range(reps):
@@ -94,12 +87,7 @@ class TestMcmStatistics:
     def test_single_location_linearity(self):
         # One error location with flip probability q gives mean 1 - 2q.
         q = 0.17
-        noise = NoiseModel(
-            oneq=OneQubitPauliChannel(),
-            twoq=TwoQubitDepolarizing(),
-            mcm=InstrumentErrorSpec(pre_flip=q),
-            readout_flip=0.0,
-        )
+        noise = NoiseModel(pre_flip=q)
         for seed in range(40):
             c = build_random(1, 1, seed=seed, p_mcm=1.0, p_cnot=0.0)
             if not c.target.z & 1:  # the MCM measured I
@@ -177,6 +165,25 @@ def test_counts_equal_a_counter_of_the_outcome_strings():
     shots = simulate_outcomes(c, noise, 5000, seed=2)
     assert res.counts == Counter(outcome for outcome, _ in shots)
     assert res.n_success == sum(success > 0 for _, success in shots)
+
+
+def test_memory_does_not_grow_with_shot_batches():
+    # Each batch is counted before the next is drawn: four times the
+    # batches must not come near four times the peak. The first call pays
+    # one-time allocations, so it is not measured.
+    c = build_random(2, 8, seed=3, reset=False, p_mcm=0.6)
+    noise = NoiseModel.depolarizing(0.99, 0.98, 0.05)
+    simulate_result(c, noise, _BATCH, seed=1, with_counts=True)
+
+    def peak(batches):
+        tracemalloc.start()
+        try:
+            simulate_result(c, noise, batches * _BATCH, seed=1, with_counts=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) < 2 * peak(4)
 
 
 def test_seventy_wires_zero_noise_succeeds_on_every_shot():

@@ -5,12 +5,7 @@ import pytest
 
 from qirb import theory
 from qirb.sampler import SamplingConfig
-from qirb.simulator import (
-    InstrumentErrorSpec,
-    NoiseModel,
-    OneQubitPauliChannel,
-    TwoQubitDepolarizing,
-)
+from qirb.simulator import NoiseModel
 from qirb.theory import (
     InstrumentError,
     LayerCounts,
@@ -110,12 +105,7 @@ class TestPredictROmega:
 
     def test_single_cnot_class_transition(self):
         # A pure two-qubit-gate layer class: p_trans = (1 - F2Q)/2.
-        noise = NoiseModel(
-            oneq=OneQubitPauliChannel(),
-            twoq=TwoQubitDepolarizing.from_fidelity(0.995),
-            mcm=InstrumentErrorSpec(),
-            readout_flip=0.0,
-        )
+        noise = NoiseModel(twoq_each=(1.0 - 0.995) / 15.0)
         pred = predict_r_omega(noise, SamplingConfig(n=2, p_cnot=1.0, p_mcm=0.0))
         assert math.isclose(pred.r_omega, 0.005)
         assert math.isclose(pred.r_omega / 2.0, 0.0025)
@@ -228,12 +218,7 @@ class TestExactExpectation:
 
     def test_single_location_value(self):
         # Only the final readout on a one-wire depth-0 circuit can err.
-        noise = NoiseModel(
-            oneq=OneQubitPauliChannel(),
-            twoq=TwoQubitDepolarizing(),
-            mcm=InstrumentErrorSpec(),
-            readout_flip=0.1,
-        )
+        noise = NoiseModel(readout_flip=0.1)
         for seed in range(20):
             c = build_random(1, 0, seed=seed)
             expected = 0.8 if c.target.letters() == "Z" else 1.0
