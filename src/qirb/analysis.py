@@ -296,7 +296,7 @@ def _erm_loss(params, k1, k2, km, f):
     return float(np.mean((erm_predict_counts(params, k1, k2, km) - f) ** 2))
 
 
-_DEFAULT_ERM_STARTS = (
+_ERM_STARTS = (
     (1e-3, 5e-3, 2e-2, 0.98),
     (1e-4, 1e-3, 5e-3, 1.0),
     (5e-3, 2e-2, 5e-2, 0.95),
@@ -331,16 +331,16 @@ def _fit_erm_arrays(arrays, starts) -> tuple[ErmParams, float]:
     return ErmParams(e1, e2, em, spam), best_loss
 
 
-def fit_erm(data: list[ErmDatum], starts=_DEFAULT_ERM_STARTS) -> tuple[ErmParams, float]:
+def fit_erm(data: list[ErmDatum]) -> tuple[ErmParams, float]:
     """Fit the four ERM parameters by mean-squared-error minimization.
 
-    Runs a bounded Nelder-Mead simplex from every start (defaults to 8
-    spread-out starts; a single-config input is accepted but poorly
-    conditioned) and keeps the best residual.
+    Runs a bounded Nelder-Mead simplex from each of 8 spread-out starts (a
+    single-config input is accepted but poorly conditioned) and keeps the
+    best residual.
     """
     if not data:
         raise FitDegenerateError("no circuits to fit")
-    return _fit_erm_arrays(_erm_loss_arrays(data), starts)
+    return _fit_erm_arrays(_erm_loss_arrays(data), _ERM_STARTS)
 
 
 def bootstrap_erm(data: list[ErmDatum], resamples: int, seed: int):

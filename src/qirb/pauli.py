@@ -27,7 +27,6 @@ __all__ = [
     "conjugate",
     "conjugate_bits",
     "random_pauli",
-    "compose_cliffords",
     "clifford_action",
     "cliffords_mapping_letter",
     "cliffords_preparing",
@@ -104,21 +103,10 @@ def _build_clifford_group() -> list[_Action]:
 
 
 _CLIFFORD_ACTIONS: list[_Action] = _build_clifford_group()
-_ACTION_TO_INDEX = {a: i for i, a in enumerate(_CLIFFORD_ACTIONS)}
 
 NUM_ONEQ_CLIFFORDS = 24
 #: Gate-kind sentinel for the two-qubit CNOT in :class:`CliffordGate`.
 CNOT_INDEX = 24
-
-_COMPOSE = [
-    [_ACTION_TO_INDEX[_compose_actions(_CLIFFORD_ACTIONS[i], _CLIFFORD_ACTIONS[j])] for j in range(24)]
-    for i in range(24)
-]
-
-
-def compose_cliffords(outer: int, inner: int) -> int:
-    """Index of the composite acting as ``inner`` first, then ``outer``."""
-    return _COMPOSE[outer][inner]
 
 
 def clifford_action(index: int) -> _Action:

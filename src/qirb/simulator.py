@@ -17,7 +17,8 @@ random at the start and after every measurement; Z then stabilizes the wire,
 so the redraw leaves the state alone while making random outcomes random. A
 single-qubit gate's Pauli part goes to the frame, so the reference skips the
 Pauli dressing gates. Noise is drawn in bulk, one geometric-gap draw per
-channel kind per batch of at most ``_BATCH`` shots.
+channel kind per batch of at most ``_BATCH`` shots and keyed by op position
+and wire; a ``Counter`` counts each batch's outcome strings.
 
 Reset and feedforward-X return a measured wire to |0>, clearing its X
 component. Frame correction leaves the wire as measured and carries the
@@ -36,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .builder import QirbCircuit
-from .pauli import NUM_ONEQ_CLIFFORDS, clifford_action, compose_cliffords, pauli_gate_indices
+from .pauli import NUM_ONEQ_CLIFFORDS, clifford_action, pauli_product_phase
 from .seeding import derive_np_rng
 from .tableau import StabilizerTableau
 
@@ -142,19 +143,22 @@ def _split_gates() -> tuple[tuple[int | None, tuple[int, ...]], ...]:
     """Per Clifford index: (representative, frame masks).
 
     The representative is the first index that permutes X, Y and Z the same
-    way, or None for a Pauli; applying it and then a Pauli is the gate. The
-    masks, each 0 or -1, give the frame update ``x' = x&m0 ^ z&m1 ^ px``,
-    ``z' = x&m2 ^ z&m3 ^ pz``, where ``px = full&m4`` and ``pz = full&m5``
-    apply that Pauli to every shot.
+    way, or None for a Pauli. The gate is its representative followed by the
+    Pauli that anticommutes with exactly the images of X and Z whose signs
+    the two disagree on. The masks, each 0 or -1, give the frame update
+    ``x' = x&m0 ^ z&m1 ^ px``, ``z' = x&m2 ^ z&m3 ^ pz``, where
+    ``px = full&m4`` and ``pz = full&m5`` apply that Pauli to every shot.
     """
-    pauli_index = dict(zip((0, 1, 3, 2), pauli_gate_indices()))  # I, X, Y, Z
     representative: dict[tuple[int, int], int] = {}
     table = []
     for idx in range(NUM_ONEQ_CLIFFORDS):
-        action = clifford_action(idx)
-        cx, cz = action[1][0], action[2][0]  # unsigned images of X and Z
+        _, (cx, sx), (cz, sz), _ = clifford_action(idx)  # images of X and Z
         rep = representative.setdefault((cx, cz), idx)
-        code = next(c for c, p in pauli_index.items() if compose_cliffords(p, rep) == idx)
+        _, (_, rx), (_, rz), _ = clifford_action(rep)
+        # An odd product phase means the two letters anticommute.
+        code = next(c for c in range(4) if all(
+            pauli_product_phase(c & 1, c >> 1, image & 1, image >> 1) % 2 == (s != r)
+            for image, s, r in ((cx, sx, rx), (cz, sz, rz))))
         masks = tuple(-(v & 1) for v in (cx, cz, cx >> 1, cz >> 1, code, code >> 1))
         table.append((None if (cx, cz) == (1, 2) else rep, masks))
     return tuple(table)
@@ -175,7 +179,8 @@ class _Program:
     before its measurements: a single-qubit gate (wire, frame masks), a CNOT
     (control, target), or a measurement (wire, outcome index). Each entry of
     ``locations`` holds ``(position, wire[, wire])`` rows of one noise
-    channel; an event at position ``p`` acts just before ``ops[p]``.
+    channel; an event at position ``p`` acts just before ``ops[p]``. Every
+    ``p`` is below ``len(ops)``: the readouts come last, each with its noise.
     """
 
     n: int
@@ -183,7 +188,6 @@ class _Program:
     reference: tuple[int, ...]
     on_target: tuple[bool, ...]
     sign: int
-    redraws: int
     locations: dict[str, np.ndarray]
 
 
@@ -241,7 +245,6 @@ def _compile(circuit: QirbCircuit) -> _Program:
         reference=tuple(reference),
         on_target=tuple(bool((target >> k) & 1) for k in range(len(reference))),
         sign=circuit.target.sign,
-        redraws=n + circuit.m,
         locations={k: np.array(v, dtype=np.int64).reshape(len(v), 3 if k == "twoq" else 2)
                    for k, v in locs.items()},
     )
@@ -265,14 +268,14 @@ def _hits(rng: np.random.Generator, p: float, trials: int) -> np.ndarray:
 
 
 def _sample_faults(prog: _Program, noise: NoiseModel, shots: int,
-                   rng: np.random.Generator) -> list[tuple[int, int, int, int]]:
+                   rng: np.random.Generator) -> dict[int, dict[int, list[int]]]:
     """Draw every noise event of ``shots`` shots.
 
-    Returns ``(position, wire, x mask, z mask)`` sorted by position, one
-    entry per (position, wire) that any shot's noise touches; bit ``s`` of
-    a mask belongs to shot ``s``.
+    Returns ``{position: {wire: [x mask, z mask]}}`` for every (position,
+    wire) that any shot's noise touches; bit ``s`` of a mask belongs to shot
+    ``s``.
     """
-    faults: dict[tuple[int, int], list[int]] = {}
+    faults: dict[int, dict[int, list[int]]] = {}
 
     def hits(name: str, p: float) -> tuple[np.ndarray, np.ndarray]:
         """(location row, shot) of every hit of one channel."""
@@ -283,7 +286,7 @@ def _sample_faults(prog: _Program, noise: NoiseModel, shots: int,
     def add(rows: np.ndarray, shot_idx: np.ndarray, codes, column: int = 1) -> None:
         for p, w, c, s in zip(rows[:, 0].tolist(), rows[:, column].tolist(), codes.tolist(),
                               shot_idx.tolist()):
-            masks = faults.setdefault((p, w), [0, 0])
+            masks = faults.setdefault(p, {}).setdefault(w, [0, 0])
             if c & 1:
                 masks[0] ^= 1 << s
             if c & 2:
@@ -303,23 +306,24 @@ def _sample_faults(prog: _Program, noise: NoiseModel, shots: int,
         add(rows, s, np.ones_like(s))  # X
     rows, s = hits("depol", noise.unmeasured_depol)
     add(rows, s, rng.integers(1, 4, s.size))
-    return [(p, w, x, z) for (p, w), (x, z) in sorted(faults.items())]
+    return faults
 
 
-def _propagate(prog: _Program, shots: int, faults: list[tuple[int, int, int, int]],
+def _propagate(prog: _Program, shots: int, faults: dict[int, dict[int, list[int]]],
                rng: np.random.Generator, correct: bool) -> tuple[int, list[int]]:
     """Run the frames of ``shots`` shots through the compiled circuit.
 
-    ``faults`` lists ``(position, wire, x mask, z mask)`` sorted by position.
-    With ``correct`` (reset-free frame correction), bits ``shots`` and up of
-    every frame integer carry the correction frame. Returns the failure bits
-    (bit ``s`` set when shot ``s`` misclassifies) and each measurement's
-    observed outcome bits.
+    ``faults`` maps an op position to ``{wire: [x mask, z mask]}``, XORed
+    into the frame just before that op. With ``correct`` (reset-free frame
+    correction), bits ``shots`` and up of every frame integer carry the
+    correction frame. Returns the failure bits (bit ``s`` set when shot
+    ``s`` misclassifies) and each measurement's observed outcome bits.
     """
     n = prog.n
     full = (1 << shots) - 1
     nbytes = (shots + 7) >> 3
-    draws = rng.bytes(nbytes * prog.redraws)
+    # One Z redraw per wire at the start and one per MCM: one per outcome.
+    draws = rng.bytes(nbytes * len(prog.reference))
     redraws = [int.from_bytes(draws[i:i + nbytes], "little") & full
                for i in range(0, len(draws), nbytes)]
     fx = [0] * n
@@ -329,16 +333,11 @@ def _propagate(prog: _Program, shots: int, faults: list[tuple[int, int, int, int
     on_target = prog.on_target
     record = [0] * len(refs)
     flip = 0
-    nf = len(faults)
-    fi = 0
-    at = faults[0][0] if nf else -1
     for i, (kind, a, b) in enumerate(prog.ops):
-        while at == i:
-            _, w, xm, zm = faults[fi]
-            fx[w] ^= xm
-            fz[w] ^= zm
-            fi += 1
-            at = faults[fi][0] if fi < nf else -1
+        if i in faults:
+            for w, (xm, zm) in faults[i].items():
+                fx[w] ^= xm
+                fz[w] ^= zm
         if kind == _GATE:
             x, z = fx[a], fz[a]
             fx[a] = (x & b[0]) ^ (z & b[1]) ^ (full & b[4])
@@ -357,8 +356,6 @@ def _propagate(prog: _Program, shots: int, faults: list[tuple[int, int, int, int
                 fx[a] = out << shots if correct else 0
                 fz[a] = redraws[redraw]
                 redraw += 1
-    if fi != nf:
-        raise ValueError("faults must be sorted by position and lie before the last op")
     fail = flip
     for k, bits in enumerate(record):
         if on_target[k]:
@@ -394,16 +391,6 @@ def _bit_rows(ints: list[int], shots: int) -> np.ndarray:
                          bitorder="little").T
 
 
-def _count_rows(rows: np.ndarray) -> dict[str, int]:
-    """Histogram of outcome rows keyed by their bit strings."""
-    width = rows.shape[1]
-    # Rows packed eight bits to a byte sort several times faster.
-    keys, freq = np.unique(np.packbits(rows, axis=1), axis=0, return_counts=True)
-    keys = np.unpackbits(keys, axis=1, count=width)
-    text = (keys + ord("0")).tobytes().decode("ascii")
-    return {text[i * width:(i + 1) * width]: int(c) for i, c in enumerate(freq.tolist())}
-
-
 def simulate_result(
     circuit: QirbCircuit,
     noise: NoiseModel,
@@ -422,5 +409,7 @@ def simulate_result(
     for size, fail, outcomes in _batches(circuit, noise, shots, seed, reset_free_mode):
         n_fail += fail.bit_count()
         if with_counts:
-            counts.update(_count_rows(_bit_rows(outcomes, size)))
+            width = len(outcomes)
+            text = (_bit_rows(outcomes, size) + ord("0")).tobytes().decode("ascii")
+            counts.update(text[i:i + width] for i in range(0, len(text), width))
     return SimResult(shots, shots - n_fail, n_fail, dict(counts) if with_counts else None)

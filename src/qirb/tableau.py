@@ -86,11 +86,11 @@ class StabilizerTableau:
         bit = 1 << q
         return all(not (self.x[i] & bit) for i in range(self.n, 2 * self.n))
 
-    def measure_z(self, q: int, rng=None, forced: int | None = None) -> int:
+    def measure_z(self, q: int, forced: int = 0) -> int:
         """Measure Z on wire q, collapsing the state; returns the bit.
 
-        Deterministic outcomes read the stabilizer phase. A genuinely random
-        outcome is ``forced`` if given, else one bit from ``rng``, else 0.
+        Deterministic outcomes read the stabilizer phase; a genuinely random
+        outcome is ``forced``.
         """
         n = self.n
         bit = 1 << q
@@ -100,7 +100,6 @@ class StabilizerTableau:
                 pivot = i
                 break
         if pivot >= 0:
-            outcome = forced if forced is not None else (rng.getrandbits(1) if rng else 0)
             for i in range(2 * n):
                 if i != pivot and self.x[i] & bit:
                     if i >= n:
@@ -111,8 +110,8 @@ class StabilizerTableau:
                         self.z[i] ^= self.z[pivot]
             d = pivot - n
             self.x[d], self.z[d], self.r[d] = self.x[pivot], self.z[pivot], self.r[pivot]
-            self.x[pivot], self.z[pivot], self.r[pivot] = 0, bit, outcome
-            return outcome
+            self.x[pivot], self.z[pivot], self.r[pivot] = 0, bit, forced
+            return forced
         # Deterministic: Z on q is, up to its sign, a product of stabilizers.
         ax, az, phase = self._stabilizer_product(0, bit)
         if ax != 0 or az != bit or phase % 2:

@@ -39,8 +39,9 @@ __all__ = [
     "predict_fbar_curve",
 ]
 
-# Seed of the density-mode Monte Carlo in predict_r_omega.
+# Seed and sample count of the density-mode Monte Carlo in predict_r_omega.
 _MC_SEED = 0
+_MC_SAMPLES = 20000
 # Largest weight that bound_terms_extrema scans; the transition term is
 # monotone toward 1/2 beyond small weights, so this is ample.
 _WEIGHT_CAP = 32
@@ -252,11 +253,7 @@ def counts_from_layer(layer, n: int) -> LayerCounts:
     )
 
 
-def predict_r_omega(
-    noise: NoiseModel,
-    config: SamplingConfig,
-    mc_samples: int = 20000,
-) -> TheoryPrediction:
+def predict_r_omega(noise: NoiseModel, config: SamplingConfig) -> TheoryPrediction:
     """Predict the decay rate and its infidelity bracket for a noise model.
 
     At-most-one sampling is enumerated exactly; density mode falls back to
@@ -272,7 +269,7 @@ def predict_r_omega(
         rng = random.Random(_MC_SEED)
         rates = []
         fids = []
-        for _ in range(mc_samples):
+        for _ in range(_MC_SAMPLES):
             layer = sample_core_layer(config, rng)
             counts = counts_from_layer(layer, config.n)
             rates.append(1.0 - _layer_factor(noise, counts, config.n, True))

@@ -12,6 +12,8 @@ from qirb.analysis import (
     ErmParams,
     FitDegenerateError,
     _depth_moments,
+    _erm_loss_arrays,
+    _fit_erm_arrays,
     _resample,
     bootstrap_decay,
     erm_counts,
@@ -252,7 +254,7 @@ class TestErm:
         # minimum; the multi-start fit must do at least as well.
         truth = ErmParams(0.002, 0.02, 0.05, 0.95)
         data = self._synthetic_data(truth, random.Random(4))
-        _, bad_residual = fit_erm(data, starts=[(0.0, 0.0, 0.0, 0.2)])
+        _, bad_residual = _fit_erm_arrays(_erm_loss_arrays(data), [(0.0, 0.0, 0.0, 0.2)])
         _, good_residual = fit_erm(data)
         assert good_residual <= bad_residual
         assert good_residual < 1e-8

@@ -275,9 +275,9 @@ def test_single_error_injection_flips_iff_anticommuting(reset):
                     "".join(letter if w == wire else "I" for w in range(c.n))
                 )
                 expected_flip = not commutes(inject, tracked)
-                fault = (positions[tag], wire, every if letter in "XY" else 0,
-                         every if letter in "ZY" else 0)
-                failed, _ = _propagate(prog, shots, [fault], derive_np_rng(7), correct=not reset)
+                fault = {positions[tag]: {wire: [every if letter in "XY" else 0,
+                                                 every if letter in "ZY" else 0]}}
+                failed, _ = _propagate(prog, shots, fault, derive_np_rng(7), correct=not reset)
                 assert failed == (every if expected_flip else 0), (tag, wire, letter)
 
 

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qirb.builder import classify_outcome, resolve_reset_free
+from qirb.pauli import (NUM_ONEQ_CLIFFORDS, SignedPauli, clifford_action, commutes,
+                        pauli_gate_indices)
 from qirb.seeding import derive_np_rng
-from qirb.simulator import _BATCH, NoiseModel, _compile, _propagate, simulate_result
+from qirb.simulator import _BATCH, _GATE_SPLIT, NoiseModel, _compile, _propagate, simulate_result
 from qirb.tableau import StabilizerTableau
 from qirb.theory import exact_success_expectation
 
@@ -156,15 +158,18 @@ def test_simulator_rejects_bad_arguments():
         simulate_result(c_free, NoiseModel.zero(), 5, seed=1, reset_free_mode="bogus")
 
 
-def test_counts_equal_a_counter_of_the_outcome_strings():
-    # 5,000 shots span two shot batches; two MCMs and two readouts leave
-    # few distinct strings, so most keys repeat.
-    c = build_random(2, 3, seed=4, reset=False, p_mcm=0.4)
+@pytest.mark.parametrize("n, seed, p_mcm, shots", [(2, 4, 0.4, 5000), (70, 5, 0.9, 300)],
+                         ids=["n2", "n70"])
+def test_counts_equal_a_counter_of_the_outcome_strings(n, seed, p_mcm, shots):
+    # At n = 2, 5,000 shots span two shot batches; two MCMs and two readouts
+    # leave few distinct strings, so most keys repeat. At n = 70 every
+    # outcome string is wider than 64 bits.
+    c = build_random(n, 3, seed=seed, reset=False, p_mcm=p_mcm)
     noise = NoiseModel.depolarizing(0.99, 0.98, 0.05)
-    res = simulate_result(c, noise, 5000, seed=2)
-    shots = simulate_outcomes(c, noise, 5000, seed=2)
-    assert res.counts == Counter(outcome for outcome, _ in shots)
-    assert res.n_success == sum(success > 0 for _, success in shots)
+    res = simulate_result(c, noise, shots, seed=2)
+    records = simulate_outcomes(c, noise, shots, seed=2)
+    assert res.counts == Counter(outcome for outcome, _ in records)
+    assert res.n_success == sum(success > 0 for _, success in records)
 
 
 def test_memory_does_not_grow_with_shot_batches():
@@ -193,18 +198,30 @@ def test_seventy_wires_zero_noise_succeeds_on_every_shot():
     assert res.n_success == 50
 
 
+def test_gate_split_is_the_representative_then_a_pauli():
+    # Every gate, checked on X, Y and Z: the representative's action (none
+    # for a Pauli gate) followed by the Pauli in masks 4-5 is the gate's own.
+    paulis = pauli_gate_indices()
+    for idx in range(NUM_ONEQ_CLIFFORDS):
+        rep, masks = _GATE_SPLIT[idx]
+        assert (rep is None) == (idx in paulis)
+        pauli = SignedPauli(1, masks[4] & 1, masks[5] & 1)
+        for code in (1, 3, 2):  # X, Y, Z
+            image, sign = (code, 1) if rep is None else clifford_action(rep)[code]
+            if not commutes(pauli, SignedPauli(1, image & 1, image >> 1)):
+                sign = -sign
+            assert (image, sign) == clifford_action(idx)[code], (idx, code)
+
+
 def _replay_shot(circuit, ops, faults, shot, bits, reset):
     """Run one shot on the per-shot tableau with that shot's share of the
     faults, forcing every random measurement to ``bits``; returns the
     indices of the deterministic outcomes that disagree with ``bits``."""
     t = StabilizerTableau(circuit.n)
-    by_pos = {}
-    for pos, w, xm, zm in faults:
-        by_pos.setdefault(pos, []).append((((xm >> shot) & 1) << w, ((zm >> shot) & 1) << w))
     wrong = []
     for pos, op in enumerate(ops):
-        for xmask, zmask in by_pos.get(pos, ()):
-            t.apply_pauli(xmask, zmask)
+        for w, (xm, zm) in faults.get(pos, {}).items():
+            t.apply_pauli(((xm >> shot) & 1) << w, ((zm >> shot) & 1) << w)
         if op[0] == "gate":
             t.apply_gate(op[1].index, op[1].wires)
             continue
@@ -216,12 +233,6 @@ def _replay_shot(circuit, ops, faults, shot, bits, reset):
         if reset and k < circuit.m and bit:
             t.apply_pauli(1 << q, 0)
     return wrong
-
-
-def test_unordered_faults_are_rejected():
-    prog = _compile(build_random(2, 2, seed=0))
-    with pytest.raises(ValueError):
-        _propagate(prog, 4, [(3, 0, 1, 0), (1, 0, 1, 0)], derive_np_rng(0), correct=False)
 
 
 @given(n=st.integers(1, 4), depth=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
@@ -237,10 +248,11 @@ def test_frames_match_per_shot_tableau(n, depth, seed, reset, feedforward, n_fau
     prog = _compile(c)
     assert len(prog.ops) == len(ops)
     shots = 12
-    faults = sorted(
-        (rng.randrange(len(ops)), rng.randrange(n), rng.getrandbits(shots), rng.getrandbits(shots))
-        for _ in range(n_faults)
-    )
+    faults = {}
+    for _ in range(n_faults):
+        masks = faults.setdefault(rng.randrange(len(ops)), {}).setdefault(rng.randrange(n), [0, 0])
+        masks[0] ^= rng.getrandbits(shots)
+        masks[1] ^= rng.getrandbits(shots)
     correct = not reset and not feedforward
     failed, outcomes = _propagate(prog, shots, faults, derive_np_rng(seed), correct)
     for shot in range(shots):
@@ -264,7 +276,7 @@ def _exact_distribution(circuit, reset):
                 t.apply_gate(op[1].index, op[1].wires)
                 continue
             _, q, k = op
-            branches = (None,) if t.is_deterministic(q) else (0, 1)
+            branches = (0,) if t.is_deterministic(q) else (0, 1)
             for forced in branches:
                 branch = StabilizerTableau(circuit.n)
                 branch.x, branch.z, branch.r = list(t.x), list(t.z), list(t.r)

@@ -148,7 +148,7 @@ class TestPredictROmega:
 
     def test_density_mode_uses_monte_carlo(self):
         cfg = SamplingConfig(n=3, p_cnot=0.3, p_mcm=0.3, mode="density")
-        pred = predict_r_omega(METHODS_NOISE, cfg, mc_samples=4000)
+        pred = predict_r_omega(METHODS_NOISE, cfg)
         assert pred.method == "monte-carlo"
         assert pred.mc_stderr is not None
         exact_like = predict_r_omega(
