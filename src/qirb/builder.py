@@ -184,21 +184,16 @@ def build_qirb_circuit(
     core: list[CircuitLayer],
     reset_flag: bool,
     rng: random.Random,
-    n: int | None = None,
+    n: int,
 ) -> QirbCircuit:
-    """Dress a core circuit into a complete benchmark circuit.
+    """Dress an n-wire core circuit into a complete benchmark circuit.
 
-    ``n`` is only needed for an empty core (depth 0). Construction always
-    succeeds for Clifford cores; all sampling uses the supplied rng. The
-    tracked Pauli goes through each dressed layer by :func:`_walk_layer`,
-    the step that :func:`tracked_walk` replays.
+    Construction always succeeds for Clifford cores; all sampling uses the
+    supplied rng. The tracked Pauli goes through each dressed layer by
+    :func:`_walk_layer`, the step that :func:`tracked_walk` replays.
     """
-    if core:
-        n = core[0].n
-        if any(layer.n != n for layer in core):
-            raise ValueError("core layers disagree on wire count")
-    elif n is None:
-        raise ValueError("an empty core needs an explicit wire count")
+    if any(layer.n != n for layer in core):
+        raise ValueError(f"a core layer does not span the circuit's {n} wires")
     m = sum(len(layer.mcm_wires) for layer in core)
 
     sampled = random_pauli(n + m, rng)

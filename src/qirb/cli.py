@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import serialize
 from .analysis import FitDegenerateError, bootstrap_decay, bootstrap_erm
@@ -36,7 +37,7 @@ from .pipeline import (
 from .sampler import SamplingConfig
 from .serialize import SchemaError, check_kind, read_json, stamp, write_json
 from .simulator import NoiseModel
-from .theory import predict_r_omega
+from .theory import predict_fbar_curve, predict_r_omega
 
 EXIT_SCHEMA = 3
 EXIT_FIT = 4
@@ -82,6 +83,21 @@ def _load_edges(path: str, n: int) -> tuple[tuple[int, int], ...]:
         return pairs
 
 
+def _add_shape_flags(p: argparse.ArgumentParser) -> None:
+    """The layer distribution's flags, shared by ``design`` and ``predict``."""
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p-cnot", type=float, required=True)
+    p.add_argument("--p-mcm", type=float, required=True)
+    p.add_argument("--mode", choices=["at-most-one", "density"], default="at-most-one")
+    p.add_argument("--edges", help="JSON file with a connectivity edge list")
+
+
+def _shape(args) -> dict:
+    """The SamplingConfig keyword arguments of the shape flags."""
+    return dict(n=args.n, p_cnot=args.p_cnot, p_mcm=args.p_mcm, mode=args.mode,
+                connectivity=_load_edges(args.edges, args.n) if args.edges else None)
+
+
 def _noise_from_args(args) -> NoiseModel:
     if getattr(args, "noise", None):
         return serialize.noise_from_obj(check_kind(read_json(args.noise), "noise"))
@@ -108,28 +124,23 @@ def _add_noise_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_design(args) -> int:
-    connectivity = _load_edges(args.edges, args.n) if args.edges else None
     design = ExperimentDesign(
-        n=args.n,
-        p_cnot=args.p_cnot,
-        p_mcm=args.p_mcm,
+        **_shape(args),
         depths=tuple(args.depths),
         circuits_per_depth=args.circuits_per_depth,
         shots=args.shots,
-        connectivity=connectivity,
         reset=args.reset,
-        mode=args.mode,
         seed=args.seed,
     )
     circuits = build_design_circuits(design)
     os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, "design.json"), stamp("design", design.to_obj()))
+    write_json(os.path.join(args.out, "design.json"), stamp("design", asdict(design)))
     write_json(
         os.path.join(args.out, "circuits.json"),
         stamp(
             "circuits",
             {
-                "design": design.to_obj(),
+                "design": asdict(design),
                 "circuits": [
                     dict(id=cid, depth=depth, **serialize.circuit_to_obj(circ))
                     for cid, depth, circ in circuits
@@ -158,7 +169,7 @@ def cmd_simulate(args) -> int:
     )
     # Each entry decoded and checked above is written back as read.
     payload = {
-        "design": design.to_obj(),
+        "design": asdict(design),
         "noise": serialize.noise_to_obj(noise),
         "reset_free_mode": args.reset_free_mode,
         "results": [
@@ -288,19 +299,13 @@ def cmd_predict(args) -> int:
         raise ValueError(f"--amplitude must be finite, got {args.amplitude}")
     if min(depths) < 0:
         raise ValueError(f"--depths must be non-negative, got {min(depths)}")
-    connectivity = _load_edges(args.edges, args.n) if args.edges else None
-    config = SamplingConfig(
-        n=args.n,
-        p_cnot=args.p_cnot,
-        p_mcm=args.p_mcm,
-        connectivity=connectivity,
-        mode=args.mode,
-    )
+    config = SamplingConfig(**_shape(args))
     noise = _noise_from_args(args)
     warnings = []
     prediction = predict_r_omega(noise, config)
     if prediction.method != "closed-form":
         warnings.append("density-mode prediction computed by Monte Carlo over sampled layers")
+    fbar = predict_fbar_curve(args.amplitude, prediction.r_omega / 2, depths)
     payload = {
         "n": args.n,
         "p_cnot": args.p_cnot,
@@ -312,10 +317,7 @@ def cmd_predict(args) -> int:
         "bound_upper": prediction.bound_upper,
         "method": prediction.method,
         "mc_stderr": prediction.mc_stderr,
-        "curve": [
-            {"depth": d, "fbar": v}
-            for d, v in zip(depths, prediction.fbar_curve(args.amplitude, depths))
-        ],
+        "curve": [{"depth": d, "fbar": v} for d, v in zip(depths, fbar)],
         "warnings": warnings,
     }
     if args.out:
@@ -336,16 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="sample an experiment design and its circuits")
-    p.add_argument("--n", type=int, required=True)
+    _add_shape_flags(p)
     p.add_argument("--depths", type=_parse_depths, default=DEFAULT_DEPTHS)
     p.add_argument("--circuits-per-depth", type=int, default=15)
     p.add_argument("--shots", type=int, default=100)
-    p.add_argument("--p-cnot", type=float, required=True)
-    p.add_argument("--p-mcm", type=float, required=True)
     p.add_argument("--reset", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--mode", choices=["at-most-one", "density"], default="at-most-one")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--edges", help="JSON file with a connectivity edge list")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_design)
 
@@ -370,14 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("predict", help="analytic prediction for a sampling config + noise")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p-cnot", type=float, required=True)
-    p.add_argument("--p-mcm", type=float, required=True)
+    _add_shape_flags(p)
     p.add_argument("--reset", action=argparse.BooleanOptionalAction, default=True,
                    help="accepted for compatibility; changes nothing: the prediction "
                         "does not depend on the reset mode")
-    p.add_argument("--mode", choices=["at-most-one", "density"], default="at-most-one")
-    p.add_argument("--edges", help="JSON file with a connectivity edge list")
     _add_noise_flags(p)
     p.add_argument("--depths", type=_parse_depths, default=DEFAULT_DEPTHS)
     p.add_argument("--amplitude", type=float, default=1.0)

@@ -37,7 +37,6 @@ __all__ = [
 # Per-wire letter codes: bit0 = X component, bit1 = Z component.
 _I, _X, _Z, _Y = 0, 1, 2, 3
 _CODE_TO_CHAR = "IXZY"  # indexed by code
-_CHAR_TO_CODE = {"I": _I, "X": _X, "Z": _Z, "Y": _Y}
 
 
 def pauli_product_phase(xa: int, za: int, xb: int, zb: int) -> int:
@@ -134,21 +133,18 @@ def _letter_lookup_tables():
 _MAPPING_TABLE, _PAULI_GATES = _letter_lookup_tables()
 
 
-def cliffords_mapping_letter(src: str | int, dst: str | int) -> tuple[int, ...]:
-    """All indices g with g.src.g^-1 = +/-dst (8 for non-identity letters)."""
-    s = _CHAR_TO_CODE[src] if isinstance(src, str) else src
-    d = _CHAR_TO_CODE[dst] if isinstance(dst, str) else dst
-    return _MAPPING_TABLE[s][d]
+def cliffords_mapping_letter(src: int, dst: int) -> tuple[int, ...]:
+    """All indices g with g.src.g^-1 = +/-dst for letter codes (8 if non-identity)."""
+    return _MAPPING_TABLE[src][dst]
 
 
-def cliffords_preparing(letter: str | int) -> tuple[int, ...]:
-    """Indices g for which g|0> is a (+/-1) eigenstate of the given letter.
+def cliffords_preparing(letter: int) -> tuple[int, ...]:
+    """Indices g for which g|0> is a (+/-1) eigenstate of the letter code.
 
     Equivalently: g Z g^-1 = +/-letter. The sign of that image is the
     eigenvalue of the prepared state.
     """
-    code = _CHAR_TO_CODE[letter] if isinstance(letter, str) else letter
-    return _MAPPING_TABLE[_Z][code]
+    return _MAPPING_TABLE[_Z][letter]
 
 
 def pauli_gate_indices() -> tuple[int, int, int, int]:

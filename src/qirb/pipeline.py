@@ -8,7 +8,7 @@ not depend on the order in which circuits are simulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .analysis import DecayDataset, ErmDatum, erm_counts
 from .builder import QirbCircuit, build_qirb_circuit
@@ -30,18 +30,17 @@ DEFAULT_DEPTHS = (0, 1, 4, 32, 128)
 
 
 @dataclass(frozen=True)
-class ExperimentDesign:
-    """One benchmark experiment: a sampling config plus acquisition sizes."""
+class ExperimentDesign(SamplingConfig):
+    """One benchmark experiment: a sampling config plus acquisition sizes.
 
-    n: int
-    p_cnot: float
-    p_mcm: float
+    Its file form is ``dataclasses.asdict`` of it; :meth:`from_obj` reads
+    that back.
+    """
+
     depths: tuple[int, ...] = DEFAULT_DEPTHS
     circuits_per_depth: int = 15
     shots: int = 100
-    connectivity: tuple[tuple[int, int], ...] | None = None
     reset: bool = True
-    mode: str = "at-most-one"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -53,58 +52,25 @@ class ExperimentDesign:
             raise ValueError("circuits per depth and shots must be >= 1")
         if list(self.depths) != sorted(set(self.depths)) or any(d < 0 for d in self.depths):
             raise ValueError("depths must be sorted, unique and non-negative")
-        # Validate the sampler parameters eagerly.
-        self.sampling_config()
-
-    def sampling_config(self) -> SamplingConfig:
-        return SamplingConfig(
-            n=self.n,
-            p_cnot=self.p_cnot,
-            p_mcm=self.p_mcm,
-            connectivity=self.connectivity,
-            mode=self.mode,
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "p_cnot": self.p_cnot,
-            "p_mcm": self.p_mcm,
-            "depths": list(self.depths),
-            "circuits_per_depth": self.circuits_per_depth,
-            "shots": self.shots,
-            "connectivity": None if self.connectivity is None else [list(e) for e in self.connectivity],
-            "reset": self.reset,
-            "mode": self.mode,
-            "seed": self.seed,
-        }
+        super().__post_init__()
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ExperimentDesign":
-        conn = obj["connectivity"]
-        return cls(
-            n=obj["n"],
-            p_cnot=obj["p_cnot"],
-            p_mcm=obj["p_mcm"],
-            depths=tuple(obj["depths"]),
-            circuits_per_depth=obj["circuits_per_depth"],
-            shots=obj["shots"],
-            connectivity=None if conn is None else tuple(tuple(e) for e in conn),
-            reset=obj["reset"],
-            mode=obj["mode"],
-            seed=obj["seed"],
-        )
+        kw = {f.name: obj[f.name] for f in fields(cls)}
+        kw["depths"] = tuple(kw["depths"])
+        if kw["connectivity"] is not None:
+            kw["connectivity"] = tuple(tuple(e) for e in kw["connectivity"])
+        return cls(**kw)
 
 
 def build_design_circuits(design: ExperimentDesign) -> list[tuple[int, int, QirbCircuit]]:
     """All (circuit id, depth, circuit) triples of a design, in file order."""
-    config = design.sampling_config()
     out = []
     cid = 0
     for depth in design.depths:
         for j in range(design.circuits_per_depth):
             rng = derive_rng(design.seed, "circuit", depth, j)
-            core = sample_core_circuit(config, depth, rng)
+            core = sample_core_circuit(design, depth, rng)
             circuit = build_qirb_circuit(core, design.reset, rng, n=design.n)
             out.append((cid, depth, circuit))
             cid += 1

@@ -175,12 +175,8 @@ class TheoryPrediction:
     eps_omega: float
     bound_lower: float
     bound_upper: float
-    p_trans: float
     method: str = "closed-form"
     mc_stderr: float | None = None
-
-    def fbar_curve(self, amplitude: float, depths) -> list[float]:
-        return predict_fbar_curve(amplitude, self.p_trans, depths)
 
 
 def layer_class_distribution(config: SamplingConfig) -> list[tuple[float, LayerCounts]]:
@@ -284,7 +280,6 @@ def predict_r_omega(noise: NoiseModel, config: SamplingConfig) -> TheoryPredicti
         eps_omega=eps,
         bound_lower=0.75 * eps,
         bound_upper=1.5 * eps,
-        p_trans=r / 2.0,
         method=method,
         mc_stderr=stderr,
     )

@@ -116,9 +116,11 @@ class TestConstruction:
             assert c.target.sign in (1, -1)
             assert sum(len(d.l2.mcm_wires) for d in c.dressed) == c.m
 
-    def test_empty_core_needs_wire_count(self):
-        with pytest.raises(ValueError):
-            build_qirb_circuit([], True, random.Random(0))
+    def test_core_layers_must_span_n_wires(self):
+        # A core layer never sets the wire count: every layer must span n wires.
+        for core in ([CircuitLayer(2)], [CircuitLayer(3), CircuitLayer(2)]):
+            with pytest.raises(ValueError, match="3 wires"):
+                build_qirb_circuit(core, True, random.Random(0), n=3)
 
 
 class TestZeroNoise:

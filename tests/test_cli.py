@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -83,7 +84,7 @@ class TestRoundTrips:
             n=3, p_cnot=0.3, p_mcm=0.2, depths=(0, 2, 8), circuits_per_depth=4,
             shots=50, connectivity=((0, 1), (1, 2)), reset=False, seed=17,
         )
-        assert ExperimentDesign.from_obj(json.loads(json.dumps(design.to_obj()))) == design
+        assert ExperimentDesign.from_obj(json.loads(json.dumps(asdict(design)))) == design
 
     def test_circuit_round_trip(self):
         for seed in range(4):
@@ -229,7 +230,7 @@ class TestSimulateCommand:
         "depth-mismatch", "design-n-mismatch", "design-reset-mismatch", "design-shots-float",
         "design-connectivity-float", "design-connectivity-twice", "final-not-z-aligned",
         "tracked-length", "tracked-letter", "fresh-unmeasured", "fresh-missing",
-        "schema-qirb-2", "repeated-id", "design-rate-bool",
+        "schema-qirb-2", "repeated-id", "design-rate-bool", "design-missing-key",
     ])
     def test_malformed_circuits_file_exits_3(self, workspace, damage):
         text = read(_make_design(workspace, "exp") / "circuits.json")
@@ -276,7 +277,7 @@ class TestSimulateCommand:
                 x, z, _ = tracked_walk(serialize.circuit_from_obj(entry)).initial
                 letter = ((x >> q) & 1) | (((z >> q) & 1) << 1)
                 tokens = entry["final"].split(" ")
-                tokens[q] = f"C{cliffords_mapping_letter(letter, 'X')[0]}.{q}"
+                tokens[q] = f"C{cliffords_mapping_letter(letter, 1)[0]}.{q}"  # 1: X
                 entry["final"] = " ".join(tokens)
             elif damage == "tracked-length":
                 first["tracked"] += "I"
@@ -303,6 +304,8 @@ class TestSimulateCommand:
                 obj["design"]["connectivity"] = [[0, 1], [1, 0]]
             elif damage == "design-rate-bool":
                 obj["design"]["p_cnot"] = True
+            elif damage == "design-missing-key":
+                del obj["design"]["mode"]  # a field the design inherits from SamplingConfig
             else:
                 obj["design"]["reset"] = False
             text = json.dumps(obj)
@@ -314,6 +317,8 @@ class TestSimulateCommand:
         assert "Traceback" not in proc.stderr
         if damage.startswith("schema-"):
             assert f"'{damage[len('schema-'):]}'" in proc.stderr
+        if damage == "design-missing-key":
+            assert "KeyError: 'mode'" in proc.stderr
 
     def test_noise_file_input(self, workspace):
         out = _make_design(workspace, "exp")
@@ -501,8 +506,11 @@ _BAD_EDGES = {
 }
 
 
-@pytest.mark.parametrize("case", [*_BAD_EDGES, "noise-missing-channel", "noise-nan",
-                                  "noise-nan-mcm", "noise-bool-rate", "noise-missing-rate"])
+# A bare ``edges-*`` case runs ``design``; ``predict-edges-*`` runs the same
+# file through ``predict``, which shares the shape flags.
+@pytest.mark.parametrize("case", [*_BAD_EDGES, *(f"predict-{c}" for c in _BAD_EDGES),
+                                  "noise-missing-channel", "noise-nan", "noise-nan-mcm",
+                                  "noise-bool-rate", "noise-missing-rate"])
 def test_malformed_side_file_exits_3(workspace, case):
     side = workspace / "side.json"
     if case.startswith("noise-"):
@@ -519,6 +527,9 @@ def test_malformed_side_file_exits_3(workspace, case):
             del obj["twoq"]
         side.write_text(json.dumps(serialize.stamp("noise", obj)))
         argv = ["predict", "--n", 2, "--p-cnot", 0.3, "--p-mcm", 0.2, "--noise", side]
+    elif case.startswith("predict-"):
+        side.write_text(json.dumps(_BAD_EDGES[case[len("predict-"):]]))
+        argv = ["predict", "--n", 3, "--p-cnot", 0.3, "--p-mcm", 0.2, "--edges", side]
     else:
         side.write_text(json.dumps(_BAD_EDGES[case]))
         argv = ["design", "--n", 3, "--p-cnot", 0.3, "--p-mcm", 0.2, "--edges", side,

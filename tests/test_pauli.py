@@ -160,15 +160,15 @@ class TestCliffordTable:
             assert k <= 4
 
     def test_mapping_pools_have_eight_elements_with_balanced_signs(self):
-        for src in "XZY":
-            for dst in "XZY":
+        for src in (1, 2, 3):  # letter codes of X, Z and Y
+            for dst in (1, 2, 3):
                 pool = cliffords_mapping_letter(src, dst)
                 assert len(pool) == 8
-                signs = [clifford_action(i)[{"X": 1, "Z": 2, "Y": 3}[src]][1] for i in pool]
+                signs = [clifford_action(i)[src][1] for i in pool]
                 assert signs.count(1) == 4 and signs.count(-1) == 4
 
     def test_preparation_pools(self):
-        for letter in "XZY":
+        for letter in (1, 2, 3):
             assert len(cliffords_preparing(letter)) == 8
 
     def test_stored_images_anticommute(self):

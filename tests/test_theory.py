@@ -240,7 +240,7 @@ class TestExactExpectation:
         # Amplitude: prep (2 gates) + final (2 gates) + 2 readout flips,
         # each averaged over the 3/4 chance of a non-identity component.
         amplitude = 0.999**4 * (1 - 1.5 * 0.02) ** 2
-        target = amplitude * (1 - 2 * pred.p_trans) ** depth
+        target = amplitude * (1 - 2 * pred.r_omega / 2) ** depth
         assert abs(mean - target) < max(5 * sem, 0.01)
 
     def test_predict_fbar_curve_shapes(self):
