@@ -4,10 +4,10 @@ Covers the success statistic F, the exponential decay fit for the benchmark
 error rate, bootstrap uncertainties, the four-parameter error-rates model
 (ERM), and the bright-state depumping curve fit.
 
-scipy is most of a cold start, so only the three fits import it, each in
-its own body: ``fit_decay``, the ERM fit and ``fit_depumping``. Importing
-this module, and so the ``design``, ``simulate`` and ``predict`` commands,
-never loads it.
+scipy is most of a cold start, so only the ERM fit imports it, in its own
+body. Importing this module, and so the ``design``, ``simulate`` and
+``predict`` commands and an ``analyze`` of one input, never loads it. The
+two 1-D fits (decay and depumping) share one numpy search, ``_argmin``.
 
 Declared conventions (the underlying protocol fixes none of these):
 
@@ -16,8 +16,8 @@ Declared conventions (the underlying protocol fixes none of these):
   A in [1e-9, 1.05] and r in [0, 1 - 1e-9]. The fit is a variable
   projection (Golub & Pereyra 1973): for fixed r the best A has a closed
   form, so the loss profiled over A is scanned on a fixed grid (r = 0, then
-  log-spaced in -log(1 - r)) and refined by bounded Brent between the best
-  grid point's neighbours;
+  log-spaced in -log(1 - r)) and refined on nested grids between the best
+  point's neighbours;
 * bootstrap resamples circuits with replacement within each depth (ERM:
   within each config and depth), then redraws each chosen circuit's success
   count from a binomial at its empirical rate, and reports the sample
@@ -136,10 +136,28 @@ def _profile(t, depths, means, weights):
     return amp, ((means - amp[:, None] * p) ** 2) @ weights
 
 
+def _argmin(loss, grid):
+    """The point of least ``loss`` (vectorised over points) on the sorted
+    ``grid``, refined on 8 nested 101-point grids: each spans the neighbours
+    of the previous grid's best point, so 8 rounds narrow a bracket of a few
+    percent below 1e-14 relative. The point moves only to a strictly lower
+    loss, so a grid point as good as any (r = 0 exactly, say) is kept."""
+    losses = loss(grid)
+    i = int(np.argmin(losses))
+    best, best_loss = grid[i], losses[i]
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    for _ in range(8):
+        x = np.linspace(lo, hi, 101)
+        losses = loss(x)
+        j = int(np.argmin(losses))
+        if losses[j] < best_loss:
+            best, best_loss = x[j], losses[j]
+        lo, hi = x[max(j - 1, 0)], x[min(j + 1, len(x) - 1)]
+    return float(best)
+
+
 def fit_decay(stats: list[DepthStats]) -> FitResult:
     """Weighted least-squares fit of mean-F(d) = A (1 - r)^d."""
-    from scipy.optimize import minimize_scalar
-
     stats = sorted(stats, key=lambda s: s.depth)
     depths = np.array([s.depth for s in stats], dtype=float)
     means = np.array([s.mean for s in stats], dtype=float)
@@ -150,25 +168,9 @@ def fit_decay(stats: list[DepthStats]) -> FitResult:
     errs = np.array([s.stderr for s in stats], dtype=float)
     weights = 1.0 / errs**2 if np.all(errs > 0.0) else np.ones_like(means)
 
-    amps, losses = _profile(_T_GRID, depths, means, weights)
-    i = int(np.argmin(losses))
-    best_t, best_amp, best_loss = _T_GRID[i], amps[i], losses[i]
-    # Brent's tolerance is relative to |x|, so it searches the offset from
-    # the grid point, between the neighbouring grid points.
-    res = minimize_scalar(
-        lambda x: _profile(np.array([best_t + x]), depths, means, weights)[1][0],
-        bounds=(_T_GRID[max(i - 1, 0)] - best_t, _T_GRID[min(i + 1, len(_T_GRID) - 1)] - best_t),
-        method="bounded",
-        options={"xatol": 1e-15},
-    )
-    # Brent never evaluates the ends of its bracket, so the grid point
-    # stays when it is at least as good (it is when r = 0 exactly).
-    if res.fun < best_loss:
-        best_t += res.x
-        (best_amp,), (best_loss,) = _profile(np.array([best_t]), depths, means, weights)
-    return FitResult(
-        amplitude=float(best_amp), r_omega=float(-math.expm1(-best_t)), residual=float(best_loss)
-    )
+    best_t = _argmin(lambda t: _profile(t, depths, means, weights)[1], _T_GRID)
+    (amp,), (loss,) = _profile(np.array([best_t]), depths, means, weights)
+    return FitResult(amplitude=float(amp), r_omega=-math.expm1(-best_t), residual=float(loss))
 
 
 def _resample(n_success, shots, groups, resamples: int, rng):
@@ -384,31 +386,21 @@ class DepumpFit:
 
 
 def fit_depumping(samples) -> DepumpFit:
-    """Least-squares rate for the depumping curve (2/3)(1 - exp(-3 gamma t))."""
-    from scipy.optimize import minimize, minimize_scalar
-
+    """Least-squares rate for the depumping curve (2/3)(1 - exp(-3 gamma t)),
+    searched from 0 up to where every positive-time sample sits at 2/3."""
     pts = [(float(t), float(p)) for t, p in samples]
     if len(pts) < 2:
         raise FitDegenerateError("need at least two samples")
-    if any(t < 0 for t, _ in pts):
-        raise ValueError("times must be >= 0")
-    t = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    if np.allclose(y, 0.0):
-        return DepumpFit(0.0, float(np.sum(y**2)))
+    t, y = np.array(pts).T
+    if not (np.isfinite(y).all() and np.isfinite(t).all() and (t >= 0).all()):
+        raise ValueError("times must be finite and >= 0, values finite")
+    if not np.any(t > 0):
+        raise FitDegenerateError("need a sample at a positive time")
 
     def loss(gamma):
-        pred = (2.0 / 3.0) * (1.0 - np.exp(-3.0 * gamma * t))
-        return float(np.sum((pred - y) ** 2))
+        pred = (2.0 / 3.0) * (1.0 - np.exp(-3.0 * np.multiply.outer(gamma, t)))
+        return ((pred - y) ** 2).sum(axis=-1)
 
-    tmax = max(t.max(), 1e-12)
-    hi = 100.0 / tmax
-    res = minimize_scalar(loss, bounds=(0.0, hi), method="bounded",
-                          options={"xatol": 1e-14})
-    gamma = float(res.x)
-    # Polish with a simplex in case the bracket was wide.
-    res2 = minimize(lambda g: loss(g[0]), np.array([gamma]), method="Nelder-Mead",
-                    options={"xatol": 1e-14, "fatol": 1e-20})
-    if res2.fun < res.fun:
-        gamma = float(res2.x[0])
-    return DepumpFit(max(gamma, 0.0), loss(max(gamma, 0.0)))
+    grid = np.concatenate(([0.0], np.geomspace(1e-9 / t.max(), 100.0 / t[t > 0].min(), 1000)))
+    gamma = _argmin(loss, grid)
+    return DepumpFit(gamma, float(loss(gamma)))

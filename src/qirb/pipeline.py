@@ -52,6 +52,10 @@ class ExperimentDesign(SamplingConfig):
             raise ValueError("circuits per depth and shots must be >= 1")
         if list(self.depths) != sorted(set(self.depths)) or any(d < 0 for d in self.depths):
             raise ValueError("depths must be sorted, unique and non-negative")
+        # Simulation time grows with each size; these bounds keep it finite.
+        if (self.shots > 10**7 or self.circuits_per_depth > 10**5
+                or max(self.depths, default=0) > 10**5):
+            raise ValueError("shots must be <= 10**7, circuits per depth and depths <= 10**5")
         super().__post_init__()
 
     @classmethod

@@ -61,10 +61,11 @@ class SchemaError(Exception):
 
 @contextmanager
 def malformed_as_schema_error(what: str):
-    """Re-raise lookup, type and value errors of decoding ``what`` as SchemaError."""
+    """Re-raise lookup, type, value and overflow errors of decoding ``what`` as
+    SchemaError."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SchemaError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -300,10 +300,47 @@ class TestDepumping:
         assert abs(fit.gamma - gamma) < 3 * sigma
 
     def test_input_validation(self):
-        with pytest.raises(FitDegenerateError):
-            fit_depumping([(1.0, 0.5)])
-        with pytest.raises(ValueError):
-            fit_depumping([(-1.0, 0.1), (1.0, 0.2)])
+        for samples, error in [
+            ([(1.0, 0.5)], FitDegenerateError),
+            ([(0.0, 0.1), (0.0, 0.2)], FitDegenerateError),
+            ([(-1.0, 0.1), (1.0, 0.2)], ValueError),
+            ([(0.0, 0.1), (1.0, math.nan), (2.0, 0.3)], ValueError),
+            ([(0.0, 0.1), (math.inf, 0.5)], ValueError),
+            ([(math.nan, 0.1), (1.0, 0.2)], ValueError),
+        ]:
+            with pytest.raises(error):
+                fit_depumping(samples)
+
+    def test_fit_is_global_over_a_dense_grid(self):
+        # Scan 24,001 rates, independently of the module, from 0 to far past
+        # the plateau, and require the fit to be at least as good.
+        def loss(samples, gamma):
+            t, y = np.array(samples).T
+            pred = (2 / 3) * (1 - np.exp(-3 * np.multiply.outer(np.atleast_1d(gamma), t)))
+            return ((pred - y) ** 2).sum(axis=1), float(y @ y)
+
+        rng = np.random.default_rng(2025)
+        above = 0
+        for i in range(400):
+            k = int(rng.integers(2, 10))
+            if i % 2:
+                # Short times with one long one: the best rate can lie above
+                # 100 / (the longest time).
+                t = np.concatenate([rng.uniform(1e-3, 0.3, k - 1), [rng.uniform(50, 100)]])
+            else:
+                t = rng.choice([0.0, 1, 2, 5, 10, 20, 50, 100, 200], size=k, replace=False)
+            gamma = math.exp(rng.uniform(math.log(1e-5), math.log(30)))
+            shots = int(rng.choice([10, 100, 1000]))
+            y = rng.binomial(shots, (2 / 3) * (1 - np.exp(-3 * gamma * t))) / shots
+            samples = list(zip(t, y))
+            fit = fit_depumping(samples)
+            scan = np.concatenate([[0.0], np.geomspace(1e-12 / t.max(), 1e3 / t[t > 0].min(),
+                                                       24000)])
+            (got,), scale = loss(samples, fit.gamma)
+            best = loss(samples, scan)[0].min()
+            assert got <= best * (1 + 1e-9) + 1e-12 * scale, (samples, fit)
+            above += fit.gamma > 100 / t.max()
+        assert above > 50
 
 
 def test_f_from_counts_rejects_empty():

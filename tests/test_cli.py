@@ -59,14 +59,17 @@ argv = [
 for a in argv:
     assert main(a) == 0, a[0]
 assert "scipy" not in sys.modules, "design, simulate or predict imported scipy"
-assert main(["analyze", os.path.join(d, "results.json"), "--bootstrap", "3",
-             "--out", os.path.join(d, "rep")]) == 0
-assert "scipy.optimize" in sys.modules, "analyze ran no fit"
+res = os.path.join(d, "results.json")
+assert main(["analyze", res, "--bootstrap", "3", "--out", os.path.join(d, "rep1")]) == 0
+assert "scipy" not in sys.modules, "a one-input analyze imported scipy"
+assert main(["analyze", res, res, "--bootstrap", "3", "--erm-bootstrap", "2",
+             "--out", os.path.join(d, "rep2")]) == 0
+assert "scipy.optimize" in sys.modules, "the ERM fit ran without scipy"
 """
 
 
-def test_only_analyze_imports_scipy(tmp_path):
-    # scipy takes most of a cold start; only the fits use it.
+def test_only_the_erm_fit_imports_scipy(tmp_path):
+    # scipy takes most of a cold start; only the multi-input ERM fit uses it.
     proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
                           env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True,
                           text=True, timeout=120)
@@ -231,6 +234,7 @@ class TestSimulateCommand:
         "design-connectivity-float", "design-connectivity-twice", "final-not-z-aligned",
         "tracked-length", "tracked-letter", "fresh-unmeasured", "fresh-missing",
         "schema-qirb-2", "repeated-id", "design-rate-bool", "design-missing-key",
+        "circuit-huge-n",
     ])
     def test_malformed_circuits_file_exits_3(self, workspace, damage):
         text = read(_make_design(workspace, "exp") / "circuits.json")
@@ -306,6 +310,8 @@ class TestSimulateCommand:
                 obj["design"]["p_cnot"] = True
             elif damage == "design-missing-key":
                 del obj["design"]["mode"]  # a field the design inherits from SamplingConfig
+            elif damage == "circuit-huge-n":
+                first["n"] = 10**30
             else:
                 obj["design"]["reset"] = False
             text = json.dumps(obj)
@@ -408,7 +414,7 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("damage", [
         "zero-shots", "total-mismatch", "counts-mismatch", "missing-key", "depth-mismatch",
-        "design-n-mismatch", "design-reset-mismatch", "repeated-id",
+        "design-n-mismatch", "design-reset-mismatch", "repeated-id", "design-huge-shots",
     ])
     def test_malformed_results_file_exits_3(self, workspace, damage):
         obj = json.loads(read(self._results(workspace)))
@@ -419,6 +425,13 @@ class TestAnalyzeCommand:
             obj["design"]["n"] = 5
         elif damage == "design-reset-mismatch":
             obj["design"]["reset"] = False
+        elif damage == "design-huge-shots":
+            # Every total agrees with the design; only the size is out of bounds.
+            obj["design"]["shots"] = 10**30
+            for e in obj["results"]:
+                extra = 10**30 - e["n_success"] - e["n_fail"]
+                e["n_fail"] += extra
+                e["counts"][next(iter(e["counts"]))] += extra
         elif damage == "zero-shots":
             entry["n_success"] = entry["n_fail"] = 0
         elif damage == "repeated-id":
@@ -548,12 +561,23 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [["--shots", 10**7 + 1], ["--circuits-per-depth", 10**5 + 1],
+                                   ["--depths", f"0,{10**5 + 1}"]])
+def test_oversized_design_exits_2(workspace, capsys, flags):
+    argv = ["design", "--n", 2, "--p-cnot", 0.3, "--p-mcm", 0.2, *flags,
+            "--out", workspace / "exp"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(workspace.iterdir()) == []
+
+
 # --- malformed-file fuzz ------------------------------------------------------
 
-# Substituted integers stay small: a design's ``shots`` is any positive int,
-# and ``simulate`` runs every shot it is given.
+# Huge integers reach every size a file holds; a design bounds its shots,
+# circuits per depth and depths, so none of them runs without end.
 _JSON_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-1000, 1000), st.floats(), st.text(max_size=4),
+    st.none(), st.booleans(), st.integers(-1000, 1000), st.integers(-10**40, 10**40),
+    st.floats(), st.text(max_size=4),
     st.lists(st.integers(-3, 3), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
 )
