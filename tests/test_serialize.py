@@ -198,3 +198,26 @@ def test_run_outputs_are_pinned(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_RUN_SHA256}
     assert digests == PINNED_RUN_SHA256, f"pinned with numpy 2.4.6, run with numpy {np.__version__}"
+
+
+# An n = 8 run, where a random measurement's pivot can be any of 8
+# stabilizer rows; same provenance as PINNED_RUN_SHA256.
+PINNED_WIDE_RUN_SHA256 = {
+    "reset.json": "cefbccc1556258d535b5d7cf5d66dec0081b12fd952d28ebd144020395b67920",
+    "frame-correction.json": "73876c294ea7e8679d8c8218fa5959813e44fb3551b6a93dc01b51881c3caaa4",
+}
+
+
+def test_wide_run_outputs_are_pinned(tmp_path):
+    shape = ["--n", "8", "--p-cnot", "0.4", "--p-mcm", "0.3", "--depths", "0,3,8"]
+    noise = ["--f1q", "0.99", "--f2q", "0.97", "--mcm-flip", "0.05"]
+    for reset in ("reset", "no-reset"):
+        assert main(["design", *shape, "--circuits-per-depth", "3", "--shots", "40",
+                     "--seed", "11", f"--{reset}", "--out", str(tmp_path / reset)]) == 0
+    for out, reset in [("reset", "reset"), ("frame-correction", "no-reset")]:
+        assert main(["simulate", "--circuits", str(tmp_path / reset / "circuits.json"), *noise,
+                     "--reset-free-mode", "frame-correction",
+                     "--out", str(tmp_path / f"{out}.json")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_WIDE_RUN_SHA256}
+    assert digests == PINNED_WIDE_RUN_SHA256, f"pinned with numpy 2.4.6, run with numpy {np.__version__}"

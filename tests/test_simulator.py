@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import random
@@ -278,8 +279,7 @@ def _exact_distribution(circuit, reset):
             _, q, k = op
             branches = (0,) if t.is_deterministic(q) else (0, 1)
             for forced in branches:
-                branch = StabilizerTableau(circuit.n)
-                branch.x, branch.z, branch.r = list(t.x), list(t.z), list(t.r)
+                branch = copy.deepcopy(t)
                 bit = branch.measure_z(q, forced=forced)
                 if reset and k < circuit.m and bit:
                     branch.apply_pauli(1 << q, 0)
