@@ -140,19 +140,15 @@ class QirbCircuit:
         return sum(d.l2.cnot_count() for d in self.dressed)
 
 
-def _choose(rng: random.Random, pool) -> int:
-    return pool[rng.randrange(len(pool))]
-
-
 def _prepare(rng: random.Random, letter: int) -> int:
     """A uniform random Clifford whose action on |0> prepares an eigenstate of
     ``letter`` (its Z image is +/-letter); any Clifford for I."""
-    return _choose(rng, _ALL_CLIFFORDS if letter == 0 else cliffords_preparing(letter))
+    return rng.choice(_ALL_CLIFFORDS if letter == 0 else cliffords_preparing(letter))
 
 
 def _align(rng: random.Random, letter: int) -> int:
     """A uniform random Clifford mapping ``letter`` to +/-Z; any Clifford for I."""
-    return _choose(rng, _ALL_CLIFFORDS if letter == 0 else cliffords_mapping_letter(letter, _Z_CODE))
+    return rng.choice(_ALL_CLIFFORDS if letter == 0 else cliffords_mapping_letter(letter, _Z_CODE))
 
 
 def _letter(x: int, z: int, q: int) -> int:
@@ -215,7 +211,7 @@ def build_qirb_circuit(
         x, z, _ = state
         l1_gates = []
         for q in range(n):
-            idx = _align(rng, _letter(x, z, q)) if q in mset else _choose(rng, pauli_gates)
+            idx = _align(rng, _letter(x, z, q)) if q in mset else rng.choice(pauli_gates)
             l1_gates.append(CliffordGate(idx, (q,)))
         l1 = CircuitLayer(n, tuple(l1_gates))
 
@@ -229,7 +225,7 @@ def build_qirb_circuit(
                 idx = _prepare(rng, sampled.letter_code(k))
                 fresh |= ((support >> k) & 1) << q
             else:
-                idx = _choose(rng, pauli_gates)
+                idx = rng.choice(pauli_gates)
             l3_gates.append(CliffordGate(idx, (q,)))
         d = DressedLayer(l1, layer, CircuitLayer(n, tuple(l3_gates)), fresh)
         _, _, state, _ = _walk_layer(state, d)

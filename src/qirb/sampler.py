@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate
 
@@ -56,7 +57,7 @@ class SamplingConfig:
             if len(set(map(frozenset, self.connectivity))) != len(self.connectivity):
                 raise ValueError("a connectivity edge is listed twice")
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         if self.connectivity is not None:
             return self.connectivity
@@ -71,7 +72,7 @@ def _place_cnot(rng: random.Random, edges, occupied: set[int]) -> CliffordGate |
     free = [e for e in edges if e[0] not in occupied and e[1] not in occupied]
     if not free:
         return None
-    a, b = free[rng.randrange(len(free))]
+    a, b = rng.choice(free)
     if rng.getrandbits(1):
         a, b = b, a
     occupied.update((a, b))

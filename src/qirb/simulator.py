@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .builder import QirbCircuit
-from .pauli import NUM_ONEQ_CLIFFORDS, clifford_action, pauli_product_phase
+from .pauli import NUM_ONEQ_CLIFFORDS, clifford_action
 from .seeding import derive_np_rng
 from .tableau import StabilizerTableau
 
@@ -155,10 +155,9 @@ def _split_gates() -> tuple[tuple[int | None, tuple[int, ...]], ...]:
         _, (cx, sx), (cz, sz), _ = clifford_action(idx)  # images of X and Z
         rep = representative.setdefault((cx, cz), idx)
         _, (_, rx), (_, rz), _ = clifford_action(rep)
-        # An odd product phase means the two letters anticommute.
-        code = next(c for c in range(4) if all(
-            pauli_product_phase(c & 1, c >> 1, image & 1, image >> 1) % 2 == (s != r)
-            for image, s, r in ((cx, sx, rx), (cz, sz, rz))))
+        # The images of X and Z anticommute, so Z's image flips X's sign and
+        # X's image flips Z's; their letter codes multiply by XOR.
+        code = (cz if sx != rx else 0) ^ (cx if sz != rz else 0)
         masks = tuple(-(v & 1) for v in (cx, cz, cx >> 1, cz >> 1, code, code >> 1))
         table.append((None if (cx, cz) == (1, 2) else rep, masks))
     return tuple(table)

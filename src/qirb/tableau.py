@@ -63,6 +63,8 @@ class StabilizerTableau:
 
     def apply_clifford(self, index: int, q: int) -> None:
         self._check_wire(q)
+        if not 0 <= index < NUM_ONEQ_CLIFFORDS:
+            raise ValueError(f"Clifford index {index} outside [0, {NUM_ONEQ_CLIFFORDS})")
         xx, zx, xz, zz, fx, fz, fy = _COLUMN_ACTIONS[index]
         x, z = self.x[q], self.z[q]
         self.x[q] = (x & xx) ^ (z & zx)
@@ -136,7 +138,9 @@ class StabilizerTableau:
         srows = rows >> n << n  # their stabilizers; destabilizer phases are never read
         # Multiply the pivot into ``rows``: per-wire exponents of i, summed
         # mod 4 in two bit-sliced integers, taken from each row's old letters.
+        # The new columns are kept aside until the phases check out.
         lo = hi = 0
+        nx, nz = [], []
         for w in range(n):
             xw, zw = x[w], z[w]
             px, pz = (xw >> p) & 1, (zw >> p) & 1
@@ -155,10 +159,11 @@ class StabilizerTableau:
                 if pz:
                     zw ^= rows
             # Row p moves to destabilizer d; row p becomes Z on q.
-            x[w] = (xw & ~(pbit | dbit)) | (px << d)
-            z[w] = (zw & ~(pbit | dbit)) | (pz << d) | (pbit if w == q else 0)
+            nx.append((xw & ~(pbit | dbit)) | (px << d))
+            nz.append((zw & ~(pbit | dbit)) | (pz << d) | (pbit if w == q else 0))
         if lo:
             raise TableauError(f"stabilizer row {p} anticommutes with another stabilizer")
+        x[:], z[:] = nx, nz
         r = self.r
         rp = (r >> p) & 1
         r ^= hi ^ (srows if rp else 0)

@@ -14,9 +14,11 @@ import pytest
 
 from qirb.analysis import (
     DecayDataset,
+    _erm_loss_arrays,
     bootstrap_decay,
     bootstrap_erm,
     fit_depumping,
+    fit_erm,
 )
 from qirb.pipeline import (
     ExperimentDesign,
@@ -36,6 +38,7 @@ from qirb.theory import (
     predict_r_omega,
 )
 
+from test_analysis import simplex_erm_loss
 from test_builder import build_random
 from test_simulator import f_value
 from test_theory import random_instrument_terms
@@ -222,6 +225,13 @@ def test_criterion_6_erm_recovery(n2_suite):
         6,
         "recovered eps_1q={eps_1q:.4%}, eps_2q={eps_2q:.4%}, eps_mcm={eps_mcm:.4%}".format(**fitted),
     )
+
+
+def test_erm_fit_is_never_worse_than_a_4d_simplex_on_the_suite(n2_suite):
+    """Criterion 6's fit reaches the loss of an independent 4-D search."""
+    data = erm_data_from_results([r for repeats in n2_suite.values() for r in repeats])
+    _, loss = fit_erm(data)
+    assert loss <= (1 + 1e-10) * simplex_erm_loss(_erm_loss_arrays(data))
 
 
 def test_criterion_7_p_anti_values():

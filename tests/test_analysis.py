@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qirb.analysis import (
+    _ERM_STARTS,
     DecayDataset,
     DepthStats,
     ErmDatum,
@@ -198,6 +199,39 @@ class TestBootstrap:
                 assert abs(stderrs[row] - ref.stderr) <= 1e-12
 
 
+def simplex_erm_loss(arrays):
+    """The least loss a bounded 4-D Nelder-Mead over all four ERM parameters
+    reaches from 8 starts: an independent search to check the fit against."""
+    from scipy.optimize import minimize
+
+    k1, k2, km, f = arrays
+    starts = ((1e-3, 5e-3, 2e-2, 0.98), (1e-4, 1e-3, 5e-3, 1.0), (5e-3, 2e-2, 5e-2, 0.95),
+              (1e-2, 5e-2, 1e-1, 0.9), (1e-3, 1e-2, 1e-2, 1.0), (3e-4, 3e-3, 3e-2, 0.99),
+              (2e-3, 8e-3, 1e-2, 0.97), (5e-4, 2e-3, 4e-2, 1.0))
+    return min(
+        minimize(lambda p: float(np.mean((erm_predict_counts(p, k1, k2, km) - f) ** 2)),
+                 np.array(s), method="Nelder-Mead", bounds=((0.0, 1.0),) * 4,
+                 options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 6000}).fun
+        for s in starts
+    )
+
+
+def random_erm_arrays(seed, shots=None):
+    """Random rates and ERM arrays for 3 configs x 4 depths x 5 circuits; F is
+    the model's value when ``shots`` is None, else a binomial draw."""
+    rng = np.random.default_rng(seed)
+    truth = (rng.uniform(1e-4, 5e-3), rng.uniform(1e-3, 3e-2), rng.uniform(5e-3, 0.1),
+             rng.uniform(0.9, 1.0))
+    counts = [(6 * (d + 2) + rng.integers(3), rng.binomial(d, p_cnot), rng.binomial(d, p_mcm))
+              for p_cnot, p_mcm in ((0.2, 0.05), (0.35, 0.25), (0.5, 0.5))
+              for d in (0, 1, 4, 16) for _ in range(5)]
+    k1, k2, km = np.array(counts, dtype=np.int64).T
+    f = erm_predict_counts(truth, k1, k2, km)
+    if shots is not None:
+        f = (2 * rng.binomial(shots, (1 + f) / 2) - shots) / shots
+    return truth, (k1, k2, km, f)
+
+
 class TestErm:
     def test_zero_error_prediction_is_unity(self):
         params = ErmParams(0.0, 0.0, 0.0, 1.0)
@@ -250,14 +284,27 @@ class TestErm:
         assert abs(fitted.eps_spam - truth.eps_spam) < 1e-3
 
     def test_multistart_beats_a_bad_single_start(self):
-        # A start pinned near zero can strand the simplex in a local
+        # A start pinned near zero can strand a local search in a local
         # minimum; the multi-start fit must do at least as well.
         truth = ErmParams(0.002, 0.02, 0.05, 0.95)
         data = self._synthetic_data(truth, random.Random(4))
-        _, bad_residual = _fit_erm_arrays(_erm_loss_arrays(data), [(0.0, 0.0, 0.0, 0.2)])
+        _, bad_residual = _fit_erm_arrays(_erm_loss_arrays(data), [(0.0, 0.0, 0.0)])
         _, good_residual = fit_erm(data)
         assert good_residual <= bad_residual
         assert good_residual < 1e-8
+
+    def test_noiseless_rates_are_recovered_to_rounding(self):
+        for seed in range(20):
+            truth, arrays = random_erm_arrays(seed)
+            fitted, _ = _fit_erm_arrays(arrays, _ERM_STARTS)
+            errors = [abs(a - b) for a, b in zip(fitted, truth)]
+            assert max(errors) <= 1e-13, (seed, errors)
+
+    def test_fit_is_never_worse_than_a_4d_simplex(self):
+        for seed in range(12):
+            _, arrays = random_erm_arrays(seed, shots=100)
+            _, loss = _fit_erm_arrays(arrays, _ERM_STARTS)
+            assert loss <= (1 + 1e-10) * simplex_erm_loss(arrays), seed
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -167,6 +167,25 @@ def test_circuits_file_is_pinned(tmp_path):
     assert digest == PINNED_CIRCUITS_SHA256
 
 
+# The connectivity draws, in each sampling mode, on an n = 4 line; same
+# provenance as PINNED_CIRCUITS_SHA256.
+PINNED_EDGES_CIRCUITS_SHA256 = {
+    "at-most-one": "0f42a5d962d2ac24c46c04684865b3104b938a0a67ae8c75c136b5df54ef4d95",
+    "density": "5195f4dc501a4bdb4561dcd9a724a3d5919ff5d0613315746a2ff7fe94d7c5f5",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_EDGES_CIRCUITS_SHA256))
+def test_edges_circuits_file_is_pinned(tmp_path, mode):
+    (tmp_path / "line.json").write_text('{"edges": [[0, 1], [1, 2], [2, 3]]}')
+    assert main(["design", "--n", "4", "--p-cnot", "0.4", "--p-mcm", "0.3",
+                 "--depths", "0,2,5", "--circuits-per-depth", "2", "--seed", "11",
+                 "--edges", str(tmp_path / "line.json"), "--mode", mode,
+                 "--out", str(tmp_path / "out")]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "circuits.json").read_bytes()).hexdigest()
+    assert digest == PINNED_EDGES_CIRCUITS_SHA256[mode]
+
+
 # Changes only when the simulator's draws, the file formats or the
 # prediction change, or when numpy changes its Generator streams, which it
 # does not promise to keep across releases.

@@ -114,8 +114,12 @@ def _anticommuting_stabilizers():
 
 @pytest.mark.parametrize("corrupt", [_erased_stabilizer, _anticommuting_stabilizers])
 def test_corrupted_tableau_raises(corrupt):
+    # A caller that catches the error must not hold a half-updated tableau.
+    t = corrupt()
+    before = (list(t.x), list(t.z), t.r)
     with pytest.raises(TableauError):
-        corrupt().measure_z(0)
+        t.measure_z(0)
+    assert (list(t.x), list(t.z), t.r) == before
 
 
 def test_corrupted_tableau_raises_under_optimize():
@@ -149,6 +153,10 @@ def test_corrupted_tableau_raises_under_optimize():
     pytest.param(lambda t: t.is_deterministic(2), "wire 2", id="deterministic-wire-n"),
     pytest.param(lambda t: t.apply_clifford(H, 2), "wire 2", id="clifford-wire-n"),
     pytest.param(lambda t: t.apply_clifford(H, -1), "wire -1", id="clifford-wire-minus-1"),
+    pytest.param(lambda t: t.apply_clifford(-1, 0), "index -1", id="clifford-index-minus-1"),
+    pytest.param(lambda t: t.apply_clifford(24, 0), "index 24", id="clifford-index-24"),
+    pytest.param(lambda t: t.apply_gate(-1, (0,)), "index -1", id="gate-index-minus-1"),
+    pytest.param(lambda t: t.apply_gate(25, (0,)), "index 25", id="gate-index-25"),
     pytest.param(lambda t: t.apply_pauli(0b100, 0), "outside", id="pauli-wire-n"),
     pytest.param(lambda t: t.apply_pauli(0, -1), "outside", id="pauli-negative-mask"),
     pytest.param(lambda t: t.expectation(SignedPauli(3, 0, 0b100)), "outside",
@@ -156,7 +164,8 @@ def test_corrupted_tableau_raises_under_optimize():
 ])
 def test_bad_arguments_raise_value_error_and_change_nothing(call, match):
     # A column is a list entry, so an unchecked x[-1] would act on the last
-    # wire; a forced 2 would be stored as a phase.
+    # wire, and an unchecked gate index -1 would apply the last gate; a
+    # forced 2 would be stored as a phase.
     t = StabilizerTableau(2)
     t.apply_clifford(H, 0)  # |+>|0>: wire 0 measures at random
     before = (list(t.x), list(t.z), t.r)
