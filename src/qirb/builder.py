@@ -12,6 +12,10 @@ A depth-d benchmark circuit wraps the d core layers in randomizing dressing:
   of a fresh sampled Pauli letter and again randomizing the other wires,
 * a final layer rotating the surviving tracked Pauli to Z-type.
 
+:attr:`QirbCircuit.layers` lists them in that order, the op order, and
+every walk over a whole circuit reads it. Only the core layers ``l2`` may
+measure or hold a CNOT.
+
 The tracked (n+m)-wire Z-type target Pauli, with its exactly-propagated
 sign, classifies each (m+n)-bit outcome string as success or failure. A
 noiseless execution succeeds with probability 1 by construction.
@@ -39,11 +43,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .pauli import (
-    CNOT_INDEX,
     NUM_ONEQ_CLIFFORDS,
     CircuitLayer,
-    CliffordGate,
     SignedPauli,
+    clifford_gate,
     cliffords_mapping_letter,
     cliffords_preparing,
     conjugate_bits,
@@ -80,9 +83,6 @@ class DressedLayer:
     fresh: int
 
     def __post_init__(self) -> None:
-        for sub in (self.l1, self.l3):
-            if sub.mcm_wires or CNOT_INDEX in [g.index for g in sub.gates]:
-                raise ValueError("dressing sublayers must be single-qubit gate layers")
         measured = sum(1 << q for q in self.l2.mcm_wires)
         if type(self.fresh) is not int or self.fresh & ~measured:
             raise ValueError("fresh letters must sit on the layer's measured wires")
@@ -94,7 +94,8 @@ class QirbCircuit:
 
     ``tracked`` is the mask of the wires on which the tracked Pauli starts,
     as Z on |0> before ``prep_layer``. The walk (:func:`tracked_walk`)
-    derives everything else, the target included.
+    derives everything else, the target included. Every layer but the core
+    layers holds single-qubit gates only.
     """
 
     n: int
@@ -109,11 +110,19 @@ class QirbCircuit:
             raise ValueError("the wire count must be an integer")
         if type(self.tracked) is not int or self.tracked < 0 or self.tracked >> self.n:
             raise ValueError(f"tracked wires must lie in range({self.n})")
-        layers = [self.prep_layer, self.final_layer]
-        for d in self.dressed:
-            layers += (d.l1, d.l2, d.l3)
-        if any(layer.n != self.n for layer in layers):
+        if any(layer.n != self.n for layer in self.layers):
             raise ValueError(f"every layer must span the circuit's {self.n} wires")
+        for i, layer in enumerate(self.layers):
+            if i % 3 != 2 and (layer.mcm_wires or layer.cnot_count()):
+                raise ValueError("only core layers may measure or hold a CNOT")
+
+    @cached_property
+    def layers(self) -> tuple[CircuitLayer, ...]:
+        """Every layer in op order: ``prep_layer``, each dressed layer's
+        ``l1``, ``l2`` and ``l3`` (``dressed[j]``'s at ``3j + 1`` to
+        ``3j + 3``), then ``final_layer``."""
+        return (self.prep_layer, *(s for d in self.dressed for s in (d.l1, d.l2, d.l3)),
+                self.final_layer)
 
     @property
     def depth(self) -> int:
@@ -131,10 +140,7 @@ class QirbCircuit:
         return tracked_walk(self).target
 
     def oneq_gate_count(self) -> int:
-        total = self.prep_layer.oneq_gate_count() + self.final_layer.oneq_gate_count()
-        for d in self.dressed:
-            total += d.l1.oneq_gate_count() + d.l2.oneq_gate_count() + d.l3.oneq_gate_count()
-        return total
+        return sum(len(layer.gates) for layer in self.layers) - self.cnot_count()
 
     def cnot_count(self) -> int:
         return sum(d.l2.cnot_count() for d in self.dressed)
@@ -198,7 +204,7 @@ def build_qirb_circuit(
 
     # Preparation: wire q gets a uniform random eigenstate of sampled(q).
     prep_layer = CircuitLayer(n, tuple(
-        CliffordGate(_prepare(rng, sampled.letter_code(q)), (q,)) for q in range(n)
+        clifford_gate(_prepare(rng, sampled.letter_code(q)), q) for q in range(n)
     ))
     tracked = support & ((1 << n) - 1)
     state = conjugate_bits(prep_layer.gates, 0, tracked, 1)
@@ -212,7 +218,7 @@ def build_qirb_circuit(
         l1_gates = []
         for q in range(n):
             idx = _align(rng, _letter(x, z, q)) if q in mset else rng.choice(pauli_gates)
-            l1_gates.append(CliffordGate(idx, (q,)))
+            l1_gates.append(clifford_gate(idx, q))
         l1 = CircuitLayer(n, tuple(l1_gates))
 
         # Re-preparation: measured wires get the fresh letters that sampled
@@ -226,7 +232,7 @@ def build_qirb_circuit(
                 fresh |= ((support >> k) & 1) << q
             else:
                 idx = rng.choice(pauli_gates)
-            l3_gates.append(CliffordGate(idx, (q,)))
+            l3_gates.append(clifford_gate(idx, q))
         d = DressedLayer(l1, layer, CircuitLayer(n, tuple(l3_gates)), fresh)
         _, _, state, _ = _walk_layer(state, d)
         dressed.append(d)
@@ -234,7 +240,7 @@ def build_qirb_circuit(
 
     x, z, _ = state
     final_layer = CircuitLayer(n, tuple(
-        CliffordGate(_align(rng, _letter(x, z, q)), (q,)) for q in range(n)
+        clifford_gate(_align(rng, _letter(x, z, q)), q) for q in range(n)
     ))
     if conjugate_bits(final_layer.gates, *state)[0]:
         raise RuntimeError("final layer failed to Z-align the tracked Pauli")
@@ -279,9 +285,9 @@ def resolve_reset_free(circuit: QirbCircuit, mcm_bits) -> int:
     flip_parity = 0
     zmask = circuit.target.z
     k = 0
-    for d in circuit.dressed:
-        fx, fz, _ = conjugate_bits(d.l1.gates + d.l2.gates, fx, fz, 1)
-        for q in d.l2.mcm_wires:
+    for layer in circuit.layers:
+        fx, fz, _ = conjugate_bits(layer.gates, fx, fz, 1)
+        for q in layer.mcm_wires:
             if (fx >> q) & 1 and (zmask >> k) & 1:
                 flip_parity ^= 1
             # The wire collapses: its frame component is replaced by X^bit.
@@ -290,29 +296,24 @@ def resolve_reset_free(circuit: QirbCircuit, mcm_bits) -> int:
             if bits[k]:
                 fx |= 1 << q
             k += 1
-        fx, fz, _ = conjugate_bits(d.l3.gates, fx, fz, 1)
-    fx, _, _ = conjugate_bits(circuit.final_layer.gates, fx, fz, 1)
     flip_parity ^= (fx & (zmask >> circuit.m)).bit_count() & 1
     return -1 if flip_parity else 1
 
 
 @dataclass(frozen=True)
 class TrackedWalk:
-    """The tracked Pauli through a circuit, each snapshot an ``(x, z, sign)``
-    triple of ints on the n wires: ``initial`` after the preparation layer;
-    per dressed layer ``i``, ``after_l1[i]`` (measured wires carry the I/Z
-    letters they measure), ``after_l2[i]`` (I on measured wires) and
-    ``after_l3[i]``; ``final``, the Z-type Pauli the final readout checks.
+    """The tracked Pauli through a circuit: ``after[i]`` is the ``(x, z,
+    sign)`` triple of ints on the n wires as it leaves ``circuit.layers[i]``.
+    After an ``l1`` the next ``l2``'s measured wires carry the I/Z letters
+    they measure, after that ``l2`` they carry I, and ``after[-1]`` is the
+    Z-type Pauli the final readout checks.
 
     ``target`` is the (n+m)-wire Z-type Pauli that classifies outcomes: the
-    measured letters in outcome-bit order, then ``final``'s, with its sign.
+    measured letters in outcome-bit order, then ``after[-1]``'s, with its
+    sign.
     """
 
-    initial: tuple[int, int, int]
-    after_l1: tuple[tuple[int, int, int], ...]
-    after_l2: tuple[tuple[int, int, int], ...]
-    after_l3: tuple[tuple[int, int, int], ...]
-    final: tuple[int, int, int]
+    after: tuple[tuple[int, int, int], ...]
     target: SignedPauli
 
 
@@ -320,22 +321,18 @@ def tracked_walk(circuit: QirbCircuit) -> TrackedWalk:
     """Walk the tracked Pauli through every layer by the builder's step
     (:func:`_walk_layer`) and derive the target. A layer that fails to
     Z-align the Pauli where it must raises ValueError."""
-    initial = state = conjugate_bits(circuit.prep_layer.gates, 0, circuit.tracked, 1)
-    after_l1, after_l2, after_l3 = [], [], []
+    after = [conjugate_bits(circuit.prep_layer.gates, 0, circuit.tracked, 1)]
     target_z = 0
     k = 0
     for d in circuit.dressed:
         try:
-            s1, s2, state, pre = _walk_layer(state, d)
+            *states, pre = _walk_layer(after[-1], d)
         except RuntimeError as exc:
             raise ValueError(f"the layers cannot track a Pauli: {exc}") from exc
-        after_l1.append(s1)
-        after_l2.append(s2)
-        after_l3.append(state)
+        after += states
         target_z |= pre << k
         k += len(d.l2.mcm_wires)
-    final = x, z, sign = conjugate_bits(circuit.final_layer.gates, *state)
+    x, z, sign = final = conjugate_bits(circuit.final_layer.gates, *after[-1])
     if x:
         raise ValueError("the layers cannot track a Pauli: final layer failed to Z-align it")
-    return TrackedWalk(initial, tuple(after_l1), tuple(after_l2), tuple(after_l3), final,
-                       SignedPauli(circuit.n + k, 0, target_z | z << k, sign))
+    return TrackedWalk((*after, final), SignedPauli(circuit.n + k, 0, target_z | z << k, sign))

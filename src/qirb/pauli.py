@@ -15,12 +15,14 @@ by the JSON circuit format (see the README for the full table).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
     "SignedPauli",
     "CliffordGate",
     "CircuitLayer",
+    "clifford_gate",
     "CNOT_INDEX",
     "NUM_ONEQ_CLIFFORDS",
     "commutes",
@@ -235,6 +237,14 @@ class CliffordGate:
         return self.index == CNOT_INDEX
 
 
+@lru_cache(maxsize=1 << 16)
+def clifford_gate(index: int, *wires: int) -> CliffordGate:
+    """The checked gate ``index`` on ``wires``, shared: a gate is immutable,
+    so every placement of it is one object. The cache is bounded, so a wide
+    design cannot grow it without limit."""
+    return CliffordGate(index, wires)
+
+
 @dataclass(frozen=True)
 class CircuitLayer:
     """Parallel gates plus (optionally) computational-basis MCMs.
@@ -261,10 +271,10 @@ class CircuitLayer:
         object.__setattr__(self, "mcm_wires", tuple(sorted(self.mcm_wires)))
 
     def oneq_gate_count(self) -> int:
-        return sum(1 for g in self.gates if not g.is_cnot)
+        return len(self.gates) - self.cnot_count()
 
     def cnot_count(self) -> int:
-        return sum(1 for g in self.gates if g.is_cnot)
+        return [g.index for g in self.gates].count(CNOT_INDEX)
 
 
 def conjugate_bits(gates: Iterable[CliffordGate], x: int, z: int, sign: int) -> tuple[int, int, int]:

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate
+from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate, clifford_gate
 
 __all__ = ["SamplingConfig", "complete_graph", "sample_core_layer", "sample_core_circuit"]
 
@@ -64,10 +64,6 @@ class SamplingConfig:
         return complete_graph(self.n)
 
 
-def _random_oneq(rng: random.Random, wire: int) -> CliffordGate:
-    return CliffordGate(rng.randrange(NUM_ONEQ_CLIFFORDS), (wire,))
-
-
 def _place_cnot(rng: random.Random, edges, occupied: set[int]) -> CliffordGate | None:
     free = [e for e in edges if e[0] not in occupied and e[1] not in occupied]
     if not free:
@@ -76,7 +72,7 @@ def _place_cnot(rng: random.Random, edges, occupied: set[int]) -> CliffordGate |
     if rng.getrandbits(1):
         a, b = b, a
     occupied.update((a, b))
-    return CliffordGate(CNOT_INDEX, (a, b))
+    return clifford_gate(CNOT_INDEX, a, b)
 
 
 def sample_core_layer(config: SamplingConfig, rng: random.Random) -> CircuitLayer:
@@ -108,11 +104,11 @@ def sample_core_layer(config: SamplingConfig, rng: random.Random) -> CircuitLaye
                 if rng.getrandbits(1):
                     a, b = b, a
                 occupied.update((a, b))
-                gates.append(CliffordGate(CNOT_INDEX, (a, b)))
+                gates.append(clifford_gate(CNOT_INDEX, a, b))
 
     for w in range(config.n):
         if w not in occupied:
-            gates.append(_random_oneq(rng, w))
+            gates.append(clifford_gate(rng.randrange(NUM_ONEQ_CLIFFORDS), w))
     return CircuitLayer(config.n, tuple(gates), tuple(mcm_wires))
 
 

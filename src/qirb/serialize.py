@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from .builder import DressedLayer, QirbCircuit
-from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate
+from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate, clifford_gate
 from .simulator import NoiseModel
 
 __all__ = [
@@ -152,11 +152,11 @@ def _parse_token(token: str) -> CliffordGate | int:
     if second is None:
         raise ValueError(f"a gate token names its wires, got {token!r}")
     if kind == "c":
-        return CliffordGate(CNOT_INDEX, (int(first), int(second)))
+        return clifford_gate(CNOT_INDEX, int(first), int(second))
     index = int(first)
     if index >= NUM_ONEQ_CLIFFORDS:
         raise ValueError(f"unknown single-qubit Clifford in {token!r}")
-    return CliffordGate(index, (int(second),))
+    return clifford_gate(index, int(second))
 
 
 def layer_from_str(text: str, n: int) -> CircuitLayer:

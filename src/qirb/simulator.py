@@ -198,7 +198,13 @@ def _compile(circuit: QirbCircuit) -> _Program:
     reference: list[int] = []
     locs: dict[str, list] = {k: [] for k in ("oneq", "twoq", "pre", "post", "depol", "readout")}
 
-    def gates(layer) -> None:
+    def measure(kind: int, q: int) -> int:
+        bit = ref.measure_z(q)
+        ops.append((kind, q, len(reference)))
+        reference.append(bit)
+        return bit
+
+    for layer in circuit.layers:
         for g in layer.gates:
             if g.is_cnot:
                 c, t = g.wires
@@ -212,18 +218,7 @@ def _compile(circuit: QirbCircuit) -> _Program:
                     ref.apply_clifford(rep, q)
                 ops.append((_GATE, q, masks))
                 locs["oneq"].append((len(ops), q))
-
-    def measure(kind: int, q: int) -> int:
-        bit = ref.measure_z(q)
-        ops.append((kind, q, len(reference)))
-        reference.append(bit)
-        return bit
-
-    gates(circuit.prep_layer)
-    for d in circuit.dressed:
-        gates(d.l1)
-        gates(d.l2)
-        measured = d.l2.mcm_wires
+        measured = layer.mcm_wires
         for q in measured:
             locs["pre"].append((len(ops), q))
             if measure(_MCM, q):
@@ -231,8 +226,6 @@ def _compile(circuit: QirbCircuit) -> _Program:
             locs["post"].append((len(ops), q))
         if measured:
             locs["depol"].extend((len(ops), w) for w in range(n) if w not in measured)
-        gates(d.l3)
-    gates(circuit.final_layer)
     for q in range(n):
         locs["readout"].append((len(ops), q))
         measure(_READ, q)

@@ -340,50 +340,38 @@ def exact_success_expectation(circuit: QirbCircuit, noise: NoiseModel) -> float:
     Walks the tracked Paulis; each independent error location flips the
     classification with a probability q determined by whether its sampled
     errors anticommute with the tracked Pauli there, giving the product of
-    (1 - 2q) over locations.
+    (1 - 2q) over locations. A gate's error meets the tracked Pauli as it
+    leaves the gate's layer.
     """
     walk = tracked_walk(circuit)
     prod = 1.0
-
-    def oneq_factor(state, wire: int) -> float:
-        x, z, _ = state
-        return 1.0 - 2.0 * _ANTI_PROB_1Q[((x >> wire) & 1) | (((z >> wire) & 1) << 1)](noise)
-
-    for g in circuit.prep_layer.gates:
-        prod *= oneq_factor(walk.initial, g.wires[0])
-    for i, d in enumerate(circuit.dressed):
-        s1 = walk.after_l1[i]
-        for g in d.l1.gates:
-            prod *= oneq_factor(s1, g.wires[0])
-        s2 = walk.after_l2[i]
-        support = s2[0] | s2[1]
-        for g in d.l2.gates:
+    for i, layer in enumerate(circuit.layers):
+        x, z, _ = walk.after[i]
+        support = x | z
+        for g in layer.gates:
             if g.is_cnot:
                 c, t = g.wires
                 if (support >> c) & 1 or (support >> t) & 1:
                     prod *= 1.0 - 2.0 * (8.0 * noise.twoq_each)
             else:
-                prod *= oneq_factor(s2, g.wires[0])
-        measured = d.l2.mcm_wires
+                q = g.wires[0]
+                prod *= 1.0 - 2.0 * _ANTI_PROB_1Q[((x >> q) & 1) | (((z >> q) & 1) << 1)](noise)
+        measured = layer.mcm_wires
         if measured:
+            fresh = circuit.dressed[i // 3].fresh
             for q in measured:
                 # l1 left I or Z on q, the letter the MCM measures.
-                if (s1[1] >> q) & 1:
+                if (walk.after[i - 1][1] >> q) & 1:
                     prod *= 1.0 - 2.0 * noise.pre_flip
-                if (d.fresh >> q) & 1:
+                if (fresh >> q) & 1:
                     prod *= 1.0 - 2.0 * noise.post_flip
             if noise.unmeasured_depol > 0.0:
                 mset = set(measured)
                 for w in range(circuit.n):
                     if w not in mset and (support >> w) & 1:
                         prod *= 1.0 - 2.0 * (2.0 / 3.0) * noise.unmeasured_depol
-        s3 = walk.after_l3[i]
-        for g in d.l3.gates:
-            prod *= oneq_factor(s3, g.wires[0])
-    for g in circuit.final_layer.gates:
-        prod *= oneq_factor(walk.final, g.wires[0])
     for q in range(circuit.n):
-        if (walk.final[1] >> q) & 1:
+        if (walk.after[-1][1] >> q) & 1:
             prod *= 1.0 - 2.0 * noise.readout_flip
     return prod
 

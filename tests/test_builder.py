@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qirb import builder
 from qirb.builder import (
+    DressedLayer,
     QirbCircuit,
     build_qirb_circuit,
     classify_outcome,
@@ -100,7 +101,7 @@ class TestConstruction:
             c = build_random(2, 1, seed=seed, p_mcm=1.0)
             assert c.m == 1 and c.target.n == 3
             q = c.dressed[0].l2.mcm_wires[0]
-            was_identity = not (tracked_walk(c).after_l1[0][1] >> q) & 1
+            was_identity = not (tracked_walk(c).after[1][1] >> q) & 1  # after l1
             discarded = not c.target.support() & 1
             assert discarded == was_identity
             hits[was_identity] += 1
@@ -116,11 +117,47 @@ class TestConstruction:
             assert c.target.sign in (1, -1)
             assert sum(len(d.l2.mcm_wires) for d in c.dressed) == c.m
 
+    def test_layers_are_in_op_order(self):
+        c = build_random(3, 5, seed=2)
+        assert c.layers == (c.prep_layer, *(s for d in c.dressed for s in (d.l1, d.l2, d.l3)),
+                            c.final_layer)
+
+    @pytest.mark.parametrize("where", ["prep", "l1", "l3", "final"])
+    @pytest.mark.parametrize("op", ["measure", "cnot"])
+    def test_only_core_layers_measure_or_hold_a_cnot(self, where, op):
+        c = build_random(3, 2, seed=4, p_mcm=0.0)
+        bad = (CircuitLayer(3, (CliffordGate(0, (0,)),), (2,)) if op == "measure"
+               else CircuitLayer(3, (CliffordGate(24, (2, 0)),)))
+        parts = {"prep": c.prep_layer, "final": c.final_layer, where: bad}
+        dressed = c.dressed
+        if where in ("l1", "l3"):
+            d = dressed[0]
+            dressed = (DressedLayer(bad if where == "l1" else d.l1, d.l2,
+                                    bad if where == "l3" else d.l3, 0), *dressed[1:])
+        with pytest.raises(ValueError, match="only core layers"):
+            QirbCircuit(3, parts["prep"], dressed, parts["final"], c.tracked, c.reset)
+
     def test_core_layers_must_span_n_wires(self):
         # A core layer never sets the wire count: every layer must span n wires.
         for core in ([CircuitLayer(2)], [CircuitLayer(3), CircuitLayer(2)]):
             with pytest.raises(ValueError, match="3 wires"):
                 build_qirb_circuit(core, True, random.Random(0), n=3)
+
+
+@given(n=st.integers(1, 6), depth=st.integers(0, 10), mode=st.sampled_from(["at-most-one", "density"]),
+       p_cnot=st.floats(0, 1), p_mcm=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_gate_counts_match_a_per_gate_count(n, depth, mode, p_cnot, p_mcm, seed):
+    rng = random.Random(seed)
+    config = SamplingConfig(n=n, p_cnot=p_cnot, p_mcm=p_mcm, mode=mode)
+    c = build_qirb_circuit(sample_core_circuit(config, depth, rng), True, rng, n=n)
+    layers = [c.prep_layer, *(s for d in c.dressed for s in (d.l1, d.l2, d.l3)), c.final_layer]
+    for layer in layers:
+        assert layer.oneq_gate_count() == sum(1 for g in layer.gates if len(g.wires) == 1)
+        assert layer.cnot_count() == sum(1 for g in layer.gates if len(g.wires) == 2)
+    gates = [g for layer in layers for g in layer.gates]
+    assert c.oneq_gate_count() == sum(1 for g in gates if len(g.wires) == 1)
+    assert c.cnot_count() == sum(1 for g in gates if len(g.wires) == 2)
 
 
 class TestZeroNoise:
@@ -196,7 +233,7 @@ class TestDressingDistributions:
             c = build_random(2, 1, seed=seed, p_mcm=1.0)
             d = c.dressed[0]
             q = d.l2.mcm_wires[0]
-            x, z, _ = tracked_walk(c).initial
+            x, z, _ = tracked_walk(c).after[0]  # after prep
             if not ((x | z) >> q) & 1:
                 continue
             gate = next(g for g in d.l1.gates if g.wires[0] == q)
@@ -213,17 +250,17 @@ def _injection_points(circuit):
     before a layer's measurements the measured wires carry the letters that
     l1 left (I or Z), just after them Z on the ``fresh`` wires."""
     n = circuit.n
-    walk = tracked_walk(circuit)
-    yield ("prep",), SignedPauli(n, *walk.initial[:2])
+    after = tracked_walk(circuit).after
+    yield ("prep",), SignedPauli(n, *after[0][:2])
     for i, d in enumerate(circuit.dressed):
-        x1, z1, _ = walk.after_l1[i]
-        x2, z2, _ = walk.after_l2[i]
+        x1, z1, _ = after[3 * i + 1]
+        x2, z2, _ = after[3 * i + 2]
         measured = sum(1 << q for q in d.l2.mcm_wires)
         yield ("l1", i), SignedPauli(n, x1, z1)
         yield ("l2", i), SignedPauli(n, x2, z2 | (z1 & measured))
         yield ("postmeas", i), SignedPauli(n, x2, z2 | d.fresh)
-        yield ("l3", i), SignedPauli(n, *walk.after_l3[i][:2])
-    yield ("final",), SignedPauli(n, *walk.final[:2])
+        yield ("l3", i), SignedPauli(n, *after[3 * i + 3][:2])
+    yield ("final",), SignedPauli(n, *after[-1][:2])
 
 
 def circuit_ops(circuit):

@@ -234,7 +234,7 @@ class TestSimulateCommand:
         "design-connectivity-float", "design-connectivity-twice", "final-not-z-aligned",
         "tracked-length", "tracked-letter", "fresh-unmeasured", "fresh-missing",
         "schema-qirb-2", "repeated-id", "design-rate-bool", "design-missing-key",
-        "circuit-huge-n",
+        "circuit-huge-n", "prep-measures", "final-cnot",
     ])
     def test_malformed_circuits_file_exits_3(self, workspace, damage):
         text = read(_make_design(workspace, "exp") / "circuits.json")
@@ -278,11 +278,22 @@ class TestSimulateCommand:
                 # the tracked letter there to X instead of Z.
                 entry = next(c for c in obj["circuits"] if c["depth"] == 0 and "Z" in c["tracked"])
                 q = entry["tracked"].index("Z")
-                x, z, _ = tracked_walk(serialize.circuit_from_obj(entry)).initial
+                x, z, _ = tracked_walk(serialize.circuit_from_obj(entry)).after[0]
                 letter = ((x >> q) & 1) | (((z >> q) & 1) << 1)
                 tokens = entry["final"].split(" ")
                 tokens[q] = f"C{cliffords_mapping_letter(letter, 1)[0]}.{q}"  # 1: X
                 entry["final"] = " ".join(tokens)
+            elif damage == "prep-measures":
+                # The last wire, on which the tracked Pauli is I, is measured
+                # instead of prepared: the layers still track a Pauli.
+                entry = next(c for c in obj["circuits"] if c["tracked"][-1] == "I")
+                entry["prep"] = " ".join(entry["prep"].split(" ")[:-1] + [f"m{entry['n'] - 1}"])
+            elif damage == "final-cnot":
+                # A CNOT replaces the final gates on wires 0 and 1, where the
+                # tracked Pauli is already Z-type: the layers still track one.
+                entry = next(c for c in obj["circuits"]
+                             if not tracked_walk(serialize.circuit_from_obj(c)).after[-2][0] & 3)
+                entry["final"] = " ".join(["c0.1"] + entry["final"].split(" ")[2:])
             elif damage == "tracked-length":
                 first["tracked"] += "I"
             elif damage == "tracked-letter":
@@ -325,6 +336,8 @@ class TestSimulateCommand:
             assert f"'{damage[len('schema-'):]}'" in proc.stderr
         if damage == "design-missing-key":
             assert "KeyError: 'mode'" in proc.stderr
+        if damage in ("prep-measures", "final-cnot"):
+            assert "only core layers" in proc.stderr
 
     def test_noise_file_input(self, workspace):
         out = _make_design(workspace, "exp")

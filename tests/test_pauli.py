@@ -14,6 +14,7 @@ from qirb.pauli import (
     _action_from_images,
     _compose_actions,
     clifford_action,
+    clifford_gate,
     cliffords_mapping_letter,
     cliffords_preparing,
     commutes,
@@ -237,6 +238,20 @@ class TestCircuitLayer:
     def test_pure_gate_layer_allowed(self):
         layer = CircuitLayer(3, (CliffordGate(0, (0,)),))
         assert layer.mcm_wires == ()
+
+
+class TestCliffordGate:
+    def test_one_shared_checked_gate_per_placement(self):
+        assert clifford_gate(7, 2) is clifford_gate(7, 2)
+        assert clifford_gate(7, 2) == CliffordGate(7, (2,))
+        assert clifford_gate(CNOT_INDEX, 1, 0) == CliffordGate(CNOT_INDEX, (1, 0))
+        assert clifford_gate.cache_info().maxsize == 1 << 16
+
+    @pytest.mark.parametrize("args", [(24, 0), (-1, 0), (3, 0, 1), (CNOT_INDEX, 1, 1),
+                                      (CNOT_INDEX, 1)])
+    def test_invalid_gates_raise(self, args):
+        with pytest.raises(ValueError):
+            clifford_gate(*args)
 
 
 def test_non_hermitian_images_are_rejected():

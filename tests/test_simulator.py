@@ -13,7 +13,8 @@ from qirb.builder import classify_outcome, resolve_reset_free
 from qirb.pauli import (NUM_ONEQ_CLIFFORDS, SignedPauli, clifford_action, commutes,
                         pauli_gate_indices)
 from qirb.seeding import derive_np_rng
-from qirb.simulator import _BATCH, _GATE_SPLIT, NoiseModel, _compile, _propagate, simulate_result
+from qirb.simulator import (_BATCH, _CNOT, _GATE, _GATE_SPLIT, _MCM, _READ, NoiseModel, _compile,
+                            _propagate, simulate_result)
 from qirb.tableau import StabilizerTableau
 from qirb.theory import exact_success_expectation
 
@@ -247,7 +248,14 @@ def test_frames_match_per_shot_tableau(n, depth, seed, reset, feedforward, n_fau
     c = build_random(n, depth, seed, reset=reset, p_mcm=0.5)
     ops, _ = circuit_ops(c)
     prog = _compile(c)
-    assert len(prog.ops) == len(ops)
+    # The compiled ops follow the hand-written reference order, op by op.
+    expected = []
+    for op in ops:
+        if op[0] == "measure":
+            expected.append((_MCM if op[2] < c.m else _READ, op[1], op[2]))
+        else:
+            expected.append((_CNOT if op[1].is_cnot else _GATE, *op[1].wires))
+    assert [(kind, a) if kind == _GATE else (kind, a, b) for kind, a, b in prog.ops] == expected
     shots = 12
     faults = {}
     for _ in range(n_faults):
