@@ -32,8 +32,6 @@ from .pauli import (
     CircuitLayer,
     CliffordGate,
     SignedPauli,
-    commutes,
-    conjugate,
     random_pauli,
 )
 from .pipeline import (
@@ -46,13 +44,9 @@ from .sampler import SamplingConfig, sample_core_circuit, sample_core_layer
 from .simulator import NoiseModel, SimResult, simulate_result
 from .tableau import StabilizerTableau, TableauError
 from .theory import (
-    InstrumentError,
     LayerCounts,
     TheoryPrediction,
-    bound_terms_extrema,
     exact_success_expectation,
-    lambda_contribution,
-    p_anti,
     predict_fbar_curve,
     predict_r_omega,
 )

@@ -280,6 +280,8 @@ def resolve_reset_free(circuit: QirbCircuit, mcm_bits) -> int:
     bits = tuple(mcm_bits)
     if len(bits) != circuit.m:
         raise ValueError(f"need {circuit.m} MCM bits, got {len(bits)}")
+    if not all(b in (0, 1) for b in bits):
+        raise ValueError(f"MCM bits {bits!r} hold a value other than 0 and 1")
 
     fx = fz = 0
     flip_parity = 0

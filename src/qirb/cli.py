@@ -41,6 +41,8 @@ from .theory import predict_fbar_curve, predict_r_omega
 
 EXIT_SCHEMA = 3
 EXIT_FIT = 4
+# Bootstrap time and memory grow with the resample count; this bound keeps them finite.
+MAX_RESAMPLES = 10**5
 
 
 def _index(value) -> int:
@@ -238,6 +240,8 @@ def cmd_analyze(args) -> int:
         raise ValueError("need at least two bootstrap resamples")
     if len(args.results) > 1 and args.erm_bootstrap < 2:
         raise ValueError("need at least two ERM bootstrap resamples")
+    if max(args.bootstrap, args.erm_bootstrap) > MAX_RESAMPLES:
+        raise ValueError(f"--bootstrap and --erm-bootstrap must be <= {MAX_RESAMPLES}")
     os.makedirs(args.out, exist_ok=True)
     report_configs = []
     per_config_results = []

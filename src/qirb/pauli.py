@@ -25,8 +25,6 @@ __all__ = [
     "clifford_gate",
     "CNOT_INDEX",
     "NUM_ONEQ_CLIFFORDS",
-    "commutes",
-    "conjugate",
     "conjugate_bits",
     "random_pauli",
     "clifford_action",
@@ -196,13 +194,6 @@ class SignedPauli:
         return ("+" if self.sign > 0 else "-") + self.letters()
 
 
-def commutes(p: SignedPauli, q: SignedPauli) -> bool:
-    """True iff the symplectic inner product of p and q is even."""
-    if p.n != q.n:
-        raise ValueError(f"wire-count mismatch: {p.n} vs {q.n}")
-    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
-
-
 def random_pauli(n: int, rng) -> SignedPauli:
     """Uniformly random unsigned n-wire Pauli (all 4^n equiprobable), sign +1."""
     if n < 1:
@@ -300,17 +291,3 @@ def conjugate_bits(gates: Iterable[CliffordGate], x: int, z: int, sign: int) -> 
                 sign *= s
     return x, z, sign
 
-
-def conjugate(layer: CircuitLayer | Iterable[CliffordGate], p: SignedPauli) -> SignedPauli:
-    """Return U(layer) . p . U(layer)^-1 with the sign tracked exactly.
-
-    If the layer contains MCMs, ``p`` must have no support on the measured
-    wires (split the tracked Pauli first).
-    """
-    if isinstance(layer, CircuitLayer):
-        if layer.n != p.n:
-            raise ValueError("layer/Pauli wire-count mismatch")
-        if (p.x | p.z) & sum(1 << w for w in layer.mcm_wires):
-            raise ValueError("Pauli supported on a measured wire of the layer")
-        layer = layer.gates
-    return SignedPauli(p.n, *conjugate_bits(layer, p.x, p.z, p.sign))

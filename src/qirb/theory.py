@@ -1,13 +1,11 @@
 """Analytic predictions for the benchmark's decay rate and its bounds.
 
-Two independent computation paths are provided for the decay rate under the
-depolarizing/bitflip shorthand: a closed form built from per-layer effective
-fidelities, and a summation of per-error contributions (the table of
-lambda terms). They agree to floating-point accuracy and are cross-checked
-in the test suite. General uniform-stochastic instrument models are handled
-through the lambda summation, which only needs each error's probability,
-whether its unmeasured-wire Pauli is trivial, and the Hamming weights of its
-pre/post bitflip masks.
+The decay rate under the depolarizing/bitflip shorthand is a closed form
+built from per-layer effective fidelities, with the average layer
+infidelity giving its ``[3 eps/4, 3 eps/2]`` bracket; the exact oracle
+gives one circuit's expected success value under product noise. The
+per-error lambda summation that cross-checks the closed form, and the bound
+suite behind the bracket, live in ``tests/test_theory.py``.
 """
 
 from __future__ import annotations
@@ -17,24 +15,15 @@ import random
 from dataclasses import dataclass
 
 from .builder import QirbCircuit, tracked_walk
-from .pauli import SignedPauli
 from .sampler import SamplingConfig, sample_core_layer
 from .simulator import NoiseModel
 
 __all__ = [
     "LayerCounts",
     "TheoryPrediction",
-    "InstrumentError",
-    "p_anti",
-    "p_anti_literal",
     "mcm_effective_fidelity",
-    "lambda_contribution",
-    "transition_term",
-    "bound_terms_extrema",
     "layer_class_distribution",
     "predict_r_omega",
-    "r_omega_via_lambda_sum",
-    "instrument_rates",
     "exact_success_expectation",
     "predict_fbar_curve",
 ]
@@ -42,116 +31,16 @@ __all__ = [
 # Seed and sample count of the density-mode Monte Carlo in predict_r_omega.
 _MC_SEED = 0
 _MC_SAMPLES = 20000
-# Largest weight that bound_terms_extrema scans; the transition term is
-# monotone toward 1/2 beyond small weights, so this is ample.
-_WEIGHT_CAP = 32
-
-
-def p_anti(w: int) -> float:
-    """Probability that a weight-w X mask anticommutes with a random Z-type
-    Pauli whose entries are Z with probability 3/4.
-
-    Closed form of the odd-term binomial sum; approaches 1/2 like (1/2)^(w+1).
-    """
-    if w < 0:
-        raise ValueError("weight must be >= 0")
-    return 0.5 * (1.0 - (-0.5) ** w)
-
-
-def p_anti_literal(w: int) -> float:
-    """The defining sum over odd overlap counts (validation path)."""
-    total = 0.0
-    for i in range(1, w + 1, 2):
-        total += math.comb(w, i) * (3.0 / 4.0) ** i * (1.0 / 4.0) ** (w - i)
-    return total
 
 
 def mcm_effective_fidelity(km: int, eps: float) -> float:
     """Effective fidelity of a km-measurement subsystem with per-wire
     bitflip rate eps: 1 - 2 * sum_w C(km,w) eps^w (1-eps)^(km-w) p_anti(w),
-    which collapses to (1 - 3*eps/2)^km.
+    with p_anti(w) = (1 - (-1/2)^w) / 2, collapses to (1 - 3*eps/2)^km.
     """
     if km < 0:
         raise ValueError("measurement count must be >= 0")
     return (1.0 - 1.5 * eps) ** km
-
-
-def transition_term(wa: int, wb: int) -> float:
-    """p_anti(wa) + p_anti(wb) - 2 p_anti(wa) p_anti(wb)."""
-    pa, pb = p_anti(wa), p_anti(wb)
-    return pa + pb - 2.0 * pa * pb
-
-
-@dataclass(frozen=True)
-class InstrumentError:
-    """One (a, P, b) error of a uniform stochastic instrument.
-
-    ``a``/``b`` are bitflip masks over the measured wires; ``p`` is the
-    Pauli on the unmeasured wires (None or an identity Pauli mean trivial).
-    """
-
-    a: int
-    p: SignedPauli | None
-    b: int
-
-    @property
-    def p_nontrivial(self) -> bool:
-        return self.p is not None and (self.p.x | self.p.z) != 0
-
-    @property
-    def is_no_error(self) -> bool:
-        return self.a == 0 and self.b == 0 and not self.p_nontrivial
-
-
-def lambda_contribution(error: InstrumentError, prob: float) -> float:
-    """The error's contribution to the decay rate.
-
-    A nontrivial unmeasured-wire Pauli contributes its full probability;
-    otherwise the contribution is 2 [p_anti(|a|) + p_anti(|b|)
-    - 2 p_anti(|a|) p_anti(|b|)] times the probability.
-    """
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError("probability must lie in [0, 1]")
-    if error.p_nontrivial:
-        return prob
-    return 2.0 * transition_term(error.a.bit_count(), error.b.bit_count()) * prob
-
-
-def instrument_rates(terms: list[tuple[InstrumentError, float]]) -> tuple[float, float]:
-    """(decay-rate, infidelity) of one layer's instrument error distribution.
-
-    ``terms`` lists every error tuple with its probability; the no-error
-    tuple may be omitted (it contributes to neither quantity).
-    """
-    r = 0.0
-    eps = 0.0
-    for err, prob in terms:
-        if err.is_no_error:
-            continue
-        r += lambda_contribution(err, prob)
-        eps += prob
-    return r, eps
-
-
-def bound_terms_extrema() -> tuple[float, float, tuple[int, int], tuple[int, int]]:
-    """Brute-force extrema of the transition term over weight pairs.
-
-    Scans all (|a|, |b|) up to ``_WEIGHT_CAP``, excluding (0, 0).
-    Returns (minimum, maximum, argmin weights, argmax weights).
-    """
-    best_min = math.inf
-    best_max = -math.inf
-    argmin = argmax = (0, 0)
-    for wa in range(_WEIGHT_CAP + 1):
-        for wb in range(_WEIGHT_CAP + 1):
-            if wa == 0 and wb == 0:
-                continue
-            val = transition_term(wa, wb)
-            if val < best_min:
-                best_min, argmin = val, (wa, wb)
-            if val > best_max:
-                best_max, argmax = val, (wa, wb)
-    return best_min, best_max, argmin, argmax
 
 
 @dataclass(frozen=True)
@@ -283,47 +172,6 @@ def predict_r_omega(noise: NoiseModel, config: SamplingConfig) -> TheoryPredicti
         method=method,
         mc_stderr=stderr,
     )
-
-
-def r_omega_via_lambda_sum(noise: NoiseModel, config: SamplingConfig) -> float:
-    """Decay rate by summing per-error lambda terms over the layer classes.
-
-    The shorthand model factorizes each dressed layer into independent
-    events (gate/unmeasured errors as the nontrivial-Pauli bucket, per-wire
-    pre and post measurement flips); the summation runs over their joint
-    tuples. Agrees with :func:`predict_r_omega` to floating-point accuracy.
-    """
-    classes = layer_class_distribution(config)
-    f1 = 1.0 - noise.oneq_total
-    f2 = 1.0 - noise.twoq_total
-    total = 0.0
-    dummy_p = SignedPauli(1, 1, 0, 1)
-    for p_class, counts in classes:
-        pg = 1.0 - f1 ** counts.k1 * f2 ** counts.k2
-        if counts.km:
-            pg = 1.0 - (1.0 - pg) * (1.0 - noise.unmeasured_depol) ** (config.n - counts.km)
-        # Joint tuples over per-wire independent flips; at-most-one sampling
-        # keeps km <= 1 so the masks are single bits.
-        if counts.km > 1:
-            raise RuntimeError(f"layer class measures {counts.km} wires, at most 1 expected")
-        contrib = 0.0
-        for a in range(counts.km + 1):
-            pa = noise.pre_flip if a else 1.0 - noise.pre_flip
-            if counts.km == 0:
-                pa = 1.0
-            for b in range(counts.km + 1):
-                pb = noise.post_flip if b else 1.0 - noise.post_flip
-                if counts.km == 0:
-                    pb = 1.0
-                for nontrivial in (False, True):
-                    pp = pg if nontrivial else 1.0 - pg
-                    prob = pa * pb * pp
-                    err = InstrumentError(a, dummy_p if nontrivial else None, b)
-                    if err.is_no_error:
-                        continue
-                    contrib += lambda_contribution(err, prob)
-        total += p_class * contrib
-    return total
 
 
 _ANTI_PROB_1Q = {

@@ -29,19 +29,18 @@ from qirb.pipeline import (
 from qirb.sampler import SamplingConfig
 from qirb.seeding import derive_seed
 from qirb.simulator import NoiseModel, simulate_result
-from qirb.theory import (
-    bound_terms_extrema,
-    exact_success_expectation,
-    instrument_rates,
-    p_anti,
-    p_anti_literal,
-    predict_r_omega,
-)
+from qirb.theory import exact_success_expectation, predict_r_omega
 
 from test_analysis import simplex_erm_loss
 from test_builder import build_random
 from test_simulator import f_value
-from test_theory import random_instrument_terms
+from test_theory import (
+    bound_terms_extrema,
+    instrument_rates,
+    p_anti,
+    p_anti_literal,
+    random_instrument_terms,
+)
 
 METHODS_NOISE = NoiseModel.depolarizing(f1q=0.999, f2q=0.995, mcm_flip=0.02)
 P_CNOTS = (0.2, 0.35, 0.5)

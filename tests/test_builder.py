@@ -18,13 +18,12 @@ from qirb.pauli import (
     CircuitLayer,
     CliffordGate,
     SignedPauli,
-    commutes,
     pauli_gate_indices,
 )
 from qirb.sampler import SamplingConfig, sample_core_circuit
 from qirb.simulator import NoiseModel, _batches, _bit_rows, simulate_result
 
-from test_pauli import sp
+from test_pauli import commutes, conjugate, sp
 
 
 def build_random(n, depth, seed, reset=True, p_cnot=0.35, p_mcm=0.5):
@@ -191,6 +190,14 @@ class TestResetFree:
         with pytest.raises(ValueError):
             resolve_reset_free(c, [0] * c.m)
 
+    @pytest.mark.parametrize("bad", ["0", "1", 2, -1])
+    def test_rejects_bits_other_than_zero_and_one(self, bad):
+        # Counts keys are strings; their characters are not bits here.
+        c = build_random(2, 4, seed=7, reset=False, p_mcm=0.6)
+        assert c.m >= 1
+        with pytest.raises(ValueError, match="other than 0 and 1"):
+            resolve_reset_free(c, [0] * (c.m - 1) + [bad])
+
     def test_all_zero_bits_mean_no_correction(self):
         c = build_random(3, 5, seed=1, reset=False)
         assert resolve_reset_free(c, [0] * c.m) == 1
@@ -226,8 +233,6 @@ class TestDressingDistributions:
     def test_measured_wire_rotations_balance_signs(self):
         # Pre-measurement alignment picks uniformly among all achieving
         # Cliffords, so the +/-Z image signs come out balanced.
-        from qirb.pauli import conjugate
-
         signs = Counter()
         for seed in range(400):
             c = build_random(2, 1, seed=seed, p_mcm=1.0)

@@ -413,6 +413,17 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not rep.exists()
 
+    @pytest.mark.parametrize("flag", ["--bootstrap", "--erm-bootstrap"])
+    def test_too_many_resamples_exit_2(self, workspace, capsys, flag):
+        # Numpy would refuse the 10**13-row resample array with a traceback.
+        res_a = self._results(workspace, name="a", p_mcm=0.1, seed=1)
+        res_b = self._results(workspace, name="b", p_mcm=0.6, seed=2)
+        capsys.readouterr()
+        rep = workspace / "rep"
+        assert run(["analyze", res_a, res_b, flag, 10000000000000, "--out", rep]) == 2
+        assert "must be <= 100000" in capsys.readouterr().err
+        assert not rep.exists()
+
     def test_failed_rename_leaves_no_temp_file(self, workspace, monkeypatch):
         res = self._results(workspace)
         rep = workspace / "rep"

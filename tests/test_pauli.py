@@ -1,4 +1,5 @@
 import random
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,7 @@ from qirb.pauli import (
     clifford_gate,
     cliffords_mapping_letter,
     cliffords_preparing,
-    commutes,
-    conjugate,
+    conjugate_bits,
     pauli_gate_indices,
     random_pauli,
 )
@@ -29,6 +29,28 @@ def sp(letters, sign=1):
     x = sum(1 << q for q, ch in enumerate(letters) if ch in "XY")
     z = sum(1 << q for q, ch in enumerate(letters) if ch in "ZY")
     return SignedPauli(len(letters), x, z, sign)
+
+
+def commutes(p: SignedPauli, q: SignedPauli) -> bool:
+    """True iff the symplectic inner product of p and q is even."""
+    if p.n != q.n:
+        raise ValueError(f"wire-count mismatch: {p.n} vs {q.n}")
+    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
+
+
+def conjugate(layer: CircuitLayer | Iterable[CliffordGate], p: SignedPauli) -> SignedPauli:
+    """Return U(layer) . p . U(layer)^-1 with the sign tracked exactly.
+
+    If the layer contains MCMs, ``p`` must have no support on the measured
+    wires (split the tracked Pauli first).
+    """
+    if isinstance(layer, CircuitLayer):
+        if layer.n != p.n:
+            raise ValueError("layer/Pauli wire-count mismatch")
+        if (p.x | p.z) & sum(1 << w for w in layer.mcm_wires):
+            raise ValueError("Pauli supported on a measured wire of the layer")
+        layer = layer.gates
+    return SignedPauli(p.n, *conjugate_bits(layer, p.x, p.z, p.sign))
 
 
 def oneq_layer(index, wire, n):

@@ -37,15 +37,9 @@ def test_package_reexports_only_public_names():
 # Exported names that nothing in the package or the benchmark calls, kept on
 # purpose; every other exported name must have a caller outside the tests.
 _KEPT_UNCALLED = {
-    "p_anti_literal": "the defining sum, checked against p_anti (acceptance 7)",
-    "r_omega_via_lambda_sum": "an independent route to r_omega for the theory cross-checks",
-    "bound_terms_extrema": "brute-force extrema of the bound suite (acceptance 4)",
-    "instrument_rates": "one instrument's (r, eps), the bound suite's input (acceptance 4)",
     "fit_depumping": "the bright-state depumping fit of acceptance 8",
     "classify_outcome": "public post-processor of a raw outcome string",
     "resolve_reset_free": "public post-processor giving the reset-free correction",
-    "commutes": "the symplectic product, part of the Pauli algebra's public API",
-    "conjugate": "signed conjugation of a SignedPauli, the Pauli algebra's public API",
 }
 
 # Public methods and properties that nothing in the package or the benchmark
@@ -140,3 +134,13 @@ def test_every_public_method_has_a_caller_outside_the_tests():
     kept = set(_KEPT_UNCALLED_METHODS)
     assert sorted(uncalled - kept) == [], "public, but only tests call these"
     assert sorted(kept - uncalled) == [], "kept as uncalled, but now called"
+
+
+def test_no_assert_statement():
+    # ``python -O`` strips asserts, so no invariant of the package may rest on one.
+    found = []
+    for path in [qirb.__file__, *_SOURCES]:
+        with open(path) as f:
+            found += [(os.path.basename(path), node.lineno)
+                      for node in ast.walk(ast.parse(f.read())) if isinstance(node, ast.Assert)]
+    assert found == []

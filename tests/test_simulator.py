@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qirb.builder import classify_outcome, resolve_reset_free
-from qirb.pauli import (NUM_ONEQ_CLIFFORDS, SignedPauli, clifford_action, commutes,
-                        pauli_gate_indices)
+from qirb.pauli import NUM_ONEQ_CLIFFORDS, SignedPauli, clifford_action, pauli_gate_indices
 from qirb.seeding import derive_np_rng
 from qirb.simulator import (_BATCH, _CNOT, _GATE, _GATE_SPLIT, _MCM, _READ, NoiseModel, _compile,
                             _propagate, simulate_result)
@@ -19,6 +18,7 @@ from qirb.tableau import StabilizerTableau
 from qirb.theory import exact_success_expectation
 
 from test_builder import build_random, circuit_ops, simulate_outcomes
+from test_pauli import commutes
 
 
 def f_value(res):
@@ -122,17 +122,33 @@ class TestMcmStatistics:
         assert abs(ones / total - 0.5) < 3 * math.sqrt(0.25 / total)
 
 
+_ORACLE_NOISE = NoiseModel.depolarizing(0.99, 0.98, 0.05, mcm_post_flip=0.03,
+                                       mcm_unmeasured_depol=0.02)
+
+
+def oracle_pulls(noise, shots=40000):
+    """(Monte Carlo F - exact F) / SE for five small circuits, the odd seeds reset."""
+    pulls = []
+    for seed in range(5):
+        c = build_random(3, 5, seed=seed, reset=bool(seed % 2))
+        exact = exact_success_expectation(c, noise)
+        mc = f_value(simulate_result(c, noise, shots, seed=seed + 100, with_counts=False))
+        pulls.append((mc - exact) / math.sqrt(max(1e-12, 1 - exact**2) / shots))
+    return pulls
+
+
 class TestOracleAgreement:
     def test_exact_expectation_matches_monte_carlo(self):
-        noise = NoiseModel.depolarizing(0.99, 0.98, 0.05, mcm_post_flip=0.03,
-                                        mcm_unmeasured_depol=0.02)
-        shots = 40000
-        for seed in range(5):
-            c = build_random(3, 5, seed=seed, reset=bool(seed % 2))
-            exact = exact_success_expectation(c, noise)
-            mc = f_value(simulate_result(c, noise, shots, seed=seed + 100, with_counts=False))
-            sigma = math.sqrt(max(1e-12, 1 - exact**2) / shots)
-            assert abs(mc - exact) < 4 * sigma
+        assert max(map(abs, oracle_pulls(_ORACLE_NOISE))) < 4
+
+    # Unequal px, py and pz, so a wrong X/Y/Z letter code in the fault
+    # sampler or the oracle shows; every other channel stays on.
+    @pytest.mark.parametrize("px, py, pz", [(0.01, 0.0, 0.0), (0.0, 0.0, 0.01),
+                                            (2e-3, 5e-3, 9e-3)],
+                             ids=["x-only", "z-only", "mixed"])
+    def test_asymmetric_oneq_noise_matches_monte_carlo(self, px, py, pz):
+        noise = dataclasses.replace(_ORACLE_NOISE, px=px, py=py, pz=pz)
+        assert max(map(abs, oracle_pulls(noise))) < 4
 
 
 class TestResetFreeModes:

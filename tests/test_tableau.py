@@ -10,10 +10,10 @@ import pytest
 
 import qirb
 from qirb.pauli import (CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CliffordGate, SignedPauli,
-                        clifford_action, conjugate)
+                        clifford_action)
 from qirb.tableau import StabilizerTableau, TableauError
 
-from test_pauli import H, S, sp  # canonical indices resolved from the table
+from test_pauli import H, S, conjugate, sp  # canonical indices resolved from the table
 
 
 def test_zero_state_measures_zero_deterministically():

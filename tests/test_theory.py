@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,26 +8,83 @@ from qirb import theory
 from qirb.sampler import SamplingConfig
 from qirb.simulator import NoiseModel
 from qirb.theory import (
-    InstrumentError,
     LayerCounts,
-    bound_terms_extrema,
     exact_success_expectation,
-    instrument_rates,
-    lambda_contribution,
     layer_class_distribution,
     mcm_effective_fidelity,
-    p_anti,
-    p_anti_literal,
     predict_fbar_curve,
     predict_r_omega,
-    r_omega_via_lambda_sum,
-    transition_term,
 )
 
 from test_builder import build_random
-from test_pauli import sp
 
 METHODS_NOISE = NoiseModel.depolarizing(0.999, 0.995, 0.02)
+
+
+# The instrument theory behind the paper's 3 eps/4 <= r <= 3 eps/2 bracket.
+# An error of a uniform stochastic instrument is the tuple (pre weight, post
+# weight, P nontrivial, prob): the Hamming weights of its bitflip masks on
+# the measured wires, whether its Pauli on the unmeasured wires is
+# nontrivial, and its probability.
+
+
+def p_anti(w):
+    """Probability that a weight-w X mask anticommutes with a random Z-type
+    Pauli whose entries are Z with probability 3/4 (closed form)."""
+    return 0.5 * (1.0 - (-0.5) ** w)
+
+
+def p_anti_literal(w):
+    """The defining sum over odd overlap counts."""
+    return sum(math.comb(w, i) * 0.75**i * 0.25 ** (w - i) for i in range(1, w + 1, 2))
+
+
+def transition_term(wa, wb):
+    pa, pb = p_anti(wa), p_anti(wb)
+    return pa + pb - 2.0 * pa * pb
+
+
+def lambda_contribution(wa, wb, nontrivial, prob):
+    """One error's contribution to the decay rate: its full probability if
+    its unmeasured-wire Pauli is nontrivial, else 2 transition_term times it."""
+    return prob if nontrivial else 2.0 * transition_term(wa, wb) * prob
+
+
+def instrument_rates(errors):
+    """(decay rate, infidelity) of one layer's error tuples, which leave out
+    the no-error tuple: its probability is no infidelity."""
+    return sum(lambda_contribution(*e) for e in errors), sum(e[3] for e in errors)
+
+
+def bound_terms_extrema():
+    """(min, max, argmin, argmax) of the transition term over the weight
+    pairs up to 32, (0, 0) excluded; it nears 1/2 fast beyond small weights."""
+    pairs = [w for w in itertools.product(range(33), repeat=2) if w != (0, 0)]
+    lo = min(pairs, key=lambda w: transition_term(*w))
+    hi = max(pairs, key=lambda w: transition_term(*w))
+    return transition_term(*lo), transition_term(*hi), lo, hi
+
+
+def mask_weights(km, eps):
+    """(weight, probability) pairs of a flip mask over km wires that each
+    flip independently with probability eps."""
+    return [(w, math.comb(km, w) * eps**w * (1.0 - eps) ** (km - w)) for w in range(km + 1)]
+
+
+def r_omega_via_lambda_sum(noise, config):
+    """The decay rate summed from per-error lambda terms over the layer
+    classes. Gate and unmeasured-wire errors form the nontrivial-Pauli
+    bucket; each measured wire flips before and after independently."""
+    total = 0.0
+    for p_class, c in theory.layer_class_distribution(config):
+        keep = (1.0 - noise.oneq_total) ** c.k1 * (1.0 - noise.twoq_total) ** c.k2
+        if c.km:
+            keep *= (1.0 - noise.unmeasured_depol) ** (config.n - c.km)
+        pre, post = mask_weights(c.km, noise.pre_flip), mask_weights(c.km, noise.post_flip)
+        for (wa, pa), (wb, pb), nontrivial in itertools.product(pre, post, (False, True)):
+            prob = pa * pb * (1.0 - keep if nontrivial else keep)
+            total += p_class * lambda_contribution(wa, wb, nontrivial, prob)
+    return total
 
 
 class TestPAnti:
@@ -52,15 +110,13 @@ class TestPAnti:
 
 class TestLambdaContribution:
     def test_nontrivial_pauli_contributes_full_probability(self):
-        err = InstrumentError(0, sp("X"), 0)
-        assert lambda_contribution(err, 0.01) == 0.01
+        assert lambda_contribution(0, 0, True, 0.01) == 0.01
 
     def test_trivial_pauli_weight_one_mask(self):
-        err = InstrumentError(1, None, 0)
-        assert math.isclose(lambda_contribution(err, 0.01), 0.015)
+        assert math.isclose(lambda_contribution(1, 0, False, 0.01), 0.015)
 
     def test_no_error_contributes_nothing(self):
-        assert lambda_contribution(InstrumentError(0, None, 0), 0.3) == 0.0
+        assert lambda_contribution(0, 0, False, 0.3) == 0.0
 
 
 class TestBoundExtrema:
@@ -187,10 +243,7 @@ def random_instrument_terms(rng, max_terms=8, weight_cap=8, min_weight=0):
             wb = rng.randrange(0, weight_cap)
         if not nontrivial and wa == 0 and wb == 0:
             nontrivial = True
-        a = (1 << wa) - 1
-        b = (1 << wb) - 1
-        p = sp("X") if nontrivial else None
-        terms.append((InstrumentError(a, p, b), prob))
+        terms.append((wa, wb, nontrivial, prob))
     return terms
 
 
@@ -251,9 +304,11 @@ class TestExactExpectation:
             predict_fbar_curve(1.0, 0.7, [1])
 
 
-def test_lambda_sum_rejects_multi_mcm_classes(monkeypatch):
+def test_lambda_sum_agrees_with_closed_form_on_multi_mcm_classes(monkeypatch):
+    # Density-mode layers can measure several wires; the closed form's
+    # (1 - 3 eps/2)^km must match the binomial sum over flip-mask weights.
     monkeypatch.setattr(theory, "layer_class_distribution",
-                        lambda config: [(1.0, LayerCounts(4, 0, 2))])
-    cfg = SamplingConfig(n=3, p_cnot=0.3, p_mcm=0.3)
-    with pytest.raises(RuntimeError, match="at most 1"):
-        r_omega_via_lambda_sum(NoiseModel.depolarizing(), cfg)
+                        lambda config: [(0.5, LayerCounts(4, 1, 2)), (0.5, LayerCounts(2, 0, 3))])
+    noise = NoiseModel.depolarizing(mcm_flip=0.05, mcm_post_flip=0.08, mcm_unmeasured_depol=0.01)
+    cfg = SamplingConfig(n=4, p_cnot=0.3, p_mcm=0.3)
+    assert abs(predict_r_omega(noise, cfg).r_omega - r_omega_via_lambda_sum(noise, cfg)) < 1e-12
