@@ -28,6 +28,7 @@ from .builder import (
     classify_outcome,
     resolve_reset_free,
 )
+from .noise import NoiseModel
 from .pauli import (
     CircuitLayer,
     CliffordGate,
@@ -41,7 +42,7 @@ from .pipeline import (
     simulate_design,
 )
 from .sampler import SamplingConfig, sample_core_circuit, sample_core_layer
-from .simulator import NoiseModel, SimResult, simulate_result
+from .simulator import SimResult, simulate_result
 from .tableau import StabilizerTableau, TableauError
 from .theory import (
     LayerCounts,

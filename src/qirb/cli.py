@@ -25,6 +25,7 @@ from dataclasses import asdict
 from . import serialize
 from .analysis import FitDegenerateError, bootstrap_decay, bootstrap_erm
 from .builder import QirbCircuit
+from .noise import NoiseModel
 from .pipeline import (
     DEFAULT_DEPTHS,
     ExperimentDesign,
@@ -36,13 +37,15 @@ from .pipeline import (
 )
 from .sampler import SamplingConfig
 from .serialize import SchemaError, check_kind, read_json, stamp, write_json
-from .simulator import NoiseModel
 from .theory import predict_fbar_curve, predict_r_omega
 
 EXIT_SCHEMA = 3
 EXIT_FIT = 4
 # Bootstrap time and memory grow with the resample count; this bound keeps them finite.
 MAX_RESAMPLES = 10**5
+# One bootstrap holds a few arrays of resamples x circuits, about 35 bytes per
+# resampled circuit in all; this bound keeps a fit's arrays under about 0.4 GB.
+MAX_RESAMPLED_CIRCUITS = 10**7
 
 
 def _index(value) -> int:
@@ -242,12 +245,18 @@ def cmd_analyze(args) -> int:
         raise ValueError("need at least two ERM bootstrap resamples")
     if max(args.bootstrap, args.erm_bootstrap) > MAX_RESAMPLES:
         raise ValueError(f"--bootstrap and --erm-bootstrap must be <= {MAX_RESAMPLES}")
+    loaded = [_load_results(path) for path in args.results]
+    per_config_results = [results for _, results in loaded]
+    sizes = [len(results) for results in per_config_results]
+    for what, resampled in [("--bootstrap x circuits of one input", args.bootstrap * max(sizes)),
+                            ("--erm-bootstrap x circuits of all inputs",
+                             args.erm_bootstrap * sum(sizes) if len(sizes) > 1 else 0)]:
+        if resampled > MAX_RESAMPLED_CIRCUITS:
+            raise ValueError(f"{what} is {resampled}, over the bootstrap's memory bound of "
+                             f"{MAX_RESAMPLED_CIRCUITS} resampled circuits")
     os.makedirs(args.out, exist_ok=True)
     report_configs = []
-    per_config_results = []
-    for path, (source, stem) in zip(args.results, _input_labels(args.results)):
-        obj, results = _load_results(path)
-        per_config_results.append(results)
+    for (obj, results), (source, stem) in zip(loaded, _input_labels(args.results)):
         data = decay_dataset_from_results(results)
         fit = bootstrap_decay(data, args.bootstrap, seed=args.seed)
         stats = data.depth_stats()

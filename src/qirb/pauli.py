@@ -28,6 +28,7 @@ __all__ = [
     "conjugate_bits",
     "random_pauli",
     "clifford_action",
+    "clifford_product",
     "cliffords_mapping_letter",
     "cliffords_preparing",
     "pauli_gate_indices",
@@ -111,6 +112,18 @@ CNOT_INDEX = 24
 def clifford_action(index: int) -> _Action:
     """(code, sign) images for inputs I, X, Z, Y (indexed by letter code)."""
     return _CLIFFORD_ACTIONS[index]
+
+
+_INDEX_OF_ACTION = {action: i for i, action in enumerate(_CLIFFORD_ACTIONS)}
+
+
+@lru_cache(maxsize=None)
+def clifford_product(outer: int, inner: int) -> int:
+    """Index of the gate ``inner`` followed by ``outer``, exact in its signs.
+
+    Index 0 is the identity: the closure starts from it.
+    """
+    return _INDEX_OF_ACTION[_compose_actions(_CLIFFORD_ACTIONS[outer], _CLIFFORD_ACTIONS[inner])]
 
 
 def _letter_lookup_tables():
@@ -252,13 +265,16 @@ class CircuitLayer:
     def __post_init__(self) -> None:
         wires = [w for g in self.gates for w in g.wires]
         wires += self.mcm_wires
-        used = set(wires)
-        if len(used) != len(wires):
+        used = 0  # bit w set for each wire w seen
+        for w in wires:
+            # Checked first: ``1 << True`` would pass, and ``1 << -1`` raise another error.
+            if type(w) is not int:
+                raise ValueError("wire indices must be integers")
+            if not 0 <= w < self.n:
+                raise ValueError(f"wire index out of range({self.n})")
+            used |= 1 << w
+        if used.bit_count() != len(wires):
             raise ValueError("a wire is used more than once in a layer")
-        if not set(map(type, used)) <= {int}:
-            raise ValueError("wire indices must be integers")
-        if used and (min(used) < 0 or max(used) >= self.n):
-            raise ValueError(f"wire index out of range({self.n})")
         object.__setattr__(self, "mcm_wires", tuple(sorted(self.mcm_wires)))
 
     def oneq_gate_count(self) -> int:

@@ -12,9 +12,10 @@ from dataclasses import dataclass, fields
 
 from .analysis import DecayDataset, ErmDatum, erm_counts
 from .builder import QirbCircuit, build_qirb_circuit
+from .noise import NoiseModel
 from .sampler import SamplingConfig, sample_core_circuit
 from .seeding import derive_rng, derive_seed
-from .simulator import NoiseModel, SimResult, simulate_result
+from .simulator import SimResult, simulate_result
 
 __all__ = [
     "DEFAULT_DEPTHS",

@@ -34,8 +34,8 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from .builder import DressedLayer, QirbCircuit
+from .noise import NoiseModel
 from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate, clifford_gate
-from .simulator import NoiseModel
 
 __all__ = [
     "SCHEMA_VERSION",

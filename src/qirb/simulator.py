@@ -14,11 +14,20 @@ across shots into one integer each (bit ``s`` is shot ``s``). A gate updates
 the frame with a few XORs, noise XORs its Pauli in, and a measurement reads
 the reference bit XOR the X component. Each wire's Z component is redrawn at
 random at the start and after every measurement; Z then stabilizes the wire,
-so the redraw leaves the state alone while making random outcomes random. A
-single-qubit gate's Pauli part goes to the frame, so the reference skips the
-Pauli dressing gates. Noise is drawn in bulk, one geometric-gap draw per
-channel kind per batch of at most ``_BATCH`` shots and keyed by op position
-and wire; a ``Counter`` counts each batch's outcome strings.
+so the redraw leaves the state alone while making random outcomes random.
+
+The run of single-qubit gates on one wire between two of its CNOTs or
+measurements is one frame op: the composition of the gates' affine maps
+``(x, z) -> L(x, z) ^ c`` on the frame, and one reference call with the exact
+product of the gates' representatives (none if that product is the
+identity). Each gate is its representative followed by a Pauli, and the
+Pauli parts go to the frame, so the reference skips the Pauli dressing
+gates. Noise is drawn in bulk, one geometric-gap draw per channel kind per
+batch of at most ``_BATCH`` shots, one location row per noise event and
+keyed by op position and wire. A row inside a run keys to the run's op and
+carries a letter code, the letter permutation of the run up to the event,
+through which the drawn Pauli is sent back to act before the run. A
+``Counter`` counts each batch's outcome strings.
 
 Reset and feedforward-X return a measured wire to |0>, clearing its X
 component. Frame correction leaves the wire as measured and carries the
@@ -32,12 +41,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .builder import QirbCircuit
-from .pauli import NUM_ONEQ_CLIFFORDS, clifford_action
+from .noise import NoiseModel
+from .pauli import NUM_ONEQ_CLIFFORDS, clifford_action, clifford_product
 from .seeding import derive_np_rng
 from .tableau import StabilizerTableau
 
@@ -49,81 +59,6 @@ __all__ = [
 
 # Shots simulated together; bounds the frame integers and the noise masks.
 _BATCH = 4096
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-operation stochastic noise for the whole simulation, as eight rates.
-
-    Every single-qubit gate takes an X, Y or Z error with probability ``px``,
-    ``py`` or ``pz``, and every CNOT each of the 15 non-identity two-qubit
-    Paulis with probability ``twoq_each``. Each MCM layer is a factorized
-    uniform stochastic instrument: each measured wire takes an independent
-    pre-measurement bitflip with probability ``pre_flip`` and a
-    post-measurement bitflip with probability ``post_flip``, and each
-    unmeasured wire an independent uniformly random non-identity Pauli with
-    total probability ``unmeasured_depol``. Each final readout flips with
-    probability ``readout_flip``.
-    """
-
-    px: float = 0.0
-    py: float = 0.0
-    pz: float = 0.0
-    twoq_each: float = 0.0
-    pre_flip: float = 0.0
-    post_flip: float = 0.0
-    unmeasured_depol: float = 0.0
-    readout_flip: float = 0.0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            rate = getattr(self, f.name)
-            # A NaN rate fails every comparison, so it is rejected too.
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"noise rate {f.name} must lie in [0, 1], got {rate!r}")
-        if self.oneq_total > 1 + 1e-12:
-            raise ValueError("one-qubit error probabilities px + py + pz exceed 1")
-        if self.twoq_total > 1 + 1e-12:
-            raise ValueError("two-qubit error probability 15 * twoq_each exceeds 1")
-
-    @property
-    def oneq_total(self) -> float:
-        return self.px + self.py + self.pz
-
-    @property
-    def twoq_total(self) -> float:
-        return 15 * self.twoq_each
-
-    @classmethod
-    def zero(cls) -> "NoiseModel":
-        return cls()
-
-    @classmethod
-    def depolarizing(
-        cls,
-        f1q: float = 0.999,
-        f2q: float = 0.995,
-        mcm_flip: float = 0.02,
-        readout_flip: float | None = None,
-        mcm_post_flip: float = 0.0,
-        mcm_unmeasured_depol: float = 0.0,
-    ) -> "NoiseModel":
-        """Shorthand model: gate fidelities plus measurement bitflip rates.
-
-        The end-of-circuit readout flip defaults to the MCM pre-measurement
-        flip rate.
-        """
-        eps = (1.0 - f1q) / 3.0
-        return cls(
-            px=eps,
-            py=eps,
-            pz=eps,
-            twoq_each=(1.0 - f2q) / 15.0,
-            pre_flip=mcm_flip,
-            post_flip=mcm_post_flip,
-            unmeasured_depol=mcm_unmeasured_depol,
-            readout_flip=mcm_flip if readout_flip is None else readout_flip,
-        )
 
 
 @dataclass(frozen=True)
@@ -139,15 +74,14 @@ class SimResult:
 _GATE, _CNOT, _MCM, _READ = range(4)  # op kinds of a compiled circuit
 
 
-def _split_gates() -> tuple[tuple[int | None, tuple[int, ...]], ...]:
-    """Per Clifford index: (representative, frame masks).
+def _split_gates() -> tuple[tuple[int | None, tuple[int, ...], int], ...]:
+    """Per Clifford index: (representative, letter images, Pauli code).
 
     The representative is the first index that permutes X, Y and Z the same
     way, or None for a Pauli. The gate is its representative followed by the
-    Pauli that anticommutes with exactly the images of X and Z whose signs
-    the two disagree on. The masks, each 0 or -1, give the frame update
-    ``x' = x&m0 ^ z&m1 ^ px``, ``z' = x&m2 ^ z&m3 ^ pz``, where
-    ``px = full&m4`` and ``pz = full&m5`` apply that Pauli to every shot.
+    Pauli (a letter code) that anticommutes with exactly the images of X and
+    Z whose signs the two disagree on. The images, indexed by letter code,
+    are the unsigned images of I, X, Z and Y: the frame's linear part.
     """
     representative: dict[tuple[int, int], int] = {}
     table = []
@@ -158,12 +92,28 @@ def _split_gates() -> tuple[tuple[int | None, tuple[int, ...]], ...]:
         # The images of X and Z anticommute, so Z's image flips X's sign and
         # X's image flips Z's; their letter codes multiply by XOR.
         code = (cz if sx != rx else 0) ^ (cx if sz != rz else 0)
-        masks = tuple(-(v & 1) for v in (cx, cz, cx >> 1, cz >> 1, code, code >> 1))
-        table.append((None if (cx, cz) == (1, 2) else rep, masks))
+        table.append((None if (cx, cz) == (1, 2) else rep, (0, cx, cz, cx ^ cz), code))
     return tuple(table)
 
 
 _GATE_SPLIT = _split_gates()
+
+
+def _unmap_table() -> np.ndarray:
+    """Row ``lx | lz << 2`` sends each letter code back through the letter
+    permutation that maps X to ``lx`` and Z to ``lz`` (rows of codes that are
+    not a permutation stay 0)."""
+    table = np.zeros((16, 4), dtype=np.int64)
+    for lx in (1, 2, 3):
+        for lz in (1, 2, 3):
+            if lx != lz:
+                for v in range(4):
+                    table[lx | lz << 2, (lx if v & 1 else 0) ^ (lz if v & 2 else 0)] = v
+    return table
+
+
+_UNMAP = _unmap_table()
+_IDENTITY_CODE = 1 | 2 << 2  # X to X, Z to Z
 
 # The 15 non-identity two-qubit Pauli pairs (letter codes).
 _TWOQ_PAIRS = np.array([(a, b) for a in range(4) for b in range(4) if (a, b) != (0, 0)],
@@ -175,11 +125,18 @@ class _Program:
     """A circuit compiled for the frame pass.
 
     ``ops`` holds ``(kind, a, b)`` in execution order, each layer's gates
-    before its measurements: a single-qubit gate (wire, frame masks), a CNOT
-    (control, target), or a measurement (wire, outcome index). Each entry of
-    ``locations`` holds ``(position, wire[, wire])`` rows of one noise
-    channel; an event at position ``p`` acts just before ``ops[p]``. Every
-    ``p`` is below ``len(ops)``: the readouts come last, each with its noise.
+    before its measurements: a run of single-qubit gates on one wire (wire,
+    frame masks), a CNOT (control, target), or a measurement (wire, outcome
+    index). A run is every single-qubit gate on its wire between two of the
+    wire's CNOTs or measurements; it takes the op slot of its first gate.
+    Each entry of ``locations`` holds the rows of one noise channel, one row
+    per noise location: ``(position, wire, code)``, or ``(position, control,
+    target)`` for ``twoq``. An event at position ``p`` acts just before
+    ``ops[p]``. A row on a wire inside a run keys to the run's slot, and its
+    code ``lx | lz << 2`` is the letter permutation of the run's gates up to
+    the event (X to ``lx``, Z to ``lz``), through which the drawn letter is
+    sent back; elsewhere the code is the identity's. Every ``p`` is below
+    ``len(ops)``: the readouts come last, each with its noise.
     """
 
     n: int
@@ -194,9 +151,21 @@ def _compile(circuit: QirbCircuit) -> _Program:
     """Run the reference tableau over the circuit and lay out its noise."""
     n = circuit.n
     ref = StabilizerTableau(n)
-    ops: list[tuple] = []
+    ops: list = []
     reference: list[int] = []
     locs: dict[str, list] = {k: [] for k in ("oneq", "twoq", "pre", "post", "depol", "readout")}
+    # Each wire's open run, or None: [slot, product of the representatives,
+    # images of X and Z, Pauli], its frame map so far (x, z) -> L(x, z) ^ Pauli.
+    runs: list[list[int] | None] = [None] * n
+
+    def close(q: int) -> None:
+        run = runs[q]
+        if run is not None:
+            runs[q] = None
+            slot, product, lx, lz, c = run
+            if product:  # index 0 is the identity
+                ref.apply_clifford(product, q)
+            ops[slot] = (_GATE, q, tuple(-(v & 1) for v in (lx, lz, lx >> 1, lz >> 1, c, c >> 1)))
 
     def measure(kind: int, q: int) -> int:
         bit = ref.measure_z(q)
@@ -208,26 +177,38 @@ def _compile(circuit: QirbCircuit) -> _Program:
         for g in layer.gates:
             if g.is_cnot:
                 c, t = g.wires
+                close(c)
+                close(t)
                 ref.apply_cnot(c, t)
                 ops.append((_CNOT, c, t))
                 locs["twoq"].append((len(ops), c, t))
             else:
                 q = g.wires[0]
-                rep, masks = _GATE_SPLIT[g.index]
+                run = runs[q]
+                if run is None:
+                    run = runs[q] = [len(ops), 0, 1, 2, 0]
+                    ops.append(None)
+                rep, image, pauli = _GATE_SPLIT[g.index]
                 if rep is not None:
-                    ref.apply_clifford(rep, q)
-                ops.append((_GATE, q, masks))
-                locs["oneq"].append((len(ops), q))
+                    run[1] = clifford_product(rep, run[1])
+                run[2], run[3], run[4] = image[run[2]], image[run[3]], image[run[4]] ^ pauli
+                locs["oneq"].append((run[0], q, run[2] | run[3] << 2))
         measured = layer.mcm_wires
         for q in measured:
-            locs["pre"].append((len(ops), q))
+            close(q)
+            locs["pre"].append((len(ops), q, _IDENTITY_CODE))
             if measure(_MCM, q):
                 ref.apply_pauli(1 << q, 0)  # the reference always resets
-            locs["post"].append((len(ops), q))
+            locs["post"].append((len(ops), q, _IDENTITY_CODE))
         if measured:
-            locs["depol"].extend((len(ops), w) for w in range(n) if w not in measured)
+            for w in range(n):
+                if w not in measured:
+                    run = runs[w]
+                    locs["depol"].append((len(ops), w, _IDENTITY_CODE) if run is None
+                                         else (run[0], w, run[2] | run[3] << 2))
     for q in range(n):
-        locs["readout"].append((len(ops), q))
+        close(q)
+        locs["readout"].append((len(ops), q, _IDENTITY_CODE))
         measure(_READ, q)
 
     target = circuit.target.z
@@ -237,8 +218,7 @@ def _compile(circuit: QirbCircuit) -> _Program:
         reference=tuple(reference),
         on_target=tuple(bool((target >> k) & 1) for k in range(len(reference))),
         sign=circuit.target.sign,
-        locations={k: np.array(v, dtype=np.int64).reshape(len(v), 3 if k == "twoq" else 2)
-                   for k, v in locs.items()},
+        locations={k: np.array(v, dtype=np.int64).reshape(len(v), 3) for k, v in locs.items()},
     )
 
 
@@ -259,6 +239,29 @@ def _hits(rng: np.random.Generator, p: float, trials: int) -> np.ndarray:
     return idx[: np.searchsorted(idx, trials)]
 
 
+def _add_faults(faults: dict[int, dict[int, list[int]]], channel: str, rows: np.ndarray,
+                shot_idx: np.ndarray, letters: np.ndarray) -> None:
+    """XOR drawn Paulis into ``faults``: shot ``shot_idx[i]`` takes the letter
+    code ``letters[i]`` (a pair of codes for ``twoq``) at location row
+    ``rows[i]`` of ``channel``.
+
+    A letter drawn inside a run of single-qubit gates is sent back through
+    the row's letter permutation, so that it acts before the run's op.
+    """
+    if channel == "twoq":
+        wires = ((1, letters[:, 0]), (2, letters[:, 1]))
+    else:
+        wires = ((1, _UNMAP[rows[:, 2], letters]),)
+    for column, codes in wires:
+        for p, w, c, s in zip(rows[:, 0].tolist(), rows[:, column].tolist(), codes.tolist(),
+                              shot_idx.tolist()):
+            masks = faults.setdefault(p, {}).setdefault(w, [0, 0])
+            if c & 1:
+                masks[0] ^= 1 << s
+            if c & 2:
+                masks[1] ^= 1 << s
+
+
 def _sample_faults(prog: _Program, noise: NoiseModel, shots: int,
                    rng: np.random.Generator) -> dict[int, dict[int, list[int]]]:
     """Draw every noise event of ``shots`` shots.
@@ -275,29 +278,19 @@ def _sample_faults(prog: _Program, noise: NoiseModel, shots: int,
         idx = _hits(rng, p, len(locs) * shots)
         return locs[idx // shots], idx % shots
 
-    def add(rows: np.ndarray, shot_idx: np.ndarray, codes, column: int = 1) -> None:
-        for p, w, c, s in zip(rows[:, 0].tolist(), rows[:, column].tolist(), codes.tolist(),
-                              shot_idx.tolist()):
-            masks = faults.setdefault(p, {}).setdefault(w, [0, 0])
-            if c & 1:
-                masks[0] ^= 1 << s
-            if c & 2:
-                masks[1] ^= 1 << s
-
     total = noise.oneq_total
     rows, s = hits("oneq", total)
     u = rng.random(s.size) * total
-    add(rows, s, np.where(u < noise.px, 1, np.where(u < noise.px + noise.py, 3, 2)))
+    _add_faults(faults, "oneq", rows, s,
+                np.where(u < noise.px, 1, np.where(u < noise.px + noise.py, 3, 2)))
     rows, s = hits("twoq", noise.twoq_total)
-    pairs = _TWOQ_PAIRS[rng.integers(0, 15, s.size)]
-    add(rows, s, pairs[:, 0], 1)
-    add(rows, s, pairs[:, 1], 2)
+    _add_faults(faults, "twoq", rows, s, _TWOQ_PAIRS[rng.integers(0, 15, s.size)])
     for name, p in (("pre", noise.pre_flip), ("post", noise.post_flip),
                     ("readout", noise.readout_flip)):
         rows, s = hits(name, p)
-        add(rows, s, np.ones_like(s))  # X
+        _add_faults(faults, name, rows, s, np.ones_like(s))  # X
     rows, s = hits("depol", noise.unmeasured_depol)
-    add(rows, s, rng.integers(1, 4, s.size))
+    _add_faults(faults, "depol", rows, s, rng.integers(1, 4, s.size))
     return faults
 
 

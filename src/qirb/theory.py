@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 
 from .builder import QirbCircuit, tracked_walk
+from .noise import NoiseModel
 from .sampler import SamplingConfig, sample_core_layer
-from .simulator import NoiseModel
 
 __all__ = [
     "LayerCounts",

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -296,33 +297,64 @@ def circuit_ops(circuit):
     return ops, at
 
 
+def noise_rows(circuit):
+    """``circuit_ops``'s ops and injection points, and every noise location
+    of the frame simulator, by channel and in its order, as ``(position,
+    wire[, target])`` on those ops: a fault at a location acts just before
+    ``ops[position]``, one op per gate."""
+    ops, at = circuit_ops(circuit)
+    rows = {k: [] for k in ("oneq", "twoq", "pre", "post", "depol", "readout")}
+    for pos, op in enumerate(ops):
+        if op[0] == "gate":
+            rows["twoq" if op[1].is_cnot else "oneq"].append((pos + 1, *op[1].wires))
+        elif op[2] < circuit.m:
+            rows["pre"].append((pos, op[1]))
+            rows["post"].append((pos + 1, op[1]))
+        else:
+            rows["readout"].append((pos, op[1]))
+    for i, d in enumerate(circuit.dressed):
+        if d.l2.mcm_wires:
+            rows["depol"] += [(at[("postmeas", i)], w) for w in range(circuit.n)
+                              if w not in d.l2.mcm_wires]
+    return ops, at, rows
+
+
 @pytest.mark.parametrize("reset", [True, False])
 def test_single_error_injection_flips_iff_anticommuting(reset):
     """Exhaustive single-fault check on a small circuit.
 
     Injecting one Pauli at one location flips every shot's classification
-    exactly when the Pauli anticommutes with the tracked Pauli there.
+    exactly when the Pauli anticommutes with the tracked Pauli there. The
+    fault goes in at the wire's last noise location at or before the point,
+    as the fault sampler places a drawn one; no op on the wire lies between.
     """
     from qirb.seeding import derive_np_rng
-    from qirb.simulator import _compile, _propagate
+    from qirb.simulator import _add_faults, _compile, _propagate
 
     c = build_random(2, 3, seed=13, reset=reset, p_mcm=0.8)
     assert c.m >= 1
     prog = _compile(c)
-    _, positions = circuit_ops(c)
+    _, at, rows = noise_rows(c)
     shots = 24
     every = (1 << shots) - 1
     for tag, tracked in _injection_points(c):
         for wire in range(c.n):
+            _, name, i, column = max(
+                (pos, name, i, column) for name, walked in rows.items()
+                for i, (pos, *wires) in enumerate(walked)
+                for column, w in enumerate(wires, 1) if w == wire and pos <= at[tag])
             for letter in ("X", "Z", "Y"):
                 inject = sp(
                     "".join(letter if w == wire else "I" for w in range(c.n))
                 )
                 expected_flip = not commutes(inject, tracked)
-                fault = {positions[tag]: {wire: [every if letter in "XY" else 0,
-                                                 every if letter in "ZY" else 0]}}
+                letters = np.zeros((shots, 2), dtype=np.int64)
+                letters[:, column - 1] = "IXZY".index(letter)
+                fault = {}
+                _add_faults(fault, name, prog.locations[name][[i] * shots], np.arange(shots),
+                            letters if name == "twoq" else letters[:, 0])
                 failed, _ = _propagate(prog, shots, fault, derive_np_rng(7), correct=not reset)
-                assert failed == (every if expected_flip else 0), (tag, wire, letter)
+                assert failed == (every if expected_flip else 0), (tag, wire, letter, name)
 
 
 @pytest.mark.parametrize("depth, message", [(0, "final layer"), (6, "l1 failed")])

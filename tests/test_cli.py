@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qirb
-from qirb import serialize
+from qirb import cli, serialize
 from qirb.builder import tracked_walk
 from qirb.cli import main
 from qirb.pauli import cliffords_mapping_letter
@@ -422,6 +422,37 @@ class TestAnalyzeCommand:
         rep = workspace / "rep"
         assert run(["analyze", res_a, res_b, flag, 10000000000000, "--out", rep]) == 2
         assert "must be <= 100000" in capsys.readouterr().err
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--bootstrap", 7], "--bootstrap x circuits of one input is 112,"),
+        (["--bootstrap", 6, "--erm-bootstrap", 4],
+         "--erm-bootstrap x circuits of all inputs is 128,"),
+    ], ids=["decay", "erm"])
+    def test_resampled_circuits_are_bounded_before_any_output(self, workspace, capsys,
+                                                              monkeypatch, flags, message):
+        # Each input holds 16 circuits. Under a bound of 100 resampled
+        # circuits, 6 decay resamples and 3 ERM resamples fit, one more does not.
+        monkeypatch.setattr(cli, "MAX_RESAMPLED_CIRCUITS", 100)
+        res_a = self._results(workspace, name="a", p_mcm=0.1, seed=1)
+        res_b = self._results(workspace, name="b", p_mcm=0.6, seed=2)
+        assert run(["analyze", res_a, res_b, "--bootstrap", 6, "--erm-bootstrap", 3,
+                    "--out", workspace / "fits"]) == 0
+        capsys.readouterr()
+        rep = workspace / "rep"
+        assert run(["analyze", res_a, res_b, *flags, "--out", rep]) == 2
+        assert message in capsys.readouterr().err
+        assert not rep.exists()
+
+    def test_malformed_later_input_leaves_no_output(self, workspace):
+        # Every input is read before the output directory is made.
+        res = self._results(workspace)
+        obj = json.loads(read(res))
+        obj["results"][0]["n_success"] += 1
+        bad = workspace / "bad.json"
+        bad.write_text(json.dumps(obj))
+        rep = workspace / "rep"
+        assert run(["analyze", res, bad, "--out", rep]) == 3
         assert not rep.exists()
 
     def test_failed_rename_leaves_no_temp_file(self, workspace, monkeypatch):

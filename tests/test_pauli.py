@@ -257,6 +257,21 @@ class TestCircuitLayer:
         with pytest.raises(ValueError):
             CircuitLayer(2, (CliffordGate(0, (2,)),))
 
+    @pytest.mark.parametrize("gates, mcm_wires, message", [
+        ((CliffordGate(0, (True,)),), (), "integers"),
+        ((), (False,), "integers"),
+        ((CliffordGate(0, (1.0,)),), (), "integers"),
+        ((CliffordGate(0, (-1,)),), (), "out of range"),
+        ((), (-2,), "out of range"),
+        ((CliffordGate(CNOT_INDEX, (0, 3)),), (), "out of range"),
+        ((), (0, 0), "more than once"),
+        ((CliffordGate(CNOT_INDEX, (2, 0)),), (2,), "more than once"),
+    ], ids=["bool-gate-wire", "bool-mcm-wire", "float-wire", "negative-gate-wire",
+            "negative-mcm-wire", "wire-n", "repeated-mcm", "gate-and-mcm"])
+    def test_each_bad_wire_raises(self, gates, mcm_wires, message):
+        with pytest.raises(ValueError, match=message):
+            CircuitLayer(3, gates, mcm_wires)
+
     def test_pure_gate_layer_allowed(self):
         layer = CircuitLayer(3, (CliffordGate(0, (0,)),))
         assert layer.mcm_wires == ()

@@ -240,3 +240,39 @@ def test_wide_run_outputs_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_WIDE_RUN_SHA256}
     assert digests == PINNED_WIDE_RUN_SHA256, f"pinned with numpy 2.4.6, run with numpy {np.__version__}"
+
+
+# An n = 6 run under an asymmetric noise file (px, py and pz differ; the
+# post-flip, unmeasured-wire and readout channels are on), with MCMs in most
+# layers, so that the unmeasured-wire Paulis land between single-qubit gates;
+# same provenance as PINNED_RUN_SHA256.
+PINNED_ASYMMETRIC_RUN_SHA256 = {
+    "reset.json": "74f4e8cbcc2f835a3b04fe1cbecaa5dad98f8da75f88c82cf3414fdb38b5efa1",
+    "frame-correction.json": "26ec0cd577a8e544e68369cc2b09b2bc4fc27b4360c3d198638bb2047ece47dd",
+    "feedforward-x.json": "1e4651632c66b526be0e69faffc216ff07f100015b1add675a16f8e340f3178d",
+}
+
+_ASYMMETRIC_NOISE = {
+    "schema": serialize.SCHEMA_VERSION, "kind": "noise",
+    "oneq": {"px": 0.002, "py": 0.005, "pz": 0.009},
+    "twoq": {"eps_each": 0.001},
+    "mcm": {"pre_flip": 0.03, "post_flip": 0.01, "unmeasured_depol": 0.05},
+    "readout_flip": 0.02,
+}
+
+
+def test_asymmetric_noise_run_outputs_are_pinned(tmp_path):
+    shape = ["--n", "6", "--p-cnot", "0.4", "--p-mcm", "0.6", "--depths", "0,2,5"]
+    (tmp_path / "noise.json").write_text(json.dumps(_ASYMMETRIC_NOISE))
+    for reset in ("reset", "no-reset"):
+        assert main(["design", *shape, "--circuits-per-depth", "2", "--shots", "200",
+                     "--seed", "11", f"--{reset}", "--out", str(tmp_path / reset)]) == 0
+    for out, reset, mode in [("reset", "reset", "frame-correction"),
+                             ("frame-correction", "no-reset", "frame-correction"),
+                             ("feedforward-x", "no-reset", "feedforward-x")]:
+        assert main(["simulate", "--circuits", str(tmp_path / reset / "circuits.json"),
+                     "--noise", str(tmp_path / "noise.json"), "--reset-free-mode", mode,
+                     "--out", str(tmp_path / f"{out}.json")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_ASYMMETRIC_RUN_SHA256}
+    assert digests == PINNED_ASYMMETRIC_RUN_SHA256, f"pinned with numpy 2.4.6, run with numpy {np.__version__}"

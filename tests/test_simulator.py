@@ -1,23 +1,27 @@
 import copy
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qirb.builder import classify_outcome, resolve_reset_free
-from qirb.pauli import NUM_ONEQ_CLIFFORDS, SignedPauli, clifford_action, pauli_gate_indices
+from qirb import simulator
+from qirb.builder import DressedLayer, QirbCircuit, classify_outcome, resolve_reset_free
+from qirb.pauli import (NUM_ONEQ_CLIFFORDS, CircuitLayer, SignedPauli, clifford_action,
+                        clifford_gate, pauli_gate_indices)
 from qirb.seeding import derive_np_rng
-from qirb.simulator import (_BATCH, _CNOT, _GATE, _GATE_SPLIT, _MCM, _READ, NoiseModel, _compile,
-                            _propagate, simulate_result)
+from qirb.simulator import (_BATCH, _CNOT, _GATE, _GATE_SPLIT, _MCM, _READ, NoiseModel,
+                            _add_faults, _compile, _propagate, simulate_result)
 from qirb.tableau import StabilizerTableau
 from qirb.theory import exact_success_expectation
 
-from test_builder import build_random, circuit_ops, simulate_outcomes
+from test_builder import build_random, circuit_ops, noise_rows, simulate_outcomes
 from test_pauli import commutes
 
 
@@ -218,17 +222,80 @@ def test_seventy_wires_zero_noise_succeeds_on_every_shot():
 
 def test_gate_split_is_the_representative_then_a_pauli():
     # Every gate, checked on X, Y and Z: the representative's action (none
-    # for a Pauli gate) followed by the Pauli in masks 4-5 is the gate's own.
+    # for a Pauli gate) followed by the split's Pauli is the gate's own, and
+    # the split's letter images are the gate's unsigned ones.
     paulis = pauli_gate_indices()
     for idx in range(NUM_ONEQ_CLIFFORDS):
-        rep, masks = _GATE_SPLIT[idx]
+        rep, images, code = _GATE_SPLIT[idx]
         assert (rep is None) == (idx in paulis)
-        pauli = SignedPauli(1, masks[4] & 1, masks[5] & 1)
-        for code in (1, 3, 2):  # X, Y, Z
-            image, sign = (code, 1) if rep is None else clifford_action(rep)[code]
+        pauli = SignedPauli(1, code & 1, code >> 1)
+        for letter in (1, 3, 2):  # X, Y, Z
+            image, sign = (letter, 1) if rep is None else clifford_action(rep)[letter]
             if not commutes(pauli, SignedPauli(1, image & 1, image >> 1)):
                 sign = -sign
-            assert (image, sign) == clifford_action(idx)[code], (idx, code)
+            assert (image, sign) == clifford_action(idx)[letter], (idx, letter)
+            assert images[letter] == image
+
+
+def _frame_step(masks, x, z, full):
+    """One frame op of ``_propagate`` on the X and Z bits of every shot."""
+    return ((x & masks[0]) ^ (z & masks[1]) ^ (full & masks[4]),
+            (x & masks[2]) ^ (z & masks[3]) ^ (full & masks[5]))
+
+
+def test_fused_runs_match_their_gates(monkeypatch):
+    # Every ordered pair and triple of gates, compiled as one run, on random
+    # frames. A block of shots takes one fault, of each letter after each
+    # gate; the other shots take none. The fused op, with the faults placed
+    # as the fault sampler places them, gives the same frame as the gates
+    # one at a time with each fault in place; the reference tableau before
+    # the readout is the one the representatives give one at a time.
+    before_readout = []
+
+    class Recording(StabilizerTableau):
+        def measure_z(self, q, forced=0):
+            before_readout.append((self.x[:], self.z[:], self.r))
+            return super().measure_z(q, forced)
+
+    monkeypatch.setattr(simulator, "StabilizerTableau", Recording)
+    rng = random.Random(3)
+    shots, block = 256, 4
+    full = (1 << shots) - 1
+    x0, z0 = rng.getrandbits(shots), rng.getrandbits(shots)
+    unfused = [tuple(-(v & 1) for v in (images[1], images[2], images[1] >> 1, images[2] >> 1,
+                                        code, code >> 1))
+               for _, images, code in _GATE_SPLIT]
+    layer = [CircuitLayer(1, (clifford_gate(i, 0),)) for i in range(NUM_ONEQ_CLIFFORDS)]
+    empty = CircuitLayer(1)
+    for length in (2, 3):
+        faults = [(i, letter) for i in range(length) for letter in (1, 2, 3)]
+        shot_idx = np.arange(len(faults) * block)
+        gate_at = np.repeat([i for i, _ in faults], block)
+        letters = np.repeat([letter for _, letter in faults], block)
+        for indices in itertools.product(range(NUM_ONEQ_CLIFFORDS), repeat=length):
+            # The first gate goes in prep, a middle one in a dressed l1, the last in final.
+            middle = [DressedLayer(layer[i], empty, empty, 0) for i in indices[1:-1]]
+            prog = _compile(QirbCircuit(1, layer[indices[0]], tuple(middle), layer[indices[-1]], 0,
+                                        reset=True))
+            assert [op[0] for op in prog.ops] == [_GATE, _READ]
+            placed = {}
+            _add_faults(placed, "oneq", prog.locations["oneq"][gate_at], shot_idx, letters)
+            (xm, zm), = placed[0].values()
+            fused = _frame_step(prog.ops[0][2], x0 ^ xm, z0 ^ zm, full)
+            x, z = x0, z0
+            for i, idx in enumerate(indices):
+                x, z = _frame_step(unfused[idx], x, z, full)
+                for j, (at, letter) in enumerate(faults):
+                    if at == i:
+                        bits = ((1 << block) - 1) << (j * block)
+                        x ^= bits if letter & 1 else 0
+                        z ^= bits if letter & 2 else 0
+            assert fused == (x, z), indices
+            t = StabilizerTableau(1)
+            for idx in indices:
+                if _GATE_SPLIT[idx][0] is not None:
+                    t.apply_clifford(_GATE_SPLIT[idx][0], 0)
+            assert before_readout.pop() == (t.x, t.z, t.r), indices
 
 
 def _replay_shot(circuit, ops, faults, shot, bits, reset):
@@ -257,32 +324,47 @@ def _replay_shot(circuit, ops, faults, shot, bits, reset):
        reset=st.booleans(), feedforward=st.booleans(), n_faults=st.integers(0, 10))
 @settings(max_examples=60, deadline=None)
 def test_frames_match_per_shot_tableau(n, depth, seed, reset, feedforward, n_faults):
-    # The same explicit faults go to the frame kernel and to one per-shot
-    # tableau per shot; every deterministic outcome must agree, and so must
-    # each shot's classification.
+    # Explicit faults at the compiled circuit's noise locations, in every
+    # channel: the frame kernel takes them through the fault sampler's own
+    # placement, and one per-shot tableau per shot takes them at the
+    # locations' positions among the unfused gates. Every deterministic
+    # outcome must agree, and so must each shot's classification.
     rng = random.Random(seed)
     c = build_random(n, depth, seed, reset=reset, p_mcm=0.5)
-    ops, _ = circuit_ops(c)
+    ops, _, rows = noise_rows(c)
     prog = _compile(c)
-    # The compiled ops follow the hand-written reference order, op by op.
-    expected = []
-    for op in ops:
-        if op[0] == "measure":
-            expected.append((_MCM if op[2] < c.m else _READ, op[1], op[2]))
-        else:
-            expected.append((_CNOT if op[1].is_cnot else _GATE, *op[1].wires))
-    assert [(kind, a) if kind == _GATE else (kind, a, b) for kind, a, b in prog.ops] == expected
+    # The CNOTs and measurements keep the hand-written order; a wire's run of
+    # single-qubit gates between them is one op.
+    expected = [(_CNOT, *op[1].wires) if op[0] == "gate" else
+                (_MCM if op[2] < c.m else _READ, op[1], op[2])
+                for op in ops if op[0] == "measure" or op[1].is_cnot]
+    assert [op for op in prog.ops if op[0] != _GATE] == expected
+    for name, walked in rows.items():
+        wires = prog.locations[name][:, 1:3 if name == "twoq" else 2]
+        assert wires.tolist() == [list(w) for _, *w in walked], name
     shots = 12
-    faults = {}
+    frame_faults, replay_faults = {}, {}
     for _ in range(n_faults):
-        masks = faults.setdefault(rng.randrange(len(ops)), {}).setdefault(rng.randrange(n), [0, 0])
-        masks[0] ^= rng.getrandbits(shots)
-        masks[1] ^= rng.getrandbits(shots)
+        name = rng.choice([k for k, walked in rows.items() if walked])
+        i = rng.randrange(len(rows[name]))
+        hit = rng.sample(range(shots), rng.randint(1, shots))
+        if name == "twoq":
+            letters = [divmod(rng.randrange(1, 16), 4) for _ in hit]
+        else:
+            letters = [(rng.randrange(1, 4),) for _ in hit]
+        _add_faults(frame_faults, name, prog.locations[name][[i] * len(hit)], np.array(hit),
+                    np.array(letters) if name == "twoq" else np.array(letters)[:, 0])
+        pos, *wires = rows[name][i]
+        for shot, ls in zip(hit, letters):
+            for w, code in zip(wires, ls):
+                masks = replay_faults.setdefault(pos, {}).setdefault(w, [0, 0])
+                masks[0] ^= (code & 1) << shot
+                masks[1] ^= (code >> 1) << shot
     correct = not reset and not feedforward
-    failed, outcomes = _propagate(prog, shots, faults, derive_np_rng(seed), correct)
+    failed, outcomes = _propagate(prog, shots, frame_faults, derive_np_rng(seed), correct)
     for shot in range(shots):
         bits = [(o >> shot) & 1 for o in outcomes]
-        assert _replay_shot(c, ops, faults, shot, bits, reset=not correct) == []
+        assert _replay_shot(c, ops, replay_faults, shot, bits, reset=not correct) == []
         sign = resolve_reset_free(c, bits[: c.m]) if correct else 1
         expected = classify_outcome(c, "".join(map(str, bits)), sign)
         assert (-1 if (failed >> shot) & 1 else 1) == expected
