@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 from . import serialize
@@ -71,10 +72,24 @@ def _parse_depths(text: str) -> tuple[int, ...]:
     return tuple(int(d) for d in text.split(","))
 
 
-def _unique_ids(ids: list[int]) -> None:
-    """Circuit ids must not repeat: each one seeds its circuit's noise stream."""
+def _entries(obj: dict, key: str) -> list:
+    """The file's list of circuit entries under ``key``."""
+    if type(obj[key]) is not list:
+        raise ValueError(f"{key!r} must be a list of entries")
+    return obj[key]
+
+
+def _check_layout(ids: list[int], depths: list[int], design: ExperimentDesign) -> None:
+    """The entries must be the design's: ``circuits_per_depth`` at each of its
+    depths and none elsewhere, and no id twice (each id seeds its circuit's
+    noise stream)."""
     if len(set(ids)) != len(ids):
         raise ValueError("a circuit id is listed more than once")
+    held = Counter(depths)
+    for d in sorted(held.keys() | set(design.depths)):
+        declared = design.circuits_per_depth if d in design.depths else 0
+        if held[d] != declared:
+            raise ValueError(f"depth {d} holds {held[d]} circuits, the design declares {declared}")
 
 
 def _load_edges(path: str, n: int) -> tuple[tuple[int, int], ...]:
@@ -161,8 +176,8 @@ def cmd_simulate(args) -> int:
     obj = check_kind(read_json(args.circuits), "circuits")
     with serialize.malformed_as_schema_error(args.circuits):
         design = ExperimentDesign.from_obj(obj["design"])
-        entries = [(_index(e["id"]), _index(e["depth"]), e) for e in obj["circuits"]]
-        _unique_ids([cid for cid, _, _ in entries])
+        entries = [(_index(e["id"]), _index(e["depth"]), e) for e in _entries(obj, "circuits")]
+        _check_layout([cid for cid, _, _ in entries], [d for _, d, _ in entries], design)
     circuits = [(cid, depth, _checked_circuit(e, depth, design)) for cid, depth, e in entries]
     noise = _noise_from_args(args)
     results = simulate_design(
@@ -204,7 +219,7 @@ def _load_results(path: str) -> tuple[dict, list[CircuitResult]]:
     with serialize.malformed_as_schema_error(path):
         design = ExperimentDesign.from_obj(obj["design"])
         shots = design.shots
-        for entry in obj["results"]:
+        for entry in _entries(obj, "results"):
             depth = _index(entry["depth"])
             circ = _checked_circuit(entry["circuit"], depth, design)
             n_success, n_fail = _index(entry["n_success"]), _index(entry["n_fail"])
@@ -214,7 +229,7 @@ def _load_results(path: str) -> tuple[dict, list[CircuitResult]]:
                 raise ValueError(f"shot totals differ from the design's {shots} shots")
             res = SimResult(shots=shots, n_success=n_success, n_fail=n_fail, counts=counts)
             results.append(CircuitResult(_index(entry["id"]), depth, circ, res))
-        _unique_ids([r.circuit_id for r in results])
+        _check_layout([r.circuit_id for r in results], [r.depth for r in results], design)
     return obj, results
 
 

@@ -63,15 +63,36 @@ class SamplingConfig:
             return self.connectivity
         return complete_graph(self.n)
 
+    @cached_property
+    def edges_touching(self) -> tuple[tuple[int, ...], ...]:
+        """Per wire, the ascending positions in :attr:`edges` of its edges."""
+        touching: list[list[int]] = [[] for _ in range(self.n)]
+        for i, (a, b) in enumerate(self.edges):
+            touching[a].append(i)
+            touching[b].append(i)
+        return tuple(map(tuple, touching))
 
-def _place_cnot(rng: random.Random, edges, occupied: set[int]) -> CliffordGate | None:
-    free = [e for e in edges if e[0] not in occupied and e[1] not in occupied]
-    if not free:
+
+def _place_cnot(rng: random.Random, config: SamplingConfig,
+                busy: int | None) -> CliffordGate | None:
+    """A CNOT on a uniformly random edge clear of wire ``busy`` (any edge for
+    None), or None if there is no such edge.
+
+    Draws what ``rng.choice`` over the clear edges in order would, without
+    building that list: the drawn index skips the edges that touch ``busy``.
+    """
+    edges = config.edges
+    skip = () if busy is None else config.edges_touching[busy]
+    if len(edges) == len(skip):
         return None
-    a, b = rng.choice(free)
+    j = rng.randrange(len(edges) - len(skip))
+    for i in skip:
+        if i > j:
+            break
+        j += 1
+    a, b = edges[j]
     if rng.getrandbits(1):
         a, b = b, a
-    occupied.update((a, b))
     return clifford_gate(CNOT_INDEX, a, b)
 
 
@@ -82,14 +103,16 @@ def sample_core_layer(config: SamplingConfig, rng: random.Random) -> CircuitLaye
     gates: list[CliffordGate] = []
 
     if config.mode == "at-most-one":
+        busy = None
         if rng.random() < config.p_mcm:
-            w = rng.randrange(config.n)
-            mcm_wires.append(w)
-            occupied.add(w)
+            busy = rng.randrange(config.n)
+            mcm_wires.append(busy)
+            occupied.add(busy)
         if rng.random() < config.p_cnot:
-            g = _place_cnot(rng, config.edges, occupied)
+            g = _place_cnot(rng, config, busy)
             if g is not None:
                 gates.append(g)
+                occupied.update(g.wires)
     else:
         for w in range(config.n):
             if rng.random() < config.p_mcm:

@@ -22,12 +22,14 @@ measurements is one frame op: the composition of the gates' affine maps
 product of the gates' representatives (none if that product is the
 identity). Each gate is its representative followed by a Pauli, and the
 Pauli parts go to the frame, so the reference skips the Pauli dressing
-gates. Noise is drawn in bulk, one geometric-gap draw per channel kind per
-batch of at most ``_BATCH`` shots, one location row per noise event and
-keyed by op position and wire. A row inside a run keys to the run's op and
-carries a letter code, the letter permutation of the run up to the event,
-through which the drawn Pauli is sent back to act before the run. A
-``Counter`` counts each batch's outcome strings.
+gates. A run's state is that product and the Pauli: 96 states, so
+compiling costs one table step per gate (:func:`_run_table`). Noise is
+drawn in bulk, one geometric-gap draw per channel kind per batch of at most
+``_BATCH`` shots, one location row per noise event and keyed by op position
+and wire. A row inside a run keys to the run's op and carries a letter
+code, the letter permutation of the run up to the event, through which the
+drawn Pauli is sent back to act before the run. A ``Counter`` counts each
+batch's outcome strings.
 
 Reset and feedforward-X return a measured wire to |0>, clearing its X
 component. Frame correction leaves the wire as measured and carries the
@@ -47,7 +49,7 @@ import numpy as np
 
 from .builder import QirbCircuit
 from .noise import NoiseModel
-from .pauli import NUM_ONEQ_CLIFFORDS, clifford_action, clifford_product
+from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, clifford_action, clifford_product
 from .seeding import derive_np_rng
 from .tableau import StabilizerTableau
 
@@ -97,6 +99,32 @@ def _split_gates() -> tuple[tuple[int | None, tuple[int, ...], int], ...]:
 
 
 _GATE_SPLIT = _split_gates()
+
+
+def _run_table() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple, ...]]:
+    """The state machine of a run of single-qubit gates on one wire.
+
+    State ``product << 2 | pauli`` is the run whose representatives multiply
+    to Clifford ``product`` and whose Pauli parts, sent through the later
+    gates, add up to the letter code ``pauli``; state 0 is the empty run.
+    The run's frame map is ``(x, z) -> L(x, z) ^ pauli``, with ``L`` the
+    unsigned images of ``product``. Returns ``step``, with ``step[s][g]``
+    the state after gate ``g``, and per state its letter code ``lx | lz <<
+    2`` (X goes to ``lx``, Z to ``lz`` under ``L``) and its six frame masks.
+    """
+    step, codes, masks = [], [], []
+    for s in range(4 * NUM_ONEQ_CLIFFORDS):
+        product, pauli = s >> 2, s & 3
+        step.append(tuple(
+            (product if rep is None else clifford_product(rep, product)) << 2 | image[pauli] ^ code
+            for rep, image, code in _GATE_SPLIT))
+        lx, lz = _GATE_SPLIT[product][1][1:3]
+        codes.append(lx | lz << 2)
+        masks.append(tuple(-(v & 1) for v in (lx, lz, lx >> 1, lz >> 1, pauli, pauli >> 1)))
+    return tuple(step), tuple(codes), tuple(masks)
+
+
+_STEP, _CODE, _MASKS = _run_table()
 
 
 def _unmap_table() -> np.ndarray:
@@ -153,19 +181,19 @@ def _compile(circuit: QirbCircuit) -> _Program:
     ref = StabilizerTableau(n)
     ops: list = []
     reference: list[int] = []
+    # Flat location rows, three ints each, reshaped once at the end.
     locs: dict[str, list] = {k: [] for k in ("oneq", "twoq", "pre", "post", "depol", "readout")}
-    # Each wire's open run, or None: [slot, product of the representatives,
-    # images of X and Z, Pauli], its frame map so far (x, z) -> L(x, z) ^ Pauli.
-    runs: list[list[int] | None] = [None] * n
+    oneq = locs["oneq"]
+    slot = [-1] * n  # each wire's open run: its op slot, or -1
+    state = [0] * n  # and the run's state (_STEP), 0 when none is open
 
     def close(q: int) -> None:
-        run = runs[q]
-        if run is not None:
-            runs[q] = None
-            slot, product, lx, lz, c = run
-            if product:  # index 0 is the identity
-                ref.apply_clifford(product, q)
-            ops[slot] = (_GATE, q, tuple(-(v & 1) for v in (lx, lz, lx >> 1, lz >> 1, c, c >> 1)))
+        if slot[q] >= 0:
+            st = state[q]
+            if st >> 2:  # the product of the representatives is not the identity
+                ref.apply_clifford(st >> 2, q)
+            ops[slot[q]] = (_GATE, q, _MASKS[st])
+            slot[q], state[q] = -1, 0
 
     def measure(kind: int, q: int) -> int:
         bit = ref.measure_z(q)
@@ -175,40 +203,36 @@ def _compile(circuit: QirbCircuit) -> _Program:
 
     for layer in circuit.layers:
         for g in layer.gates:
-            if g.is_cnot:
+            if g.index == CNOT_INDEX:
                 c, t = g.wires
                 close(c)
                 close(t)
                 ref.apply_cnot(c, t)
                 ops.append((_CNOT, c, t))
-                locs["twoq"].append((len(ops), c, t))
+                locs["twoq"] += (len(ops), c, t)
             else:
                 q = g.wires[0]
-                run = runs[q]
-                if run is None:
-                    run = runs[q] = [len(ops), 0, 1, 2, 0]
+                s = slot[q]
+                if s < 0:
+                    s = slot[q] = len(ops)
                     ops.append(None)
-                rep, image, pauli = _GATE_SPLIT[g.index]
-                if rep is not None:
-                    run[1] = clifford_product(rep, run[1])
-                run[2], run[3], run[4] = image[run[2]], image[run[3]], image[run[4]] ^ pauli
-                locs["oneq"].append((run[0], q, run[2] | run[3] << 2))
+                st = state[q] = _STEP[state[q]][g.index]
+                oneq += (s, q, _CODE[st])
         measured = layer.mcm_wires
         for q in measured:
             close(q)
-            locs["pre"].append((len(ops), q, _IDENTITY_CODE))
+            locs["pre"] += (len(ops), q, _IDENTITY_CODE)
             if measure(_MCM, q):
                 ref.apply_pauli(1 << q, 0)  # the reference always resets
-            locs["post"].append((len(ops), q, _IDENTITY_CODE))
+            locs["post"] += (len(ops), q, _IDENTITY_CODE)
         if measured:
             for w in range(n):
                 if w not in measured:
-                    run = runs[w]
-                    locs["depol"].append((len(ops), w, _IDENTITY_CODE) if run is None
-                                         else (run[0], w, run[2] | run[3] << 2))
+                    locs["depol"] += ((len(ops), w, _IDENTITY_CODE) if slot[w] < 0
+                                      else (slot[w], w, _CODE[state[w]]))
     for q in range(n):
         close(q)
-        locs["readout"].append((len(ops), q, _IDENTITY_CODE))
+        locs["readout"] += (len(ops), q, _IDENTITY_CODE)
         measure(_READ, q)
 
     target = circuit.target.z
@@ -218,7 +242,7 @@ def _compile(circuit: QirbCircuit) -> _Program:
         reference=tuple(reference),
         on_target=tuple(bool((target >> k) & 1) for k in range(len(reference))),
         sign=circuit.target.sign,
-        locations={k: np.array(v, dtype=np.int64).reshape(len(v), 3) for k, v in locs.items()},
+        locations={k: np.array(v, dtype=np.int64).reshape(-1, 3) for k, v in locs.items()},
     )
 
 

@@ -234,7 +234,8 @@ class TestSimulateCommand:
         "design-connectivity-float", "design-connectivity-twice", "final-not-z-aligned",
         "tracked-length", "tracked-letter", "fresh-unmeasured", "fresh-missing",
         "schema-qirb-2", "repeated-id", "design-rate-bool", "design-missing-key",
-        "circuit-huge-n", "prep-measures", "final-cnot",
+        "circuit-huge-n", "prep-measures", "final-cnot", "dropped-circuit", "undeclared-depth",
+        "circuits-not-a-list",
     ])
     def test_malformed_circuits_file_exits_3(self, workspace, damage):
         text = read(_make_design(workspace, "exp") / "circuits.json")
@@ -323,6 +324,12 @@ class TestSimulateCommand:
                 del obj["design"]["mode"]  # a field the design inherits from SamplingConfig
             elif damage == "circuit-huge-n":
                 first["n"] = 10**30
+            elif damage == "dropped-circuit":
+                del obj["circuits"][1]
+            elif damage == "undeclared-depth":
+                obj["design"]["depths"].pop()  # its circuits stay in the file
+            elif damage == "circuits-not-a-list":
+                obj["circuits"] = {}
             else:
                 obj["design"]["reset"] = False
             text = json.dumps(obj)
@@ -470,6 +477,7 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("damage", [
         "zero-shots", "total-mismatch", "counts-mismatch", "missing-key", "depth-mismatch",
         "design-n-mismatch", "design-reset-mismatch", "repeated-id", "design-huge-shots",
+        "dropped-circuit", "undeclared-depth", "circuits-not-a-list",
     ])
     def test_malformed_results_file_exits_3(self, workspace, damage):
         obj = json.loads(read(self._results(workspace)))
@@ -495,6 +503,12 @@ class TestAnalyzeCommand:
             entry["n_fail"] += 1
         elif damage == "counts-mismatch":
             entry["counts"][next(iter(entry["counts"]))] += 1
+        elif damage == "dropped-circuit":
+            del obj["results"][1]
+        elif damage == "undeclared-depth":
+            obj["design"]["depths"].pop()  # its circuits stay in the file
+        elif damage == "circuits-not-a-list":
+            obj["results"] = {}
         else:
             del entry["n_fail"]
         bad = workspace / "bad.json"

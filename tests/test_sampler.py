@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from qirb.sampler import SamplingConfig, complete_graph, sample_core_circuit, sample_core_layer
+from qirb.pauli import CNOT_INDEX, clifford_gate
+from qirb.sampler import (SamplingConfig, _place_cnot, complete_graph, sample_core_circuit,
+                          sample_core_layer)
 
 
 def test_gate_only_layer_when_rates_are_zero():
@@ -73,6 +75,24 @@ def test_connectivity_restriction_is_honored():
         for g in layer.gates:
             if g.is_cnot:
                 assert tuple(sorted(g.wires)) in edges
+
+
+@pytest.mark.parametrize("n, edges", [
+    (2, None), (5, None), (4, ((0, 1), (1, 2))), (5, ((3, 0), (1, 3), (3, 4), (2, 1))),
+])
+def test_cnot_draw_is_choice_over_the_clear_edges(n, edges):
+    # The edges clear of the busy wire, filtered as a list, drawn by rng.choice.
+    config = SamplingConfig(n=n, p_cnot=1.0, p_mcm=0.0, connectivity=edges)
+    for busy in (None, *range(n)):
+        clear = [e for e in config.edges if busy not in e]
+        for seed in range(40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            want = None
+            if clear:
+                a, b = ref.choice(clear)
+                want = clifford_gate(CNOT_INDEX, *((b, a) if ref.getrandbits(1) else (a, b)))
+            assert _place_cnot(rng, config, busy) == want
+            assert rng.getstate() == ref.getstate()
 
 
 def test_density_mode_layers_are_legal_and_multi_mcm():

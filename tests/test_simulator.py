@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from qirb import simulator
 from qirb.builder import DressedLayer, QirbCircuit, classify_outcome, resolve_reset_free
 from qirb.pauli import (NUM_ONEQ_CLIFFORDS, CircuitLayer, SignedPauli, clifford_action,
-                        clifford_gate, pauli_gate_indices)
+                        clifford_gate, clifford_product, pauli_gate_indices)
 from qirb.seeding import derive_np_rng
-from qirb.simulator import (_BATCH, _CNOT, _GATE, _GATE_SPLIT, _MCM, _READ, NoiseModel,
-                            _add_faults, _compile, _propagate, simulate_result)
+from qirb.simulator import (_BATCH, _CNOT, _CODE, _GATE, _GATE_SPLIT, _MASKS, _MCM, _READ, _STEP,
+                            NoiseModel, _add_faults, _compile, _propagate, simulate_result)
 from qirb.tableau import StabilizerTableau
 from qirb.theory import exact_success_expectation
 
@@ -296,6 +296,71 @@ def test_fused_runs_match_their_gates(monkeypatch):
                 if _GATE_SPLIT[idx][0] is not None:
                     t.apply_clifford(_GATE_SPLIT[idx][0], 0)
             assert before_readout.pop() == (t.x, t.z, t.r), indices
+
+
+def _compose(run, idx):
+    """A run ``(product, lx, lz, pauli)`` followed by gate ``idx``, one gate at
+    a time: the representative multiplies the product, the letter images
+    send X's and Z's images and the Pauli on, and the gate's Pauli adds."""
+    product, lx, lz, pauli = run
+    rep, image, code = _GATE_SPLIT[idx]
+    return (product if rep is None else clifford_product(rep, product),
+            image[lx], image[lz], image[pauli] ^ code)
+
+
+def _run_masks(lx, lz, pauli):
+    return tuple(-(v & 1) for v in (lx, lz, lx >> 1, lz >> 1, pauli, pauli >> 1))
+
+
+def test_run_table_steps_as_the_gates_compose():
+    # From the empty run, every state and gate: the table's next state is
+    # the composed run, and each state's code, masks and product (the
+    # state's high bits) are those of its run. The table is closed.
+    runs = {0: (0, 1, 2, 0)}
+    todo = [0]
+    while todo:
+        state = todo.pop()
+        for idx in range(NUM_ONEQ_CLIFFORDS):
+            nxt, run = _STEP[state][idx], _compose(runs[state], idx)
+            if nxt not in runs:
+                runs[nxt] = run
+                todo.append(nxt)
+            assert runs[nxt] == run, (state, idx)
+    assert sorted(runs) == list(range(len(_STEP))) and len(runs) == 96
+    for state, (product, lx, lz, pauli) in runs.items():
+        assert state >> 2 == product
+        assert _CODE[state] == lx | lz << 2
+        assert _MASKS[state] == _run_masks(lx, lz, pauli)
+
+
+def test_long_runs_compile_as_the_gates_compose(monkeypatch):
+    # Random one-wire runs of 1 to 64 gates: the compiled op's masks, each
+    # gate's noise row and the one reference call match the gates composed
+    # one at a time.
+    applied = []
+
+    class Recording(StabilizerTableau):
+        def apply_clifford(self, index, q):
+            applied.append(index)
+            super().apply_clifford(index, q)
+
+    monkeypatch.setattr(simulator, "StabilizerTableau", Recording)
+    rng = random.Random(11)
+    layer = [CircuitLayer(1, (clifford_gate(i, 0),)) for i in range(NUM_ONEQ_CLIFFORDS)]
+    empty = CircuitLayer(1)
+    for _ in range(200):
+        indices = [rng.randrange(NUM_ONEQ_CLIFFORDS) for _ in range(rng.randint(1, 64))]
+        run, codes = (0, 1, 2, 0), []
+        for idx in indices:
+            run = _compose(run, idx)
+            codes.append(run[1] | run[2] << 2)
+        # The first gate goes in prep, the others in dressed l1 layers.
+        middle = tuple(DressedLayer(layer[i], empty, empty, 0) for i in indices[1:])
+        applied.clear()
+        prog = _compile(QirbCircuit(1, layer[indices[0]], middle, empty, 0, reset=True))
+        assert prog.ops[0] == (_GATE, 0, _run_masks(*run[1:]))
+        assert prog.locations["oneq"].tolist() == [[0, 0, c] for c in codes]
+        assert applied == ([run[0]] if run[0] else [])
 
 
 def _replay_shot(circuit, ops, faults, shot, bits, reset):
