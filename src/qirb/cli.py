@@ -8,9 +8,13 @@ Subcommands::
     qirb predict   # analytic decay-rate prediction for a noise model
 
 Exit codes: 0 success, 2 usage error, 3 file-schema mismatch, 4 degenerate
-fit. Two flags are accepted and change nothing: ``simulate --threads``
-(simulation runs serially) and ``predict --reset/--no-reset`` (the
-prediction does not depend on the reset mode).
+fit. ``simulate`` and ``analyze`` read circuits and results files through
+one strict reader: an unknown key, or a counts key that is no bit string
+of its circuit's width, exits 3, and every check that reads no circuit
+runs before any circuit is decoded. Two flags are accepted and change
+nothing: ``simulate --threads`` (simulation runs serially) and
+``predict --reset/--no-reset`` (the prediction does not depend on the
+reset mode).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -37,7 +42,8 @@ from .pipeline import (
     simulate_design,
 )
 from .sampler import SamplingConfig
-from .serialize import SchemaError, check_kind, read_json, stamp, write_json
+from .serialize import SchemaError, check_keys, check_kind, read_json, stamp, write_json
+from .simulator import SimResult
 from .theory import predict_fbar_curve, predict_r_omega
 
 EXIT_SCHEMA = 3
@@ -47,6 +53,8 @@ MAX_RESAMPLES = 10**5
 # One bootstrap holds a few arrays of resamples x circuits, about 35 bytes per
 # resampled circuit in all; this bound keeps a fit's arrays under about 0.4 GB.
 MAX_RESAMPLED_CIRCUITS = 10**7
+_RESULT_KEYS = frozenset({"id", "depth", "n_success", "n_fail", "counts", "circuit"})
+_BITS = re.compile("[01]*")
 
 
 def _index(value) -> int:
@@ -56,27 +64,25 @@ def _index(value) -> int:
     return value
 
 
-def _checked_circuit(obj: dict, depth: int, design: ExperimentDesign) -> QirbCircuit:
+def _checked_circuit(obj: dict, depth: int, design: ExperimentDesign, counts) -> QirbCircuit:
     """Decode a file entry's circuit; it must have the entry's depth and the
-    design's wire count and reset mode."""
+    design's wire count and reset mode, and each key of the entry's outcome
+    ``counts``, if it has any, one bit 0 or 1 per readout and MCM."""
     c = serialize.circuit_from_obj(obj)
     if (c.depth, c.n, c.reset) != (depth, design.n, design.reset):
         raise SchemaError(
             f"circuit with depth {c.depth}, n = {c.n} and reset = {c.reset} is filed "
             f"under depth {depth} in a design with n = {design.n} and reset = {design.reset}"
         )
+    width = c.n + c.m
+    if counts is not None and (set(map(len, counts)) != {width}
+                               or not _BITS.fullmatch("".join(counts))):
+        raise SchemaError(f"an outcome counts key is not a string of {width} bits 0 or 1")
     return c
 
 
 def _parse_depths(text: str) -> tuple[int, ...]:
     return tuple(int(d) for d in text.split(","))
-
-
-def _entries(obj: dict, key: str) -> list:
-    """The file's list of circuit entries under ``key``."""
-    if type(obj[key]) is not list:
-        raise ValueError(f"{key!r} must be a list of entries")
-    return obj[key]
 
 
 def _check_layout(ids: list[int], depths: list[int], design: ExperimentDesign) -> None:
@@ -172,22 +178,42 @@ def cmd_design(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    obj = check_kind(read_json(args.circuits), "circuits")
-    with serialize.malformed_as_schema_error(args.circuits):
+def _read_entries(path: str, kind: str) -> tuple[dict, ExperimentDesign, list]:
+    """(file object, design, [(id, depth, circuit object, circuit)]) of a
+    "circuits" or "results" file, its entries listed under ``kind``. Every
+    check that reads no circuit runs before the circuits are decoded, each once."""
+    obj = check_kind(read_json(path), kind)
+    with serialize.malformed_as_schema_error(path):
         design = ExperimentDesign.from_obj(obj["design"])
-        entries = [(_index(e["id"]), _index(e["depth"]), e) for e in _entries(obj, "circuits")]
-        _check_layout([cid for cid, _, _ in entries], [d for _, d, _ in entries], design)
-    circuits = [(cid, depth, _checked_circuit(e, depth, design)) for cid, depth, e in entries]
+        shots = design.shots
+        if type(obj[kind]) is not list:
+            raise ValueError(f"{kind!r} must be a list of entries")
+        heads = []
+        for e in obj[kind]:
+            if kind == "results":
+                check_keys(e, _RESULT_KEYS, "a results entry")
+                circuit, counts = e["circuit"], e["counts"]
+                counted = shots if counts is None else sum(map(_index, counts.values()))
+                if _index(e["n_success"]) + _index(e["n_fail"]) != shots or counted != shots:
+                    raise ValueError(f"shot totals differ from the design's {shots} shots")
+            else:
+                circuit, counts = {k: v for k, v in e.items() if k not in ("id", "depth")}, None
+            heads.append((_index(e["id"]), _index(e["depth"]), circuit, counts))
+        _check_layout([h[0] for h in heads], [h[1] for h in heads], design)
+    return obj, design, [(cid, depth, c, _checked_circuit(c, depth, design, counts))
+                         for cid, depth, c, counts in heads]
+
+
+def cmd_simulate(args) -> int:
+    _, design, entries = _read_entries(args.circuits, "circuits")
     noise = _noise_from_args(args)
     results = simulate_design(
-        circuits,
+        [(cid, depth, circuit) for cid, depth, _, circuit in entries],
         noise,
         design,
         seed=args.seed,
         reset_free_mode=args.reset_free_mode,
     )
-    # Each entry decoded and checked above is written back as read.
     payload = {
         "design": asdict(design),
         "noise": serialize.noise_to_obj(noise),
@@ -199,9 +225,9 @@ def cmd_simulate(args) -> int:
                 "n_success": r.result.n_success,
                 "n_fail": r.result.n_fail,
                 "counts": r.result.counts,
-                "circuit": {k: v for k, v in entry.items() if k not in ("id", "depth")},
+                "circuit": circuit,  # as read, once decoded and checked
             }
-            for r, (_, _, entry) in zip(results, entries)
+            for r, (_, _, circuit, _) in zip(results, entries)
         ],
     }
     write_json(args.out, stamp("results", payload))
@@ -212,25 +238,10 @@ def cmd_simulate(args) -> int:
 
 
 def _load_results(path: str) -> tuple[dict, list[CircuitResult]]:
-    from .simulator import SimResult
-
-    obj = check_kind(read_json(path), "results")
-    results = []
-    with serialize.malformed_as_schema_error(path):
-        design = ExperimentDesign.from_obj(obj["design"])
-        shots = design.shots
-        for entry in _entries(obj, "results"):
-            depth = _index(entry["depth"])
-            circ = _checked_circuit(entry["circuit"], depth, design)
-            n_success, n_fail = _index(entry["n_success"]), _index(entry["n_fail"])
-            counts = entry.get("counts")
-            counted = shots if counts is None else sum(map(_index, counts.values()))
-            if n_success + n_fail != shots or counted != shots:
-                raise ValueError(f"shot totals differ from the design's {shots} shots")
-            res = SimResult(shots=shots, n_success=n_success, n_fail=n_fail, counts=counts)
-            results.append(CircuitResult(_index(entry["id"]), depth, circ, res))
-        _check_layout([r.circuit_id for r in results], [r.depth for r in results], design)
-    return obj, results
+    obj, design, entries = _read_entries(path, "results")
+    return obj, [CircuitResult(cid, depth, circuit,
+                               SimResult(design.shots, e["n_success"], e["n_fail"], e["counts"]))
+                 for (cid, depth, _, circuit), e in zip(entries, obj["results"])]
 
 
 def _input_labels(paths: list[str]) -> list[tuple[str, str]]:

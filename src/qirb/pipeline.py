@@ -35,7 +35,7 @@ class ExperimentDesign(SamplingConfig):
     """One benchmark experiment: a sampling config plus acquisition sizes.
 
     Its file form is ``dataclasses.asdict`` of it; :meth:`from_obj` reads
-    that back.
+    that back, and refuses any other key.
     """
 
     depths: tuple[int, ...] = DEFAULT_DEPTHS
@@ -61,6 +61,9 @@ class ExperimentDesign(SamplingConfig):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ExperimentDesign":
+        unknown = obj.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown design keys {sorted(unknown)}")
         kw = {f.name: obj[f.name] for f in fields(cls)}
         kw["depths"] = tuple(kw["depths"])
         if kw["connectivity"] is not None:

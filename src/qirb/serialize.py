@@ -19,9 +19,10 @@ zero). A circuit's one ``reset`` flag covers all its measurements.
 letter per measured wire, by increasing wire) hold ``Z`` where the tracked
 Pauli starts as Z, before ``prep`` or right after the measurement, else
 ``I``. The MCM count, every tracked letter and sign and the target follow
-by the tracked-Pauli walk. Decoding is strict: a non-canonical token or
-layer, an invalid gate, layer or circuit, or layers that cannot track a
-Pauli raise :class:`SchemaError`.
+by the tracked-Pauli walk. Decoding is strict: a circuit or layer object
+with a key other than its own, a non-canonical token or layer, an invalid
+gate, layer or circuit, or layers that cannot track a Pauli raise
+:class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "write_json",
     "read_json",
     "check_kind",
+    "check_keys",
     "layer_to_str",
     "layer_from_str",
     "circuit_to_obj",
@@ -116,6 +118,12 @@ def check_kind(obj: dict, kind: str) -> dict:
     if obj.get("kind") != kind:
         raise SchemaError(f"expected a {kind!r} file, got {obj.get('kind')!r}")
     return obj
+
+
+def check_keys(obj: dict, keys: frozenset, what: str) -> None:
+    """``obj``, an object of a file, must hold exactly ``keys``."""
+    if obj.keys() != keys:
+        raise ValueError(f"{what} holds exactly the keys {sorted(keys)}, got {sorted(obj)}")
 
 
 def stamp(kind: str, obj: dict) -> dict:
@@ -202,10 +210,17 @@ def circuit_to_obj(c: QirbCircuit) -> dict:
     }
 
 
+_CIRCUIT_KEYS = frozenset({"n", "reset", "prep", "layers", "final", "tracked"})
+_LAYER_KEYS = frozenset({"l1", "l2", "l3"})
+_MEASURING_LAYER_KEYS = _LAYER_KEYS | {"fresh"}
+
+
 def circuit_from_obj(obj: dict) -> QirbCircuit:
-    """Decode and validate one circuit; a malformed one, or one whose layers
+    """Decode and validate one circuit, which holds exactly the keys that
+    :func:`circuit_to_obj` writes; a malformed one, or one whose layers
     cannot track a Pauli, raises SchemaError."""
     with malformed_as_schema_error("circuit"):
+        check_keys(obj, _CIRCUIT_KEYS, "a circuit")
         n = obj["n"]
         reset = obj["reset"]
         if type(reset) is not bool:
@@ -213,12 +228,8 @@ def circuit_from_obj(obj: dict) -> QirbCircuit:
         dressed = []
         for entry in obj["layers"]:
             l2 = layer_from_str(entry["l2"], n)
-            if l2.mcm_wires:
-                fresh = _mask_from_letters(entry["fresh"], l2.mcm_wires)
-            elif "fresh" in entry:
-                raise ValueError("a layer without measurements has no fresh letters")
-            else:
-                fresh = 0
+            check_keys(entry, _MEASURING_LAYER_KEYS if l2.mcm_wires else _LAYER_KEYS, "a layer")
+            fresh = _mask_from_letters(entry["fresh"], l2.mcm_wires) if l2.mcm_wires else 0
             dressed.append(DressedLayer(layer_from_str(entry["l1"], n), l2,
                                         layer_from_str(entry["l3"], n), fresh))
         circuit = QirbCircuit(

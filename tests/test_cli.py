@@ -28,6 +28,11 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def decode_entry(entry):
+    """The circuit of a circuits-file entry, whose id and depth are no circuit keys."""
+    return serialize.circuit_from_obj({k: v for k, v in entry.items() if k not in ("id", "depth")})
+
+
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(qirb.__file__)))
 
 
@@ -161,7 +166,7 @@ class TestDesignCommand:
         obj = serialize.read_json(str(out / "circuits.json"))
         for entry in obj["circuits"]:
             assert entry["depth"] == 0 and entry["layers"] == []
-            assert serialize.circuit_from_obj(entry).m == 0
+            assert decode_entry(entry).m == 0
 
 
 def _layer_slots(circuit):
@@ -235,7 +240,7 @@ class TestSimulateCommand:
         "tracked-length", "tracked-letter", "fresh-unmeasured", "fresh-missing",
         "schema-qirb-2", "repeated-id", "design-rate-bool", "design-missing-key",
         "circuit-huge-n", "prep-measures", "final-cnot", "dropped-circuit", "undeclared-depth",
-        "circuits-not-a-list",
+        "circuits-not-a-list", "entry-unknown-key", "layer-unknown-key",
     ])
     def test_malformed_circuits_file_exits_3(self, workspace, damage):
         text = read(_make_design(workspace, "exp") / "circuits.json")
@@ -279,7 +284,7 @@ class TestSimulateCommand:
                 # the tracked letter there to X instead of Z.
                 entry = next(c for c in obj["circuits"] if c["depth"] == 0 and "Z" in c["tracked"])
                 q = entry["tracked"].index("Z")
-                x, z, _ = tracked_walk(serialize.circuit_from_obj(entry)).after[0]
+                x, z, _ = tracked_walk(decode_entry(entry)).after[0]
                 letter = ((x >> q) & 1) | (((z >> q) & 1) << 1)
                 tokens = entry["final"].split(" ")
                 tokens[q] = f"C{cliffords_mapping_letter(letter, 1)[0]}.{q}"  # 1: X
@@ -293,7 +298,7 @@ class TestSimulateCommand:
                 # A CNOT replaces the final gates on wires 0 and 1, where the
                 # tracked Pauli is already Z-type: the layers still track one.
                 entry = next(c for c in obj["circuits"]
-                             if not tracked_walk(serialize.circuit_from_obj(c)).after[-2][0] & 3)
+                             if not tracked_walk(decode_entry(c)).after[-2][0] & 3)
                 entry["final"] = " ".join(["c0.1"] + entry["final"].split(" ")[2:])
             elif damage == "tracked-length":
                 first["tracked"] += "I"
@@ -330,6 +335,10 @@ class TestSimulateCommand:
                 obj["design"]["depths"].pop()  # its circuits stay in the file
             elif damage == "circuits-not-a-list":
                 obj["circuits"] = {}
+            elif damage == "entry-unknown-key":
+                first["foo"] = 1
+            elif damage == "layer-unknown-key":
+                next(c for c in obj["circuits"] if c["layers"])["layers"][0]["junk"] = ""
             else:
                 obj["design"]["reset"] = False
             text = json.dumps(obj)
@@ -477,7 +486,8 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("damage", [
         "zero-shots", "total-mismatch", "counts-mismatch", "missing-key", "depth-mismatch",
         "design-n-mismatch", "design-reset-mismatch", "repeated-id", "design-huge-shots",
-        "dropped-circuit", "undeclared-depth", "circuits-not-a-list",
+        "dropped-circuit", "undeclared-depth", "circuits-not-a-list", "entry-unknown-key",
+        "circuit-unknown-key", "design-unknown-key", "counts-key-letter", "counts-key-width",
     ])
     def test_malformed_results_file_exits_3(self, workspace, damage):
         obj = json.loads(read(self._results(workspace)))
@@ -509,6 +519,17 @@ class TestAnalyzeCommand:
             obj["design"]["depths"].pop()  # its circuits stay in the file
         elif damage == "circuits-not-a-list":
             obj["results"] = {}
+        elif damage == "entry-unknown-key":
+            entry["foo"] = 1
+        elif damage == "circuit-unknown-key":
+            entry["circuit"]["foo"] = 1
+        elif damage == "design-unknown-key":
+            obj["design"]["junk"] = 1
+        elif damage.startswith("counts-key-"):
+            # The shot totals still agree: one key is renamed, its count kept.
+            key = next(iter(entry["counts"]))
+            bad_key = "2" + key[1:] if damage == "counts-key-letter" else key + "0"
+            entry["counts"][bad_key] = entry["counts"].pop(key)
         else:
             del entry["n_fail"]
         bad = workspace / "bad.json"
@@ -537,6 +558,52 @@ class TestAnalyzeCommand:
                 d["mean"] for d in entry["per_depth"]
             ]
         assert configs[0]["per_depth"] != configs[1]["per_depth"]
+
+
+def _damaged_layout(workspace, kind, damage):
+    """A circuits or results file of ``kind`` whose entries are not the
+    design's, and the command that reads it."""
+    exp = _make_design(workspace, "exp")
+    res = workspace / "results.json"
+    assert run(["simulate", "--circuits", exp / "circuits.json", "--out", res]) == 0
+    obj = json.loads(read(exp / "circuits.json" if kind == "circuits" else res))
+    if damage == "repeated-id":
+        for e in obj[kind]:
+            e["id"] = 0
+    else:
+        del obj[kind][1]
+    bad = workspace / "bad.json"
+    bad.write_text(json.dumps(obj))
+    if kind == "circuits":
+        return obj, bad, ["simulate", "--circuits", bad, "--out", workspace / "r.json"]
+    return obj, bad, ["analyze", bad, "--bootstrap", 2, "--out", workspace / "rep"]
+
+
+@pytest.mark.parametrize("damage", ["repeated-id", "dropped-circuit"])
+@pytest.mark.parametrize("kind", ["circuits", "results"])
+def test_layout_is_checked_before_any_circuit_is_decoded(workspace, monkeypatch, capsys,
+                                                          kind, damage):
+    _, _, argv = _damaged_layout(workspace, kind, damage)
+    decoded = []
+    decode = serialize.circuit_from_obj
+    monkeypatch.setattr(serialize, "circuit_from_obj", lambda obj: decoded.append(obj) or decode(obj))
+    capsys.readouterr()
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith("schema error:")
+    assert decoded == []
+
+
+@pytest.mark.parametrize("kind", ["circuits", "results"])
+def test_layout_error_is_reported_before_a_circuit_error(workspace, capsys, kind):
+    # One entry dropped, and a gate no circuit may hold in the first circuit.
+    obj, bad, argv = _damaged_layout(workspace, kind, "dropped-circuit")
+    first = obj[kind][0] if kind == "circuits" else obj[kind][0]["circuit"]
+    first["final"] = "C24.0"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "the design declares" in err and "C24" not in err, err
 
 
 class TestPredictCommand:
