@@ -22,7 +22,6 @@ from .analysis import (
     fit_erm,
 )
 from .builder import (
-    DressedLayer,
     QirbCircuit,
     build_qirb_circuit,
     classify_outcome,

@@ -12,9 +12,9 @@ A depth-d benchmark circuit wraps the d core layers in randomizing dressing:
   of a fresh sampled Pauli letter and again randomizing the other wires,
 * a final layer rotating the surviving tracked Pauli to Z-type.
 
-:attr:`QirbCircuit.layers` lists them in that order, the op order, and
-every walk over a whole circuit reads it. Only the core layers ``l2`` may
-measure or hold a CNOT.
+A circuit stores these layers in that order, the op order, as
+:attr:`QirbCircuit.layers`, and every walk over a whole circuit reads it.
+Only the core layers ``l2`` may measure or hold a CNOT.
 
 The tracked (n+m)-wire Z-type target Pauli, with its exactly-propagated
 sign, classifies each (m+n)-bit outcome string as success or failure. A
@@ -22,11 +22,12 @@ noiseless execution succeeds with probability 1 by construction.
 
 A circuit stores only what was sampled: its layers, its reset flag and
 where the tracked Pauli starts as Z, before the preparation layer
-(``tracked``) and right after each measurement (``fresh``). The preparing
-gates turn those Z letters into the sampled letters, with the prepared
+(``tracked``) and right after each layer (``fresh``, one mask per layer,
+nonzero only on a measuring ``l2``'s measured wires). The preparing gates
+turn those Z letters into the sampled letters, with the prepared
 eigenvalues as signs, so the walk derives every letter, sign and the target.
 
-The tracked Pauli goes through each dressed layer in one private step,
+The tracked Pauli goes through each layer in one private step,
 ``_walk_layer``, on ``(x, z, sign)`` integers and the one conjugation loop,
 :func:`qirb.pauli.conjugate_bits`. :func:`build_qirb_circuit` takes that
 step as it samples; :func:`tracked_walk` replays it from a built circuit.
@@ -55,7 +56,6 @@ from .pauli import (
 )
 
 __all__ = [
-    "DressedLayer",
     "QirbCircuit",
     "build_qirb_circuit",
     "classify_outcome",
@@ -69,39 +69,23 @@ _ALL_CLIFFORDS = tuple(range(NUM_ONEQ_CLIFFORDS))
 
 
 @dataclass(frozen=True)
-class DressedLayer:
-    """One l1/l2/l3 sandwich around a core layer.
-
-    ``fresh`` is the mask of the measured wires that the tracked Pauli picks
-    up again right after the measurement, as Z; ``l3`` turns each into the
-    wire's freshly sampled letter. It is 0 for a measurement-free layer.
-    """
-
-    l1: CircuitLayer
-    l2: CircuitLayer
-    l3: CircuitLayer
-    fresh: int
-
-    def __post_init__(self) -> None:
-        measured = sum(1 << q for q in self.l2.mcm_wires)
-        if type(self.fresh) is not int or self.fresh & ~measured:
-            raise ValueError("fresh letters must sit on the layer's measured wires")
-
-
-@dataclass(frozen=True)
 class QirbCircuit:
     """A fully dressed benchmark circuit: what was sampled, and nothing else.
 
-    ``tracked`` is the mask of the wires on which the tracked Pauli starts,
-    as Z on |0> before ``prep_layer``. The walk (:func:`tracked_walk`)
-    derives everything else, the target included. Every layer but the core
-    layers holds single-qubit gates only.
+    ``layers`` holds the layers in op order: prep, then ``l1``, ``l2`` and
+    ``l3`` of each core layer (core layer j's at ``3j + 1`` to ``3j + 3``),
+    then final. ``tracked`` is the mask of the wires on which the tracked
+    Pauli starts, as Z on |0> before the prep layer; ``fresh[i]`` is the mask
+    of ``layers[i]``'s measured wires on which it picks up Z again right
+    after the measurement, and the next ``l3`` turns each into the wire's
+    freshly sampled letter. The walk (:func:`tracked_walk`) derives
+    everything else, the target included. Every layer but the core layers
+    holds single-qubit gates only.
     """
 
     n: int
-    prep_layer: CircuitLayer
-    dressed: tuple[DressedLayer, ...]
-    final_layer: CircuitLayer
+    layers: tuple[CircuitLayer, ...]
+    fresh: tuple[int, ...]
     tracked: int
     reset: bool
 
@@ -110,28 +94,24 @@ class QirbCircuit:
             raise ValueError("the wire count must be an integer")
         if type(self.tracked) is not int or self.tracked < 0 or self.tracked >> self.n:
             raise ValueError(f"tracked wires must lie in range({self.n})")
-        if any(layer.n != self.n for layer in self.layers):
-            raise ValueError(f"every layer must span the circuit's {self.n} wires")
-        for i, layer in enumerate(self.layers):
+        if len(self.layers) % 3 != 2 or len(self.fresh) != len(self.layers):
+            raise ValueError("a circuit holds 3d + 2 layers and one fresh mask per layer")
+        for i, (layer, fresh) in enumerate(zip(self.layers, self.fresh)):
+            if layer.n != self.n:
+                raise ValueError(f"every layer must span the circuit's {self.n} wires")
             if i % 3 != 2 and (layer.mcm_wires or layer.cnot_count()):
                 raise ValueError("only core layers may measure or hold a CNOT")
-
-    @cached_property
-    def layers(self) -> tuple[CircuitLayer, ...]:
-        """Every layer in op order: ``prep_layer``, each dressed layer's
-        ``l1``, ``l2`` and ``l3`` (``dressed[j]``'s at ``3j + 1`` to
-        ``3j + 3``), then ``final_layer``."""
-        return (self.prep_layer, *(s for d in self.dressed for s in (d.l1, d.l2, d.l3)),
-                self.final_layer)
+            if type(fresh) is not int or fresh & ~sum(1 << q for q in layer.mcm_wires):
+                raise ValueError("fresh letters must sit on the layer's measured wires")
 
     @property
     def depth(self) -> int:
-        return len(self.dressed)
+        return len(self.layers) // 3
 
     @property
     def m(self) -> int:
         """The number of mid-circuit measurements."""
-        return sum(len(d.l2.mcm_wires) for d in self.dressed)
+        return sum(len(layer.mcm_wires) for layer in self.layers)
 
     @cached_property
     def target(self) -> SignedPauli:
@@ -143,7 +123,7 @@ class QirbCircuit:
         return sum(len(layer.gates) for layer in self.layers) - self.cnot_count()
 
     def cnot_count(self) -> int:
-        return sum(d.l2.cnot_count() for d in self.dressed)
+        return sum(layer.cnot_count() for layer in self.layers)
 
 
 def _prepare(rng: random.Random, letter: int) -> int:
@@ -161,25 +141,24 @@ def _letter(x: int, z: int, q: int) -> int:
     return ((x >> q) & 1) | (((z >> q) & 1) << 1)
 
 
-def _walk_layer(state, d: DressedLayer):
-    """One dressed layer of the tracked-Pauli walk, on ``(x, z, sign)`` ints.
+def _walk_layer(state, layer: CircuitLayer, fresh: int):
+    """One layer of the tracked-Pauli walk, on ``(x, z, sign)`` ints.
 
-    The tracked Pauli goes through ``l1``; its letters on the measured wires
-    (I or Z, else RuntimeError) move out as the k-bit Z mask ``pre``; it goes
-    through ``l2``, picks up Z on the ``fresh`` wires and goes through
-    ``l3``, which turns those into the fresh letters and their eigenvalue
-    signs. Returns the states after l1, after l2 and after l3, and ``pre``.
-    Both the builder and :func:`tracked_walk` take this step.
+    The tracked Pauli's letters on the layer's measured wires (I or Z, else
+    RuntimeError) move out as the k-bit Z mask ``pre``; it goes through the
+    layer's gates and picks up Z on the ``fresh`` wires. Returns the state
+    after the layer, and ``pre``. Both the builder and :func:`tracked_walk`
+    take this step.
     """
-    after_l1 = x, z, sign = conjugate_bits(d.l1.gates, *state)
+    x, z, sign = state
     pre = 0
-    for k, q in enumerate(d.l2.mcm_wires):
+    for k, q in enumerate(layer.mcm_wires):
         if (x >> q) & 1:
             raise RuntimeError(f"l1 failed to Z-align measured wire {q}")
         pre |= ((z >> q) & 1) << k
         z &= ~(1 << q)
-    after_l2 = x, z, sign = conjugate_bits(d.l2.gates, x, z, sign)
-    return after_l1, after_l2, conjugate_bits(d.l3.gates, x, z | d.fresh, sign), pre
+    x, z, sign = conjugate_bits(layer.gates, x, z, sign)
+    return (x, z | fresh, sign), pre
 
 
 def build_qirb_circuit(
@@ -191,7 +170,7 @@ def build_qirb_circuit(
     """Dress an n-wire core circuit into a complete benchmark circuit.
 
     Construction always succeeds for Clifford cores; all sampling uses the
-    supplied rng. The tracked Pauli goes through each dressed layer by
+    supplied rng. The tracked Pauli goes through each layer by
     :func:`_walk_layer`, the step that :func:`tracked_walk` replays.
     """
     if any(layer.n != n for layer in core):
@@ -203,12 +182,12 @@ def build_qirb_circuit(
     pauli_gates = pauli_gate_indices()
 
     # Preparation: wire q gets a uniform random eigenstate of sampled(q).
-    prep_layer = CircuitLayer(n, tuple(
+    prep = CircuitLayer(n, tuple(
         clifford_gate(_prepare(rng, sampled.letter_code(q)), q) for q in range(n)
     ))
     tracked = support & ((1 << n) - 1)
-    state = conjugate_bits(prep_layer.gates, 0, tracked, 1)
-    dressed: list[DressedLayer] = []
+    layers, fresh_masks = [prep], [0]
+    state, _ = _walk_layer((0, tracked, 1), prep, 0)
     first = n
 
     for layer in core:
@@ -219,7 +198,6 @@ def build_qirb_circuit(
         for q in range(n):
             idx = _align(rng, _letter(x, z, q)) if q in mset else rng.choice(pauli_gates)
             l1_gates.append(clifford_gate(idx, q))
-        l1 = CircuitLayer(n, tuple(l1_gates))
 
         # Re-preparation: measured wires get the fresh letters that sampled
         # holds on the layer's virtual wires, the other wires random Paulis.
@@ -233,18 +211,20 @@ def build_qirb_circuit(
             else:
                 idx = rng.choice(pauli_gates)
             l3_gates.append(clifford_gate(idx, q))
-        d = DressedLayer(l1, layer, CircuitLayer(n, tuple(l3_gates)), fresh)
-        _, _, state, _ = _walk_layer(state, d)
-        dressed.append(d)
+        for sub, f in ((CircuitLayer(n, tuple(l1_gates)), 0), (layer, fresh),
+                       (CircuitLayer(n, tuple(l3_gates)), 0)):
+            state, _ = _walk_layer(state, sub, f)
+            layers.append(sub)
+            fresh_masks.append(f)
         first += len(measured)
 
     x, z, _ = state
-    final_layer = CircuitLayer(n, tuple(
+    final = CircuitLayer(n, tuple(
         clifford_gate(_align(rng, _letter(x, z, q)), q) for q in range(n)
     ))
-    if conjugate_bits(final_layer.gates, *state)[0]:
+    if conjugate_bits(final.gates, *state)[0]:
         raise RuntimeError("final layer failed to Z-align the tracked Pauli")
-    return QirbCircuit(n, prep_layer, tuple(dressed), final_layer, tracked, reset_flag)
+    return QirbCircuit(n, (*layers, final), (*fresh_masks, 0), tracked, reset_flag)
 
 
 def classify_outcome(circuit: QirbCircuit, outcome: str, frame_sign: int = 1) -> int:
@@ -307,8 +287,8 @@ class TrackedWalk:
     """The tracked Pauli through a circuit: ``after[i]`` is the ``(x, z,
     sign)`` triple of ints on the n wires as it leaves ``circuit.layers[i]``.
     After an ``l1`` the next ``l2``'s measured wires carry the I/Z letters
-    they measure, after that ``l2`` they carry I, and ``after[-1]`` is the
-    Z-type Pauli the final readout checks.
+    they measure, after that ``l2`` they carry Z exactly on its ``fresh``
+    wires, and ``after[-1]`` is the Z-type Pauli the final readout checks.
 
     ``target`` is the (n+m)-wire Z-type Pauli that classifies outcomes: the
     measured letters in outcome-bit order, then ``after[-1]``'s, with its
@@ -323,18 +303,19 @@ def tracked_walk(circuit: QirbCircuit) -> TrackedWalk:
     """Walk the tracked Pauli through every layer by the builder's step
     (:func:`_walk_layer`) and derive the target. A layer that fails to
     Z-align the Pauli where it must raises ValueError."""
-    after = [conjugate_bits(circuit.prep_layer.gates, 0, circuit.tracked, 1)]
+    after = []
+    state = (0, circuit.tracked, 1)
     target_z = 0
     k = 0
-    for d in circuit.dressed:
+    for layer, fresh in zip(circuit.layers, circuit.fresh):
         try:
-            *states, pre = _walk_layer(after[-1], d)
+            state, pre = _walk_layer(state, layer, fresh)
         except RuntimeError as exc:
             raise ValueError(f"the layers cannot track a Pauli: {exc}") from exc
-        after += states
+        after.append(state)
         target_z |= pre << k
-        k += len(d.l2.mcm_wires)
-    x, z, sign = final = conjugate_bits(circuit.final_layer.gates, *after[-1])
+        k += len(layer.mcm_wires)
+    x, z, sign = state
     if x:
         raise ValueError("the layers cannot track a Pauli: final layer failed to Z-align it")
-    return TrackedWalk((*after, final), SignedPauli(circuit.n + k, 0, target_z | z << k, sign))
+    return TrackedWalk(tuple(after), SignedPauli(circuit.n + k, 0, target_z | z << k, sign))

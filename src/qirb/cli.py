@@ -11,10 +11,11 @@ Exit codes: 0 success, 2 usage error, 3 file-schema mismatch, 4 degenerate
 fit. ``simulate`` and ``analyze`` read circuits and results files through
 one strict reader: an unknown key, or a counts key that is no bit string
 of its circuit's width, exits 3, and every check that reads no circuit
-runs before any circuit is decoded. Two flags are accepted and change
-nothing: ``simulate --threads`` (simulation runs serially) and
-``predict --reset/--no-reset`` (the prediction does not depend on the
-reset mode).
+runs before any circuit is decoded. A circuit's error names its file and
+entry id. ``analyze`` makes every fit before it writes any output. Two
+flags are accepted and change nothing: ``simulate --threads`` (simulation
+runs serially) and ``predict --reset/--no-reset`` (the prediction does not
+depend on the reset mode).
 """
 
 from __future__ import annotations
@@ -200,8 +201,13 @@ def _read_entries(path: str, kind: str) -> tuple[dict, ExperimentDesign, list]:
                 circuit, counts = {k: v for k, v in e.items() if k not in ("id", "depth")}, None
             heads.append((_index(e["id"]), _index(e["depth"]), circuit, counts))
         _check_layout([h[0] for h in heads], [h[1] for h in heads], design)
-    return obj, design, [(cid, depth, c, _checked_circuit(c, depth, design, counts))
-                         for cid, depth, c, counts in heads]
+    entries = []
+    for cid, depth, c, counts in heads:
+        try:
+            entries.append((cid, depth, c, _checked_circuit(c, depth, design, counts)))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: circuit {cid}: {exc}") from exc
+    return obj, design, entries
 
 
 def cmd_simulate(args) -> int:
@@ -264,11 +270,8 @@ def _input_labels(paths: list[str]) -> list[tuple[str, str]]:
 
 
 def cmd_analyze(args) -> int:
-    # Checked before any output is written, so a bad value leaves no partial output.
-    if args.bootstrap < 2:
-        raise ValueError("need at least two bootstrap resamples")
-    if len(args.results) > 1 and args.erm_bootstrap < 2:
-        raise ValueError("need at least two ERM bootstrap resamples")
+    # Every input is read and every fit made before any output is written, so
+    # a bad value, input or fit leaves no partial output.
     if max(args.bootstrap, args.erm_bootstrap) > MAX_RESAMPLES:
         raise ValueError(f"--bootstrap and --erm-bootstrap must be <= {MAX_RESAMPLES}")
     loaded = [_load_results(path) for path in args.results]
@@ -280,12 +283,26 @@ def cmd_analyze(args) -> int:
         if resampled > MAX_RESAMPLED_CIRCUITS:
             raise ValueError(f"{what} is {resampled}, over the bootstrap's memory bound of "
                              f"{MAX_RESAMPLED_CIRCUITS} resampled circuits")
+    fits = []
+    for results in per_config_results:
+        data = decay_dataset_from_results(results)
+        fits.append((bootstrap_decay(data, args.bootstrap, seed=args.seed), data.depth_stats()))
+    erm_entry = None
+    if len(args.results) > 1:
+        data = erm_data_from_results(per_config_results)
+        params, residual, sigma = bootstrap_erm(data, args.erm_bootstrap, seed=args.seed)
+        erm_entry = {
+            "eps_1q": params.eps_1q,
+            "eps_2q": params.eps_2q,
+            "eps_mcm": params.eps_mcm,
+            "eps_spam": params.eps_spam,
+            "residual": residual,
+            "sigma": sigma,
+            "note": "single-config fits are poorly conditioned; fit spans all inputs",
+        }
     os.makedirs(args.out, exist_ok=True)
     report_configs = []
-    for (obj, results), (source, stem) in zip(loaded, _input_labels(args.results)):
-        data = decay_dataset_from_results(results)
-        fit = bootstrap_decay(data, args.bootstrap, seed=args.seed)
-        stats = data.depth_stats()
+    for (obj, _), (fit, stats), (source, stem) in zip(loaded, fits, _input_labels(args.results)):
         rows = ["depth,mean,stderr,n_circuits"]
         for s in stats:
             rows.append(f"{s.depth},{s.mean!r},{s.stderr!r},{s.n_circuits}")
@@ -305,19 +322,6 @@ def cmd_analyze(args) -> int:
                 ],
             }
         )
-    erm_entry = None
-    if len(args.results) > 1:
-        data = erm_data_from_results(per_config_results)
-        params, residual, sigma = bootstrap_erm(data, args.erm_bootstrap, seed=args.seed)
-        erm_entry = {
-            "eps_1q": params.eps_1q,
-            "eps_2q": params.eps_2q,
-            "eps_mcm": params.eps_mcm,
-            "eps_spam": params.eps_spam,
-            "residual": residual,
-            "sigma": sigma,
-            "note": "single-config fits are poorly conditioned; fit spans all inputs",
-        }
     write_json(
         os.path.join(args.out, "report.json"),
         stamp("report", {"configs": report_configs, "erm": erm_entry}),

@@ -34,7 +34,7 @@ import tempfile
 from contextlib import contextmanager
 from functools import lru_cache
 
-from .builder import DressedLayer, QirbCircuit
+from .builder import QirbCircuit
 from .noise import NoiseModel
 from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate, clifford_gate
 
@@ -195,17 +195,18 @@ def _mask_from_letters(text: str, wires) -> int:
 
 def circuit_to_obj(c: QirbCircuit) -> dict:
     layers = []
-    for d in c.dressed:
-        entry = {"l1": layer_to_str(d.l1), "l2": layer_to_str(d.l2), "l3": layer_to_str(d.l3)}
-        if d.l2.mcm_wires:
-            entry["fresh"] = _letters(d.fresh, d.l2.mcm_wires)
+    for i in range(1, len(c.layers) - 1, 3):
+        l1, l2, l3 = c.layers[i:i + 3]
+        entry = {"l1": layer_to_str(l1), "l2": layer_to_str(l2), "l3": layer_to_str(l3)}
+        if l2.mcm_wires:
+            entry["fresh"] = _letters(c.fresh[i + 1], l2.mcm_wires)
         layers.append(entry)
     return {
         "n": c.n,
         "reset": c.reset,
-        "prep": layer_to_str(c.prep_layer),
+        "prep": layer_to_str(c.layers[0]),
         "layers": layers,
-        "final": layer_to_str(c.final_layer),
+        "final": layer_to_str(c.layers[-1]),
         "tracked": _letters(c.tracked, range(c.n)),
     }
 
@@ -225,21 +226,17 @@ def circuit_from_obj(obj: dict) -> QirbCircuit:
         reset = obj["reset"]
         if type(reset) is not bool:
             raise ValueError(f"reset must be true or false, got {reset!r}")
-        dressed = []
+        layers = [layer_from_str(obj["prep"], n)]
+        fresh = [0]
         for entry in obj["layers"]:
             l2 = layer_from_str(entry["l2"], n)
             check_keys(entry, _MEASURING_LAYER_KEYS if l2.mcm_wires else _LAYER_KEYS, "a layer")
-            fresh = _mask_from_letters(entry["fresh"], l2.mcm_wires) if l2.mcm_wires else 0
-            dressed.append(DressedLayer(layer_from_str(entry["l1"], n), l2,
-                                        layer_from_str(entry["l3"], n), fresh))
-        circuit = QirbCircuit(
-            n=n,
-            prep_layer=layer_from_str(obj["prep"], n),
-            dressed=tuple(dressed),
-            final_layer=layer_from_str(obj["final"], n),
-            tracked=_mask_from_letters(obj["tracked"], range(n)),
-            reset=reset,
-        )
+            layers += layer_from_str(entry["l1"], n), l2, layer_from_str(entry["l3"], n)
+            fresh += 0, _mask_from_letters(entry["fresh"], l2.mcm_wires) if l2.mcm_wires else 0, 0
+        layers.append(layer_from_str(obj["final"], n))
+        fresh.append(0)
+        circuit = QirbCircuit(n, tuple(layers), tuple(fresh),
+                              _mask_from_letters(obj["tracked"], range(n)), reset)
         circuit.target  # the walk: layers that cannot track a Pauli raise here
     return circuit
 

@@ -206,12 +206,12 @@ def exact_success_expectation(circuit: QirbCircuit, noise: NoiseModel) -> float:
                 prod *= 1.0 - 2.0 * _ANTI_PROB_1Q[((x >> q) & 1) | (((z >> q) & 1) << 1)](noise)
         measured = layer.mcm_wires
         if measured:
-            fresh = circuit.dressed[i // 3].fresh
             for q in measured:
-                # l1 left I or Z on q, the letter the MCM measures.
+                # l1 left I or Z on q, the letter the MCM measures, and the
+                # measurement leaves Z on q iff the tracked Pauli picks it up.
                 if (walk.after[i - 1][1] >> q) & 1:
                     prod *= 1.0 - 2.0 * noise.pre_flip
-                if (fresh >> q) & 1:
+                if (z >> q) & 1:
                     prod *= 1.0 - 2.0 * noise.post_flip
             if noise.unmeasured_depol > 0.0:
                 mset = set(measured)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qirb import builder
 from qirb.builder import (
-    DressedLayer,
     QirbCircuit,
     build_qirb_circuit,
     classify_outcome,
@@ -55,7 +54,7 @@ def synthetic_circuit(target_string, sign=1):
     if sign < 0:
         assert tracked & 1
         prep = CircuitLayer(n, (CliffordGate(pauli_gate_indices()[1], (0,)),))
-    c = QirbCircuit(n, prep, (), CircuitLayer(n), tracked, reset=True)
+    c = QirbCircuit(n, (prep, CircuitLayer(n)), (0, 0), tracked, reset=True)
     assert c.target == sp(target_string, sign)
     return c
 
@@ -100,7 +99,7 @@ class TestConstruction:
         for seed in range(120):
             c = build_random(2, 1, seed=seed, p_mcm=1.0)
             assert c.m == 1 and c.target.n == 3
-            q = c.dressed[0].l2.mcm_wires[0]
+            q = c.layers[2].mcm_wires[0]
             was_identity = not (tracked_walk(c).after[1][1] >> q) & 1  # after l1
             discarded = not c.target.support() & 1
             assert discarded == was_identity
@@ -115,12 +114,25 @@ class TestConstruction:
             c = build_random(3, 6, seed=seed, reset=bool(seed % 2))
             assert c.target.x == 0
             assert c.target.sign in (1, -1)
-            assert sum(len(d.l2.mcm_wires) for d in c.dressed) == c.m
+            assert sum(len(layer.mcm_wires) for layer in c.layers[2::3]) == c.m
 
     def test_layers_are_in_op_order(self):
-        c = build_random(3, 5, seed=2)
-        assert c.layers == (c.prep_layer, *(s for d in c.dressed for s in (d.l1, d.l2, d.l3)),
-                            c.final_layer)
+        rng = random.Random(2)
+        core = sample_core_circuit(SamplingConfig(n=3, p_cnot=0.35, p_mcm=0.5), 5, rng)
+        c = build_qirb_circuit(core, True, rng, n=3)
+        assert len(c.layers) == len(c.fresh) == 3 * 5 + 2
+        assert c.layers[2::3] == tuple(core)
+
+    def test_fresh_z_letters_follow_each_measurement(self):
+        # The walk leaves Z on an l2's measured wires exactly where it
+        # picks the tracked Pauli up again, and nowhere else.
+        for seed in range(20):
+            c = build_random(3, 4, seed=seed, p_mcm=0.8)
+            after = tracked_walk(c).after
+            for i in range(2, len(c.layers), 3):
+                measured = sum(1 << q for q in c.layers[i].mcm_wires)
+                assert after[i][0] & measured == 0
+                assert after[i][1] & measured == c.fresh[i]
 
     @pytest.mark.parametrize("where", ["prep", "l1", "l3", "final"])
     @pytest.mark.parametrize("op", ["measure", "cnot"])
@@ -128,14 +140,35 @@ class TestConstruction:
         c = build_random(3, 2, seed=4, p_mcm=0.0)
         bad = (CircuitLayer(3, (CliffordGate(0, (0,)),), (2,)) if op == "measure"
                else CircuitLayer(3, (CliffordGate(24, (2, 0)),)))
-        parts = {"prep": c.prep_layer, "final": c.final_layer, where: bad}
-        dressed = c.dressed
-        if where in ("l1", "l3"):
-            d = dressed[0]
-            dressed = (DressedLayer(bad if where == "l1" else d.l1, d.l2,
-                                    bad if where == "l3" else d.l3, 0), *dressed[1:])
+        layers = list(c.layers)
+        layers[{"prep": 0, "l1": 1, "l3": 3, "final": -1}[where]] = bad
         with pytest.raises(ValueError, match="only core layers"):
-            QirbCircuit(3, parts["prep"], dressed, parts["final"], c.tracked, c.reset)
+            QirbCircuit(3, tuple(layers), c.fresh, c.tracked, c.reset)
+
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_a_circuit_holds_3d_plus_2_layers(self, count):
+        c = build_random(3, 2, seed=4)
+        with pytest.raises(ValueError, match="3d \\+ 2 layers"):
+            QirbCircuit(3, c.layers[:count], c.fresh[:count], c.tracked, c.reset)
+
+    @pytest.mark.parametrize("fresh", [lambda f: f[:-1], lambda f: (*f, 0)])
+    def test_one_fresh_mask_per_layer(self, fresh):
+        c = build_random(3, 2, seed=4)
+        with pytest.raises(ValueError, match="one fresh mask per layer"):
+            QirbCircuit(3, c.layers, fresh(c.fresh), c.tracked, c.reset)
+
+    @pytest.mark.parametrize("where", ["prep", "l1", "l2", "l3", "final"])
+    @pytest.mark.parametrize("mask", [2, True])
+    def test_fresh_sits_on_measured_wires(self, where, mask):
+        # Only core layer 0 measures, on wire 0 alone: no layer may take Z
+        # on wire 1 (mask 2), and a bool is no mask.
+        c = build_random(3, 2, seed=4, p_mcm=0.0)
+        layers = list(c.layers)
+        layers[2] = CircuitLayer(3, mcm_wires=(0,))
+        fresh = [0] * len(layers)
+        fresh[{"prep": 0, "l1": 1, "l2": 2, "l3": 3, "final": -1}[where]] = mask
+        with pytest.raises(ValueError, match="fresh letters must sit"):
+            QirbCircuit(3, tuple(layers), tuple(fresh), c.tracked, c.reset)
 
     def test_core_layers_must_span_n_wires(self):
         # A core layer never sets the wire count: every layer must span n wires.
@@ -151,11 +184,10 @@ def test_gate_counts_match_a_per_gate_count(n, depth, mode, p_cnot, p_mcm, seed)
     rng = random.Random(seed)
     config = SamplingConfig(n=n, p_cnot=p_cnot, p_mcm=p_mcm, mode=mode)
     c = build_qirb_circuit(sample_core_circuit(config, depth, rng), True, rng, n=n)
-    layers = [c.prep_layer, *(s for d in c.dressed for s in (d.l1, d.l2, d.l3)), c.final_layer]
-    for layer in layers:
+    for layer in c.layers:
         assert layer.oneq_gate_count() == sum(1 for g in layer.gates if len(g.wires) == 1)
         assert layer.cnot_count() == sum(1 for g in layer.gates if len(g.wires) == 2)
-    gates = [g for layer in layers for g in layer.gates]
+    gates = [g for layer in c.layers for g in layer.gates]
     assert c.oneq_gate_count() == sum(1 for g in gates if len(g.wires) == 1)
     assert c.cnot_count() == sum(1 for g in gates if len(g.wires) == 2)
 
@@ -220,8 +252,8 @@ class TestDressingDistributions:
         counter = Counter()
         for seed in range(300):
             c = build_random(2, 1, seed=seed, p_mcm=1.0)
-            q_meas = c.dressed[0].l2.mcm_wires[0]
-            for g in c.dressed[0].l1.gates:
+            q_meas = c.layers[2].mcm_wires[0]
+            for g in c.layers[1].gates:
                 if g.wires[0] != q_meas:
                     assert g.index in pauli_set
                     counter[g.index] += 1
@@ -237,12 +269,11 @@ class TestDressingDistributions:
         signs = Counter()
         for seed in range(400):
             c = build_random(2, 1, seed=seed, p_mcm=1.0)
-            d = c.dressed[0]
-            q = d.l2.mcm_wires[0]
+            q = c.layers[2].mcm_wires[0]
             x, z, _ = tracked_walk(c).after[0]  # after prep
             if not ((x | z) >> q) & 1:
                 continue
-            gate = next(g for g in d.l1.gates if g.wires[0] == q)
+            gate = next(g for g in c.layers[1].gates if g.wires[0] == q)
             component = SignedPauli(c.n, x & (1 << q), z & (1 << q), 1)
             image = conjugate((gate,), component)
             assert image.letters()[q] == "Z"
@@ -254,17 +285,18 @@ class TestDressingDistributions:
 def _injection_points(circuit):
     """(injection point, unsigned tracked Pauli there) along the walk. Just
     before a layer's measurements the measured wires carry the letters that
-    l1 left (I or Z), just after them Z on the ``fresh`` wires."""
+    l1 left (I or Z), just after them Z on the ``fresh`` wires, as the walk
+    leaves the layer."""
     n = circuit.n
     after = tracked_walk(circuit).after
     yield ("prep",), SignedPauli(n, *after[0][:2])
-    for i, d in enumerate(circuit.dressed):
+    for i in range(circuit.depth):
         x1, z1, _ = after[3 * i + 1]
         x2, z2, _ = after[3 * i + 2]
-        measured = sum(1 << q for q in d.l2.mcm_wires)
+        measured = sum(1 << q for q in circuit.layers[3 * i + 2].mcm_wires)
         yield ("l1", i), SignedPauli(n, x1, z1)
-        yield ("l2", i), SignedPauli(n, x2, z2 | (z1 & measured))
-        yield ("postmeas", i), SignedPauli(n, x2, z2 | d.fresh)
+        yield ("l2", i), SignedPauli(n, x2, (z2 & ~measured) | (z1 & measured))
+        yield ("postmeas", i), SignedPauli(n, x2, z2)
         yield ("l3", i), SignedPauli(n, *after[3 * i + 3][:2])
     yield ("final",), SignedPauli(n, *after[-1][:2])
 
@@ -282,17 +314,18 @@ def circuit_ops(circuit):
         ops.extend(("gate", g) for g in layer.gates)
         at[tag] = len(ops)
 
-    gates(circuit.prep_layer, ("prep",))
+    gates(circuit.layers[0], ("prep",))
     k = 0
-    for i, d in enumerate(circuit.dressed):
-        gates(d.l1, ("l1", i))
-        gates(d.l2, ("l2", i))
-        for q in d.l2.mcm_wires:
+    for i in range(circuit.depth):
+        l1, l2, l3 = circuit.layers[3 * i + 1:3 * i + 4]
+        gates(l1, ("l1", i))
+        gates(l2, ("l2", i))
+        for q in l2.mcm_wires:
             ops.append(("measure", q, k))
             k += 1
         at[("postmeas", i)] = len(ops)
-        gates(d.l3, ("l3", i))
-    gates(circuit.final_layer, ("final",))
+        gates(l3, ("l3", i))
+    gates(circuit.layers[-1], ("final",))
     ops += [("measure", q, circuit.m + q) for q in range(circuit.n)]
     return ops, at
 
@@ -312,10 +345,10 @@ def noise_rows(circuit):
             rows["post"].append((pos + 1, op[1]))
         else:
             rows["readout"].append((pos, op[1]))
-    for i, d in enumerate(circuit.dressed):
-        if d.l2.mcm_wires:
+    for i, l2 in enumerate(circuit.layers[2::3]):
+        if l2.mcm_wires:
             rows["depol"] += [(at[("postmeas", i)], w) for w in range(circuit.n)
-                              if w not in d.l2.mcm_wires]
+                              if w not in l2.mcm_wires]
     return ops, at, rows
 
 

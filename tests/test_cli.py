@@ -195,6 +195,11 @@ def _edit_token(obj, pattern, edit, repeated=False):
     raise AssertionError(f"no token matches {pattern}")
 
 
+def _damaged_id(original, entries):
+    """The id of the first entry that differs from ``original``'s, else the first id."""
+    return next((e["id"] for e, o in zip(entries, original) if e != o), entries[0]["id"])
+
+
 def _make_design(workspace, name, seed=3, depths="0,1,4,8", n=2, k=4, shots=60,
                  p_cnot=0.3, p_mcm=0.4):
     out = workspace / name
@@ -244,6 +249,7 @@ class TestSimulateCommand:
     ])
     def test_malformed_circuits_file_exits_3(self, workspace, damage):
         text = read(_make_design(workspace, "exp") / "circuits.json")
+        original = json.loads(text)["circuits"]
         if damage == "truncated":
             text = text[: len(text) // 2]
         else:
@@ -354,6 +360,13 @@ class TestSimulateCommand:
             assert "KeyError: 'mode'" in proc.stderr
         if damage in ("prep-measures", "final-cnot"):
             assert "only core layers" in proc.stderr
+        if damage not in ("truncated", "schema-qirb-1", "schema-qirb-2", "repeated-id",
+                          "dropped-circuit", "undeclared-depth", "circuits-not-a-list",
+                          "depth-mismatch", "design-shots-float", "design-connectivity-float",
+                          "design-connectivity-twice", "design-rate-bool", "design-missing-key"):
+            # A circuit's error names its file and entry; the others fail before
+            # any circuit is decoded.
+            assert f"{bad}: circuit {_damaged_id(original, obj['circuits'])}: " in proc.stderr
 
     def test_noise_file_input(self, workspace):
         out = _make_design(workspace, "exp")
@@ -397,6 +410,15 @@ class TestAnalyzeCommand:
     def test_single_depth_exits_4(self, workspace):
         res = self._results(workspace, name="flat", depths="4")
         assert run(["analyze", res, "--bootstrap", 5, "--out", workspace / "rep2"]) == 4
+
+    def test_degenerate_later_input_leaves_no_output(self, workspace):
+        # Every fit is made before the output directory is made.
+        good = self._results(workspace)
+        flat = self._results(workspace, name="flat", depths="2")
+        rep = workspace / "rep"
+        assert run(["analyze", good, flat, "--bootstrap", 5, "--erm-bootstrap", 2,
+                    "--out", rep]) == 4
+        assert not rep.exists()
 
     def test_multi_config_reports_erm(self, workspace):
         res_a = self._results(workspace, name="a", p_mcm=0.1, seed=1)
@@ -490,7 +512,8 @@ class TestAnalyzeCommand:
         "circuit-unknown-key", "design-unknown-key", "counts-key-letter", "counts-key-width",
     ])
     def test_malformed_results_file_exits_3(self, workspace, damage):
-        obj = json.loads(read(self._results(workspace)))
+        text = read(self._results(workspace))
+        obj, original = json.loads(text), json.loads(text)["results"]
         entry = obj["results"][1]
         if damage == "depth-mismatch":
             next(e for e in obj["results"] if e["depth"] == 8)["depth"] = 0
@@ -538,6 +561,10 @@ class TestAnalyzeCommand:
         assert proc.returncode == 3
         assert proc.stderr.startswith("schema error:")
         assert "Traceback" not in proc.stderr
+        if damage in ("design-n-mismatch", "design-reset-mismatch", "circuit-unknown-key",
+                      "counts-key-letter", "counts-key-width"):
+            # A circuit's error names its file and entry.
+            assert f"{bad}: circuit {_damaged_id(original, obj['results'])}: " in proc.stderr
 
     def test_inputs_sharing_a_stem_keep_separate_curves(self, workspace):
         paths = []

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qirb import simulator
-from qirb.builder import DressedLayer, QirbCircuit, classify_outcome, resolve_reset_free
+from qirb.builder import QirbCircuit, classify_outcome, resolve_reset_free
 from qirb.pauli import (NUM_ONEQ_CLIFFORDS, CircuitLayer, SignedPauli, clifford_action,
                         clifford_gate, clifford_product, pauli_gate_indices)
 from qirb.seeding import derive_np_rng
@@ -273,10 +273,10 @@ def test_fused_runs_match_their_gates(monkeypatch):
         gate_at = np.repeat([i for i, _ in faults], block)
         letters = np.repeat([letter for _, letter in faults], block)
         for indices in itertools.product(range(NUM_ONEQ_CLIFFORDS), repeat=length):
-            # The first gate goes in prep, a middle one in a dressed l1, the last in final.
-            middle = [DressedLayer(layer[i], empty, empty, 0) for i in indices[1:-1]]
-            prog = _compile(QirbCircuit(1, layer[indices[0]], tuple(middle), layer[indices[-1]], 0,
-                                        reset=True))
+            # The first gate goes in prep, a middle one in an l1, the last in final.
+            layers = (layer[indices[0]], *(s for i in indices[1:-1] for s in (layer[i], empty, empty)),
+                      layer[indices[-1]])
+            prog = _compile(QirbCircuit(1, layers, (0,) * len(layers), 0, reset=True))
             assert [op[0] for op in prog.ops] == [_GATE, _READ]
             placed = {}
             _add_faults(placed, "oneq", prog.locations["oneq"][gate_at], shot_idx, letters)
@@ -354,10 +354,11 @@ def test_long_runs_compile_as_the_gates_compose(monkeypatch):
         for idx in indices:
             run = _compose(run, idx)
             codes.append(run[1] | run[2] << 2)
-        # The first gate goes in prep, the others in dressed l1 layers.
-        middle = tuple(DressedLayer(layer[i], empty, empty, 0) for i in indices[1:])
+        # The first gate goes in prep, the others in l1 layers.
+        layers = (layer[indices[0]], *(s for i in indices[1:] for s in (layer[i], empty, empty)),
+                  empty)
         applied.clear()
-        prog = _compile(QirbCircuit(1, layer[indices[0]], middle, empty, 0, reset=True))
+        prog = _compile(QirbCircuit(1, layers, (0,) * len(layers), 0, reset=True))
         assert prog.ops[0] == (_GATE, 0, _run_masks(*run[1:]))
         assert prog.locations["oneq"].tolist() == [[0, 0, c] for c in codes]
         assert applied == ([run[0]] if run[0] else [])
