@@ -186,15 +186,37 @@ def test_edges_circuits_file_is_pinned(tmp_path, mode):
     assert digest == PINNED_EDGES_CIRCUITS_SHA256[mode]
 
 
+def outcome_digest(path):
+    """sha256 of what a results file says about the shots: canonical JSON of
+    its design, noise and reset-free mode and of each entry's id, depth,
+    totals and counts. The schema stamp and the circuits are left out, so
+    the digest holds across circuit encodings."""
+    obj = json.loads(path.read_text())
+    kept = {key: obj[key] for key in ("design", "noise", "reset_free_mode")}
+    kept["results"] = [{key: e[key] for key in ("id", "depth", "n_success", "n_fail", "counts")}
+                       for e in obj["results"]]
+    return hashlib.sha256(json.dumps(kept, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def outcome_digests(tmp_path, pinned):
+    return {name: outcome_digest(tmp_path / name) for name in pinned}
+
+
 # Changes only when the simulator's draws, the file formats or the
 # prediction change, or when numpy changes its Generator streams, which it
-# does not promise to keep across releases.
+# does not promise to keep across releases. The outcome digests change only
+# with the draws and numpy, not with the circuit encoding.
 PINNED_RUN_SHA256 = {
     "reset.json": "4e231df56280d20029321babae814104b154d63415e74d0e9f9fa907b8b31ed7",
     "frame-correction.json": "2ebd4c9df593bef5dcd33d465943397147c15d286b90d8cb97a74a67c8479155",
     "feedforward-x.json": "5a3c42341da52d2b65acd690036eb466fe14deda9796bcbc414edbc96ffce25c",
     "reset.curve.csv": "4e3cbc8da7635464eeb185cc12e3080e1aff8a69b2224477bac8059e50f86e4b",
     "predict.stdout": "4eeb6264ce3583b9d5b93195514a1e0e2237c6ea3ba646e8c1b62d609b84183a",
+}
+PINNED_RUN_OUTCOME_SHA256 = {
+    "reset.json": "a803147b50680e748fa2f87ca1836d3bd8714f7c4636bfd1a6bf4e2b512859a1",
+    "frame-correction.json": "2476d82b97122df07d1386e1cfb8773c969cbc1a049a4a74118512d6011b0616",
+    "feedforward-x.json": "1a2803e83e116ed3be2b3187d59f3075cef89333cfd67475088b255b3a3f3d62",
 }
 
 
@@ -217,6 +239,7 @@ def test_run_outputs_are_pinned(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_RUN_SHA256}
     assert digests == PINNED_RUN_SHA256, f"pinned with numpy 2.4.6, run with numpy {np.__version__}"
+    assert outcome_digests(tmp_path, PINNED_RUN_OUTCOME_SHA256) == PINNED_RUN_OUTCOME_SHA256
 
 
 # An n = 8 run, where a random measurement's pivot can be any of 8
@@ -224,6 +247,10 @@ def test_run_outputs_are_pinned(tmp_path, capsys):
 PINNED_WIDE_RUN_SHA256 = {
     "reset.json": "cefbccc1556258d535b5d7cf5d66dec0081b12fd952d28ebd144020395b67920",
     "frame-correction.json": "73876c294ea7e8679d8c8218fa5959813e44fb3551b6a93dc01b51881c3caaa4",
+}
+PINNED_WIDE_RUN_OUTCOME_SHA256 = {
+    "reset.json": "782936cadfec3abf2a20dd9ef7485092fe45315ca6b7cfea340ca5412970a2de",
+    "frame-correction.json": "9e965c7c7daa71a7fcf64ef4929610c35058f15c28cd564e80e498e9e50021bb",
 }
 
 
@@ -240,6 +267,7 @@ def test_wide_run_outputs_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_WIDE_RUN_SHA256}
     assert digests == PINNED_WIDE_RUN_SHA256, f"pinned with numpy 2.4.6, run with numpy {np.__version__}"
+    assert outcome_digests(tmp_path, PINNED_WIDE_RUN_OUTCOME_SHA256) == PINNED_WIDE_RUN_OUTCOME_SHA256
 
 
 # An n = 6 run under an asymmetric noise file (px, py and pz differ; the
@@ -250,6 +278,11 @@ PINNED_ASYMMETRIC_RUN_SHA256 = {
     "reset.json": "74f4e8cbcc2f835a3b04fe1cbecaa5dad98f8da75f88c82cf3414fdb38b5efa1",
     "frame-correction.json": "26ec0cd577a8e544e68369cc2b09b2bc4fc27b4360c3d198638bb2047ece47dd",
     "feedforward-x.json": "1e4651632c66b526be0e69faffc216ff07f100015b1add675a16f8e340f3178d",
+}
+PINNED_ASYMMETRIC_RUN_OUTCOME_SHA256 = {
+    "reset.json": "3610db6c24b7180dd375e378d228f67e24daec1295c2ee9a95b39c24f419ae7e",
+    "frame-correction.json": "a1e86ab34ebcee9d231f7c735a119a3d622466dfebe749b14da5a21564948394",
+    "feedforward-x.json": "1de941eda909c826b6b2acebe1c3f1340786206c5e563df636585c85797ea8dc",
 }
 
 _ASYMMETRIC_NOISE = {
@@ -276,3 +309,19 @@ def test_asymmetric_noise_run_outputs_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_ASYMMETRIC_RUN_SHA256}
     assert digests == PINNED_ASYMMETRIC_RUN_SHA256, f"pinned with numpy 2.4.6, run with numpy {np.__version__}"
+    assert (outcome_digests(tmp_path, PINNED_ASYMMETRIC_RUN_OUTCOME_SHA256)
+            == PINNED_ASYMMETRIC_RUN_OUTCOME_SHA256)
+
+
+# The density-mode prediction on an n = 3 line: a Monte Carlo over 20,000
+# sampled core layers. Changes only when the layer draws or the prediction
+# change.
+PINNED_DENSITY_PREDICT_SHA256 = "ce5119ba5fd3ef36f3b02e825bcb08557d90930e2fbf506f718121bb30732053"
+
+
+def test_density_predict_is_pinned(tmp_path, capsys):
+    (tmp_path / "line.json").write_text('{"edges": [[0, 1], [1, 2]]}')
+    assert main(["predict", "--n", "3", "--p-cnot", "0.35", "--p-mcm", "0.2",
+                 "--edges", str(tmp_path / "line.json"), "--mode", "density"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_DENSITY_PREDICT_SHA256
