@@ -28,12 +28,7 @@ from .builder import (
     resolve_reset_free,
 )
 from .noise import NoiseModel
-from .pauli import (
-    CircuitLayer,
-    CliffordGate,
-    SignedPauli,
-    random_pauli,
-)
+from .pauli import SignedPauli, random_pauli
 from .pipeline import (
     DEFAULT_DEPTHS,
     ExperimentDesign,

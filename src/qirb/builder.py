@@ -14,7 +14,10 @@ A depth-d benchmark circuit wraps the d core layers in randomizing dressing:
 
 A circuit stores these layers in that order, the op order, as
 :attr:`QirbCircuit.layers`, and every walk over a whole circuit reads it.
-Only the core layers ``l2`` may measure or hold a CNOT.
+Each layer is a ``(row, cnots, mcms)`` tuple (:mod:`qirb.pauli`); the
+builder writes each dressing layer's row directly, one Clifford index per
+wire. Only the core layers ``l2`` may measure or hold a CNOT, and
+:class:`QirbCircuit` checks every layer when it is made.
 
 The tracked (n+m)-wire Z-type target Pauli, with its exactly-propagated
 sign, classifies each (m+n)-bit outcome string as success or failure. A
@@ -44,10 +47,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .pauli import (
+    NO_GATE,
     NUM_ONEQ_CLIFFORDS,
-    CircuitLayer,
+    Layer,
     SignedPauli,
-    clifford_gate,
     cliffords_mapping_letter,
     cliffords_preparing,
     conjugate_bits,
@@ -79,29 +82,40 @@ class QirbCircuit:
     of ``layers[i]``'s measured wires on which it picks up Z again right
     after the measurement, and the next ``l3`` turns each into the wire's
     freshly sampled letter. The walk (:func:`tracked_walk`) derives
-    everything else, the target included. Every layer but the core layers
-    holds single-qubit gates only.
+    everything else, the target included.
+
+    Each layer is a ``(row, cnots, mcms)`` tuple, checked here: its row
+    holds one code per wire, a Clifford index or ``NO_GATE``; each CNOT
+    and measured wire lies in ``range(n)``, is used once and carries
+    ``NO_GATE``; the measured wires increase; and only core layers measure
+    or hold a CNOT. Every check raises ValueError.
     """
 
     n: int
-    layers: tuple[CircuitLayer, ...]
+    layers: tuple[Layer, ...]
     fresh: tuple[int, ...]
     tracked: int
     reset: bool
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:
+        n = self.n
+        if type(n) is not int:
             raise ValueError("the wire count must be an integer")
-        if type(self.tracked) is not int or self.tracked < 0 or self.tracked >> self.n:
-            raise ValueError(f"tracked wires must lie in range({self.n})")
+        if type(self.tracked) is not int or self.tracked < 0 or self.tracked >> n:
+            raise ValueError(f"tracked wires must lie in range({n})")
         if len(self.layers) % 3 != 2 or len(self.fresh) != len(self.layers):
             raise ValueError("a circuit holds 3d + 2 layers and one fresh mask per layer")
-        for i, (layer, fresh) in enumerate(zip(self.layers, self.fresh)):
-            if layer.n != self.n:
-                raise ValueError(f"every layer must span the circuit's {self.n} wires")
-            if i % 3 != 2 and (layer.mcm_wires or layer.cnot_count()):
-                raise ValueError("only core layers may measure or hold a CNOT")
-            if type(fresh) is not int or fresh & ~sum(1 << q for q in layer.mcm_wires):
+        for i, ((row, cnots, mcms), fresh) in enumerate(zip(self.layers, self.fresh)):
+            if type(row) is not bytes or len(row) != n:
+                raise ValueError(f"every layer must span the circuit's {n} wires in one row")
+            if max(row, default=0) > NO_GATE:
+                raise ValueError(f"a row holds a code outside 0..{NO_GATE}")
+            measured = 0
+            if cnots or mcms:
+                if i % 3 != 2:
+                    raise ValueError("only core layers may measure or hold a CNOT")
+                measured = _check_wires(row, cnots, mcms)
+            if type(fresh) is not int or fresh & ~measured:
                 raise ValueError("fresh letters must sit on the layer's measured wires")
 
     @property
@@ -111,7 +125,7 @@ class QirbCircuit:
     @property
     def m(self) -> int:
         """The number of mid-circuit measurements."""
-        return sum(len(layer.mcm_wires) for layer in self.layers)
+        return sum(len(mcms) for _, _, mcms in self.layers)
 
     @cached_property
     def target(self) -> SignedPauli:
@@ -120,10 +134,35 @@ class QirbCircuit:
         return tracked_walk(self).target
 
     def oneq_gate_count(self) -> int:
-        return sum(len(layer.gates) for layer in self.layers) - self.cnot_count()
+        return sum(len(row) - row.count(NO_GATE) for row, _, _ in self.layers)
 
     def cnot_count(self) -> int:
-        return sum(layer.cnot_count() for layer in self.layers)
+        return sum(len(cnots) for _, cnots, _ in self.layers)
+
+
+def _check_wires(row: bytes, cnots, mcms) -> int:
+    """The mask of a layer's measured wires; ValueError unless every CNOT is
+    a pair, every CNOT and measured wire an ``int`` in the row's range,
+    used once and holding no single-qubit gate, and the measured wires
+    increase."""
+    if any(type(pair) is not tuple or len(pair) != 2 for pair in cnots):
+        raise ValueError("a CNOT is a (control, target) pair")
+    wires = [w for pair in cnots for w in pair] + list(mcms)
+    used = 0  # bit w set for each wire w seen
+    for w in wires:
+        # Checked first: ``1 << True`` would pass, and ``1 << -1`` raise another error.
+        if type(w) is not int:
+            raise ValueError("wire indices must be integers")
+        if not 0 <= w < len(row):
+            raise ValueError(f"wire index out of range({len(row)})")
+        if row[w] != NO_GATE:
+            raise ValueError(f"wire {w} holds a CNOT or a measurement and a single-qubit gate")
+        used |= 1 << w
+    if used.bit_count() != len(wires):
+        raise ValueError("a wire is used more than once in a layer")
+    if list(mcms) != sorted(mcms):
+        raise ValueError("measured wires must be listed in increasing order")
+    return sum(1 << q for q in mcms)
 
 
 def _prepare(rng: random.Random, letter: int) -> int:
@@ -141,7 +180,7 @@ def _letter(x: int, z: int, q: int) -> int:
     return ((x >> q) & 1) | (((z >> q) & 1) << 1)
 
 
-def _walk_layer(state, layer: CircuitLayer, fresh: int):
+def _walk_layer(state, layer: Layer, fresh: int):
     """One layer of the tracked-Pauli walk, on ``(x, z, sign)`` ints.
 
     The tracked Pauli's letters on the layer's measured wires (I or Z, else
@@ -152,17 +191,17 @@ def _walk_layer(state, layer: CircuitLayer, fresh: int):
     """
     x, z, sign = state
     pre = 0
-    for k, q in enumerate(layer.mcm_wires):
+    for k, q in enumerate(layer[2]):
         if (x >> q) & 1:
             raise RuntimeError(f"l1 failed to Z-align measured wire {q}")
         pre |= ((z >> q) & 1) << k
         z &= ~(1 << q)
-    x, z, sign = conjugate_bits(layer.gates, x, z, sign)
+    x, z, sign = conjugate_bits(layer, x, z, sign)
     return (x, z | fresh, sign), pre
 
 
 def build_qirb_circuit(
-    core: list[CircuitLayer],
+    core: list[Layer],
     reset_flag: bool,
     rng: random.Random,
     n: int,
@@ -173,56 +212,47 @@ def build_qirb_circuit(
     supplied rng. The tracked Pauli goes through each layer by
     :func:`_walk_layer`, the step that :func:`tracked_walk` replays.
     """
-    if any(layer.n != n for layer in core):
+    if any(len(row) != n for row, _, _ in core):
         raise ValueError(f"a core layer does not span the circuit's {n} wires")
-    m = sum(len(layer.mcm_wires) for layer in core)
+    m = sum(len(mcms) for _, _, mcms in core)
 
     sampled = random_pauli(n + m, rng)
     support = sampled.support()
     pauli_gates = pauli_gate_indices()
 
     # Preparation: wire q gets a uniform random eigenstate of sampled(q).
-    prep = CircuitLayer(n, tuple(
-        clifford_gate(_prepare(rng, sampled.letter_code(q)), q) for q in range(n)
-    ))
+    prep = (bytes(_prepare(rng, sampled.letter_code(q)) for q in range(n)), (), ())
     tracked = support & ((1 << n) - 1)
     layers, fresh_masks = [prep], [0]
     state, _ = _walk_layer((0, tracked, 1), prep, 0)
     first = n
 
     for layer in core:
-        measured = layer.mcm_wires
-        mset = set(measured)
+        measured = layer[2]
         x, z, _ = state
-        l1_gates = []
-        for q in range(n):
-            idx = _align(rng, _letter(x, z, q)) if q in mset else rng.choice(pauli_gates)
-            l1_gates.append(clifford_gate(idx, q))
+        l1 = bytes(_align(rng, _letter(x, z, q)) if q in measured else rng.choice(pauli_gates)
+                   for q in range(n))
 
         # Re-preparation: measured wires get the fresh letters that sampled
         # holds on the layer's virtual wires, the other wires random Paulis.
-        l3_gates = []
+        l3 = bytearray(n)
         fresh = 0
         for q in range(n):
-            if q in mset:
+            if q in measured:
                 k = first + measured.index(q)
-                idx = _prepare(rng, sampled.letter_code(k))
+                l3[q] = _prepare(rng, sampled.letter_code(k))
                 fresh |= ((support >> k) & 1) << q
             else:
-                idx = rng.choice(pauli_gates)
-            l3_gates.append(clifford_gate(idx, q))
-        for sub, f in ((CircuitLayer(n, tuple(l1_gates)), 0), (layer, fresh),
-                       (CircuitLayer(n, tuple(l3_gates)), 0)):
+                l3[q] = rng.choice(pauli_gates)
+        for sub, f in (((l1, (), ()), 0), (layer, fresh), ((bytes(l3), (), ()), 0)):
             state, _ = _walk_layer(state, sub, f)
             layers.append(sub)
             fresh_masks.append(f)
         first += len(measured)
 
     x, z, _ = state
-    final = CircuitLayer(n, tuple(
-        clifford_gate(_align(rng, _letter(x, z, q)), q) for q in range(n)
-    ))
-    if conjugate_bits(final.gates, *state)[0]:
+    final = (bytes(_align(rng, _letter(x, z, q)) for q in range(n)), (), ())
+    if conjugate_bits(final, *state)[0]:
         raise RuntimeError("final layer failed to Z-align the tracked Pauli")
     return QirbCircuit(n, (*layers, final), (*fresh_masks, 0), tracked, reset_flag)
 
@@ -268,8 +298,8 @@ def resolve_reset_free(circuit: QirbCircuit, mcm_bits) -> int:
     zmask = circuit.target.z
     k = 0
     for layer in circuit.layers:
-        fx, fz, _ = conjugate_bits(layer.gates, fx, fz, 1)
-        for q in layer.mcm_wires:
+        fx, fz, _ = conjugate_bits(layer, fx, fz, 1)
+        for q in layer[2]:
             if (fx >> q) & 1 and (zmask >> k) & 1:
                 flip_parity ^= 1
             # The wire collapses: its frame component is replaced by X^bit.
@@ -314,7 +344,7 @@ def tracked_walk(circuit: QirbCircuit) -> TrackedWalk:
             raise ValueError(f"the layers cannot track a Pauli: {exc}") from exc
         after.append(state)
         target_z |= pre << k
-        k += len(layer.mcm_wires)
+        k += len(layer[2])
     x, z, sign = state
     if x:
         raise ValueError("the layers cannot track a Pauli: final layer failed to Z-align it")

@@ -11,11 +11,11 @@ Exit codes: 0 success, 2 usage error, 3 file-schema mismatch, 4 degenerate
 fit. ``simulate`` and ``analyze`` read circuits and results files through
 one strict reader: an unknown key, or a counts key that is no bit string
 of its circuit's width, exits 3, and every check that reads no circuit
-runs before any circuit is decoded. A circuit's error names its file and
-entry id. ``analyze`` makes every fit before it writes any output. Two
-flags are accepted and change nothing: ``simulate --threads`` (simulation
-runs serially) and ``predict --reset/--no-reset`` (the prediction does not
-depend on the reset mode).
+runs before any circuit is decoded. An entry's or a circuit's error names
+its file and the entry. ``analyze`` makes every fit before it writes any
+output. Two flags are accepted and change nothing: ``simulate --threads``
+(simulation runs serially) and ``predict --reset/--no-reset`` (the
+prediction does not depend on the reset mode).
 """
 
 from __future__ import annotations
@@ -190,16 +190,19 @@ def _read_entries(path: str, kind: str) -> tuple[dict, ExperimentDesign, list]:
         if type(obj[kind]) is not list:
             raise ValueError(f"{kind!r} must be a list of entries")
         heads = []
-        for e in obj[kind]:
-            if kind == "results":
-                check_keys(e, _RESULT_KEYS, "a results entry")
-                circuit, counts = e["circuit"], e["counts"]
-                counted = shots if counts is None else sum(map(_index, counts.values()))
-                if _index(e["n_success"]) + _index(e["n_fail"]) != shots or counted != shots:
-                    raise ValueError(f"shot totals differ from the design's {shots} shots")
-            else:
-                circuit, counts = {k: v for k, v in e.items() if k not in ("id", "depth")}, None
-            heads.append((_index(e["id"]), _index(e["depth"]), circuit, counts))
+        for pos, e in enumerate(obj[kind]):
+            cid = e.get("id") if type(e) is dict else None
+            named = f" (id {cid})" if type(cid) is int and cid >= 0 else ""
+            with serialize.malformed_as_schema_error(f"{path}: {kind}[{pos}]{named}"):
+                if kind == "results":
+                    check_keys(e, _RESULT_KEYS, "a results entry")
+                    circuit, counts = e["circuit"], e["counts"]
+                    counted = shots if counts is None else sum(map(_index, counts.values()))
+                    if _index(e["n_success"]) + _index(e["n_fail"]) != shots or counted != shots:
+                        raise ValueError(f"shot totals differ from the design's {shots} shots")
+                else:
+                    circuit, counts = {k: v for k, v in e.items() if k not in ("id", "depth")}, None
+                heads.append((_index(e["id"]), _index(e["depth"]), circuit, counts))
         _check_layout([h[0] for h in heads], [h[1] for h in heads], design)
     entries = []
     for cid, depth, c, counts in heads:

@@ -10,21 +10,25 @@ The 24 single-qubit Cliffords are enumerated once at import time by closing
 is stored purely through its conjugation action, i.e. the signed images of
 X and Z. The resulting canonical naming table ``C0..C23`` is the one used
 by the JSON circuit format (see the README for the full table).
+
+A circuit layer is a plain tuple ``(row, cnots, mcms)``: ``row`` holds one
+byte per wire, the index 0..23 of the single-qubit Clifford on that wire or
+:data:`NO_GATE`; ``cnots`` is the ``(control, target)`` pairs and ``mcms``
+the measured wires, in increasing order. A layer's ops run in one order:
+the CNOTs as listed, then the single-qubit gates by increasing wire, then
+the measurements. :class:`qirb.builder.QirbCircuit` checks every layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 __all__ = [
     "SignedPauli",
-    "CliffordGate",
-    "CircuitLayer",
-    "clifford_gate",
-    "CNOT_INDEX",
+    "Layer",
     "NUM_ONEQ_CLIFFORDS",
+    "NO_GATE",
     "conjugate_bits",
     "random_pauli",
     "clifford_action",
@@ -105,8 +109,12 @@ def _build_clifford_group() -> list[_Action]:
 _CLIFFORD_ACTIONS: list[_Action] = _build_clifford_group()
 
 NUM_ONEQ_CLIFFORDS = 24
-#: Gate-kind sentinel for the two-qubit CNOT in :class:`CliffordGate`.
-CNOT_INDEX = 24
+#: The row code of a wire that holds no single-qubit gate in its layer.
+NO_GATE = 24
+#: A layer: its row, its (control, target) CNOT pairs and its measured wires.
+Layer = tuple[bytes, tuple[tuple[int, int], ...], tuple[int, ...]]
+# Conjugation actions by row code: NO_GATE acts as the identity, index 0.
+_ROW_ACTIONS = (*_CLIFFORD_ACTIONS, _CLIFFORD_ACTIONS[0])
 
 
 def clifford_action(index: int) -> _Action:
@@ -214,96 +222,24 @@ def random_pauli(n: int, rng) -> SignedPauli:
     return SignedPauli(n, rng.getrandbits(n), rng.getrandbits(n), 1)
 
 
-@dataclass(frozen=True)
-class CliffordGate:
-    """One gate placement: a single-qubit Clifford by table index, or a CNOT.
-
-    ``index`` is 0..23 for single-qubit gates (conjugation action stored in
-    the module table) or :data:`CNOT_INDEX`; ``wires`` is ``(q,)`` or
-    ``(control, target)``.
-    """
-
-    index: int
-    wires: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.index == CNOT_INDEX:
-            if len(self.wires) != 2 or self.wires[0] == self.wires[1]:
-                raise ValueError("cnot needs two distinct wires")
-        elif 0 <= self.index < 24:
-            if len(self.wires) != 1:
-                raise ValueError("single-qubit gate needs exactly one wire")
-        else:
-            raise ValueError(f"invalid gate index {self.index}")
-
-    @property
-    def is_cnot(self) -> bool:
-        return self.index == CNOT_INDEX
-
-
-@lru_cache(maxsize=1 << 16)
-def clifford_gate(index: int, *wires: int) -> CliffordGate:
-    """The checked gate ``index`` on ``wires``, shared: a gate is immutable,
-    so every placement of it is one object. The cache is bounded, so a wide
-    design cannot grow it without limit."""
-    return CliffordGate(index, wires)
-
-
-@dataclass(frozen=True)
-class CircuitLayer:
-    """Parallel gates plus (optionally) computational-basis MCMs.
-
-    No wire may appear twice: gates have disjoint support and measured wires
-    carry no gate. Whether an MCM resets its wire is a property of the
-    whole circuit (:attr:`qirb.builder.QirbCircuit.reset`).
-    """
-
-    n: int
-    gates: tuple[CliffordGate, ...] = ()
-    mcm_wires: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        wires = [w for g in self.gates for w in g.wires]
-        wires += self.mcm_wires
-        used = 0  # bit w set for each wire w seen
-        for w in wires:
-            # Checked first: ``1 << True`` would pass, and ``1 << -1`` raise another error.
-            if type(w) is not int:
-                raise ValueError("wire indices must be integers")
-            if not 0 <= w < self.n:
-                raise ValueError(f"wire index out of range({self.n})")
-            used |= 1 << w
-        if used.bit_count() != len(wires):
-            raise ValueError("a wire is used more than once in a layer")
-        object.__setattr__(self, "mcm_wires", tuple(sorted(self.mcm_wires)))
-
-    def oneq_gate_count(self) -> int:
-        return len(self.gates) - self.cnot_count()
-
-    def cnot_count(self) -> int:
-        return [g.index for g in self.gates].count(CNOT_INDEX)
-
-
-def conjugate_bits(gates: Iterable[CliffordGate], x: int, z: int, sign: int) -> tuple[int, int, int]:
-    """Conjugate the Pauli ``sign * (x, z)`` by ``gates`` in order: the one
-    conjugation loop, on bare bitmasks with the sign tracked exactly."""
-    for g in gates:
-        if g.index == CNOT_INDEX:
-            c, t = g.wires
-            xc, zc = (x >> c) & 1, (z >> c) & 1
-            xt, zt = (x >> t) & 1, (z >> t) & 1
-            if xc & zt & (xt ^ zc ^ 1):
-                sign = -sign
-            x ^= xc << t
-            z ^= zt << c
-        else:
-            q = g.wires[0]
-            code = ((x >> q) & 1) | (((z >> q) & 1) << 1)
-            if code:
-                new_code, s = _CLIFFORD_ACTIONS[g.index][code]
-                flip = new_code ^ code
-                x ^= (flip & 1) << q
-                z ^= (flip >> 1) << q
-                sign *= s
+def conjugate_bits(layer: Layer, x: int, z: int, sign: int) -> tuple[int, int, int]:
+    """Conjugate the Pauli ``sign * (x, z)`` by a layer's gates in op order:
+    the one conjugation loop, on bare bitmasks with the sign tracked exactly.
+    The layer's measurements are not applied."""
+    row, cnots, _ = layer
+    for c, t in cnots:
+        xc, zc = (x >> c) & 1, (z >> c) & 1
+        xt, zt = (x >> t) & 1, (z >> t) & 1
+        if xc & zt & (xt ^ zc ^ 1):
+            sign = -sign
+        x ^= xc << t
+        z ^= zt << c
+    for q, g in enumerate(row):
+        code = ((x >> q) & 1) | (((z >> q) & 1) << 1)
+        if code:
+            new_code, s = _ROW_ACTIONS[g][code]
+            flip = new_code ^ code
+            x ^= (flip & 1) << q
+            z ^= (flip >> 1) << q
+            sign *= s
     return x, z, sign
-

@@ -11,6 +11,10 @@ wire becomes an MCM with probability ``p_mcm``; eligible edges are then
 visited in random order and each becomes a CNOT with probability ``p_cnot``
 if both endpoints are still free; leftover wires get random single-qubit
 Cliffords.
+
+A sampled layer is a ``(row, cnots, mcms)`` tuple (:mod:`qirb.pauli`): the
+CNOTs in the order they were drawn, and the measured wires in increasing
+order.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate, clifford_gate
+from .pauli import NO_GATE, NUM_ONEQ_CLIFFORDS, Layer
 
 __all__ = ["SamplingConfig", "complete_graph", "sample_core_layer", "sample_core_circuit"]
 
@@ -74,9 +78,9 @@ class SamplingConfig:
 
 
 def _place_cnot(rng: random.Random, config: SamplingConfig,
-                busy: int | None) -> CliffordGate | None:
-    """A CNOT on a uniformly random edge clear of wire ``busy`` (any edge for
-    None), or None if there is no such edge.
+                busy: int | None) -> tuple[int, int] | None:
+    """The (control, target) pair of a CNOT on a uniformly random edge clear
+    of wire ``busy`` (any edge for None), or None if there is no such edge.
 
     Draws what ``rng.choice`` over the clear edges in order would, without
     building that list: the drawn index skips the edges that touch ``busy``.
@@ -93,14 +97,14 @@ def _place_cnot(rng: random.Random, config: SamplingConfig,
     a, b = edges[j]
     if rng.getrandbits(1):
         a, b = b, a
-    return clifford_gate(CNOT_INDEX, a, b)
+    return a, b
 
 
-def sample_core_layer(config: SamplingConfig, rng: random.Random) -> CircuitLayer:
+def sample_core_layer(config: SamplingConfig, rng: random.Random) -> Layer:
     """Draw one core layer. Draw order is fixed, so a seeded rng is repeatable."""
     occupied: set[int] = set()
     mcm_wires: list[int] = []
-    gates: list[CliffordGate] = []
+    cnots: list[tuple[int, int]] = []
 
     if config.mode == "at-most-one":
         busy = None
@@ -109,10 +113,10 @@ def sample_core_layer(config: SamplingConfig, rng: random.Random) -> CircuitLaye
             mcm_wires.append(busy)
             occupied.add(busy)
         if rng.random() < config.p_cnot:
-            g = _place_cnot(rng, config, busy)
-            if g is not None:
-                gates.append(g)
-                occupied.update(g.wires)
+            pair = _place_cnot(rng, config, busy)
+            if pair is not None:
+                cnots.append(pair)
+                occupied.update(pair)
     else:
         for w in range(config.n):
             if rng.random() < config.p_mcm:
@@ -127,15 +131,14 @@ def sample_core_layer(config: SamplingConfig, rng: random.Random) -> CircuitLaye
                 if rng.getrandbits(1):
                     a, b = b, a
                 occupied.update((a, b))
-                gates.append(clifford_gate(CNOT_INDEX, a, b))
+                cnots.append((a, b))
 
-    for w in range(config.n):
-        if w not in occupied:
-            gates.append(clifford_gate(rng.randrange(NUM_ONEQ_CLIFFORDS), w))
-    return CircuitLayer(config.n, tuple(gates), tuple(mcm_wires))
+    row = bytes(NO_GATE if w in occupied else rng.randrange(NUM_ONEQ_CLIFFORDS)
+                for w in range(config.n))
+    return row, tuple(cnots), tuple(mcm_wires)
 
 
-def sample_core_circuit(config: SamplingConfig, depth: int, rng: random.Random) -> list[CircuitLayer]:
+def sample_core_circuit(config: SamplingConfig, depth: int, rng: random.Random) -> list[Layer]:
     """``depth`` independently sampled layers (the empty list for depth 0)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")

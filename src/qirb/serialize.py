@@ -1,28 +1,28 @@
 """Stable JSON encodings for every file the toolchain reads or writes.
 
-Every file carries ``{"schema": "qirb-3", "kind": ...}``; any other schema,
-``qirb-1`` and ``qirb-2`` included, is a hard error, never a silent
+Every file carries ``{"schema": "qirb-4", "kind": ...}``; any other schema,
+``qirb-1`` to ``qirb-3`` included, is a hard error, never a silent
 reinterpretation. Each file is one compact line of strict JSON (no ``NaN``
 or ``Infinity``) with sorted keys, so reruns are byte-identical and the
 standard library's C encoder writes it; read one with
 ``python -m json.tool FILE``. Every output file, the curve CSVs included, is
 written through a temp file and an atomic rename (:func:`write_text`).
 
-A circuit stores only what was sampled. A layer is one string of
-space-separated tokens in op order: gates in the layer's order, then its
-measurements by increasing wire. ``C<k>.<w>`` is single-qubit Clifford
-``k`` (0..23, the table of :mod:`qirb.pauli`) on wire ``w``,
-``c<control>.<target>`` a CNOT and ``m<w>`` a measurement; the empty string
-is an empty layer. Numbers are canonical decimals (no sign, no leading
-zero). A circuit's one ``reset`` flag covers all its measurements.
+A circuit stores only what was sampled. A layer is one string: its row,
+one character per wire, then a space and ``<control>.<target>`` for each
+CNOT, in the layer's order. A row character is ``A`` to ``X`` for
+single-qubit Clifford ``C0`` to ``C23`` (the table of :mod:`qirb.pauli`),
+``m`` for a measured wire and ``-`` for a wire with no single-qubit gate,
+as on a CNOT's wires. Wire numbers are canonical decimals (no sign, no
+leading zero). A circuit's one ``reset`` flag covers all its measurements.
 ``tracked`` (a letter per wire) and each measuring layer's ``fresh`` (a
 letter per measured wire, by increasing wire) hold ``Z`` where the tracked
 Pauli starts as Z, before ``prep`` or right after the measurement, else
 ``I``. The MCM count, every tracked letter and sign and the target follow
 by the tracked-Pauli walk. Decoding is strict: a circuit or layer object
-with a key other than its own, a non-canonical token or layer, an invalid
-gate, layer or circuit, or layers that cannot track a Pauli raise
-:class:`SchemaError`.
+with a key other than its own, a malformed layer string, an invalid layer
+or circuit (:class:`qirb.builder.QirbCircuit` checks each), or layers
+that cannot track a Pauli raise :class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ import os
 import re
 import tempfile
 from contextlib import contextmanager
-from functools import lru_cache
 
 from .builder import QirbCircuit
 from .noise import NoiseModel
-from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CircuitLayer, CliffordGate, clifford_gate
+from .pauli import NO_GATE, Layer
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -46,15 +45,13 @@ __all__ = [
     "read_json",
     "check_kind",
     "check_keys",
-    "layer_to_str",
-    "layer_from_str",
     "circuit_to_obj",
     "circuit_from_obj",
     "noise_to_obj",
     "noise_from_obj",
 ]
 
-SCHEMA_VERSION = "qirb-3"
+SCHEMA_VERSION = "qirb-4"
 
 
 class SchemaError(Exception):
@@ -132,53 +129,40 @@ def stamp(kind: str, obj: dict) -> dict:
     return out
 
 
-def layer_to_str(layer: CircuitLayer) -> str:
-    tokens = [
-        f"c{g.wires[0]}.{g.wires[1]}" if g.index == CNOT_INDEX else f"C{g.index}.{g.wires[0]}"
-        for g in layer.gates
-    ]
-    tokens += [f"m{q}" for q in layer.mcm_wires]
-    return " ".join(tokens)
-
-
+# Row characters by code: C0..C23, then NO_GATE.
+_ROW_CHARS = b"ABCDEFGHIJKLMNOPQRSTUVWX-"
+_TO_CHAR = bytes.maketrans(bytes(range(NO_GATE + 1)), _ROW_CHARS)
+# Each row character to its code, "m" to NO_GATE, every other byte to 255.
+_FROM_CHAR = bytes(_ROW_CHARS.find(b) if b in _ROW_CHARS else NO_GATE if b == ord("m") else 255
+                   for b in range(256))
 # [0-9], not \d, which also matches non-ASCII digits.
-_TOKEN = re.compile(r"([Ccm])(0|[1-9][0-9]*)(?:\.(0|[1-9][0-9]*))?")
+_CNOT = re.compile(r"(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)")
 
 
-@lru_cache(maxsize=1 << 16)
-def _parse_token(token: str) -> CliffordGate | int:
-    """A checked gate, or the measured wire of an ``m`` token. Cached across
-    circuits: a parse is immutable, and a failed one is not cached."""
-    match = _TOKEN.fullmatch(token)
-    if match is None:
-        raise ValueError(f"malformed layer token {token!r}")
-    kind, first, second = match.groups()
-    if kind == "m":
-        if second is not None:
-            raise ValueError(f"a measurement token names one wire, got {token!r}")
-        return int(first)
-    if second is None:
-        raise ValueError(f"a gate token names its wires, got {token!r}")
-    if kind == "c":
-        return clifford_gate(CNOT_INDEX, int(first), int(second))
-    index = int(first)
-    if index >= NUM_ONEQ_CLIFFORDS:
-        raise ValueError(f"unknown single-qubit Clifford in {token!r}")
-    return clifford_gate(index, int(second))
+def _encode_layer(layer: Layer) -> str:
+    row, cnots, mcms = layer
+    text = bytearray(row.translate(_TO_CHAR))
+    for q in mcms:
+        text[q] = ord("m")
+    return " ".join([text.decode("ascii"), *(f"{c}.{t}" for c, t in cnots)])
 
 
-def layer_from_str(text: str, n: int) -> CircuitLayer:
-    """Decode and check one layer."""
+def _decode_layer(text: str) -> Layer:
+    """Decode one layer; :class:`QirbCircuit` checks it."""
     if type(text) is not str:
-        raise ValueError(f"a layer is a string of tokens, got {type(text).__name__}")
-    items = list(map(_parse_token, text.split(" "))) if text else []
-    gates = tuple(g for g in items if type(g) is not int)
-    mcm = items[len(gates):]
-    if any(type(w) is not int for w in mcm):
-        raise ValueError(f"a gate follows a measurement in {text!r}")
-    if mcm != sorted(set(mcm)):
-        raise ValueError(f"measurements out of increasing wire order in {text!r}")
-    return CircuitLayer(n, gates, tuple(mcm))
+        raise ValueError(f"a layer is a string, got {type(text).__name__}")
+    chars, *pairs = text.split(" ")
+    row = chars.encode().translate(_FROM_CHAR)
+    if 255 in row:
+        raise ValueError(f"unknown character in the row of layer {text!r}")
+    cnots = []
+    for pair in pairs:
+        match = _CNOT.fullmatch(pair)
+        if match is None:
+            raise ValueError(f"malformed CNOT {pair!r} in layer {text!r}")
+        cnots.append((int(match[1]), int(match[2])))
+    mcms = tuple(q for q, ch in enumerate(chars) if ch == "m") if "m" in chars else ()
+    return row, tuple(cnots), mcms
 
 
 def _letters(mask: int, wires) -> str:
@@ -197,16 +181,16 @@ def circuit_to_obj(c: QirbCircuit) -> dict:
     layers = []
     for i in range(1, len(c.layers) - 1, 3):
         l1, l2, l3 = c.layers[i:i + 3]
-        entry = {"l1": layer_to_str(l1), "l2": layer_to_str(l2), "l3": layer_to_str(l3)}
-        if l2.mcm_wires:
-            entry["fresh"] = _letters(c.fresh[i + 1], l2.mcm_wires)
+        entry = {"l1": _encode_layer(l1), "l2": _encode_layer(l2), "l3": _encode_layer(l3)}
+        if l2[2]:
+            entry["fresh"] = _letters(c.fresh[i + 1], l2[2])
         layers.append(entry)
     return {
         "n": c.n,
         "reset": c.reset,
-        "prep": layer_to_str(c.layers[0]),
+        "prep": _encode_layer(c.layers[0]),
         "layers": layers,
-        "final": layer_to_str(c.layers[-1]),
+        "final": _encode_layer(c.layers[-1]),
         "tracked": _letters(c.tracked, range(c.n)),
     }
 
@@ -226,14 +210,14 @@ def circuit_from_obj(obj: dict) -> QirbCircuit:
         reset = obj["reset"]
         if type(reset) is not bool:
             raise ValueError(f"reset must be true or false, got {reset!r}")
-        layers = [layer_from_str(obj["prep"], n)]
+        layers = [_decode_layer(obj["prep"])]
         fresh = [0]
         for entry in obj["layers"]:
-            l2 = layer_from_str(entry["l2"], n)
-            check_keys(entry, _MEASURING_LAYER_KEYS if l2.mcm_wires else _LAYER_KEYS, "a layer")
-            layers += layer_from_str(entry["l1"], n), l2, layer_from_str(entry["l3"], n)
-            fresh += 0, _mask_from_letters(entry["fresh"], l2.mcm_wires) if l2.mcm_wires else 0, 0
-        layers.append(layer_from_str(obj["final"], n))
+            l2 = _decode_layer(entry["l2"])
+            check_keys(entry, _MEASURING_LAYER_KEYS if l2[2] else _LAYER_KEYS, "a layer")
+            layers += _decode_layer(entry["l1"]), l2, _decode_layer(entry["l3"])
+            fresh += 0, _mask_from_letters(entry["fresh"], l2[2]) if l2[2] else 0, 0
+        layers.append(_decode_layer(obj["final"]))
         fresh.append(0)
         circuit = QirbCircuit(n, tuple(layers), tuple(fresh),
                               _mask_from_letters(obj["tracked"], range(n)), reset)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .builder import QirbCircuit
 from .noise import NoiseModel
-from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, clifford_action, clifford_product
+from .pauli import NO_GATE, NUM_ONEQ_CLIFFORDS, clifford_action, clifford_product
 from .seeding import derive_np_rng
 from .tableau import StabilizerTableau
 
@@ -201,24 +201,21 @@ def _compile(circuit: QirbCircuit) -> _Program:
         reference.append(bit)
         return bit
 
-    for layer in circuit.layers:
-        for g in layer.gates:
-            if g.index == CNOT_INDEX:
-                c, t = g.wires
-                close(c)
-                close(t)
-                ref.apply_cnot(c, t)
-                ops.append((_CNOT, c, t))
-                locs["twoq"] += (len(ops), c, t)
-            else:
-                q = g.wires[0]
+    for row, cnots, measured in circuit.layers:
+        for c, t in cnots:
+            close(c)
+            close(t)
+            ref.apply_cnot(c, t)
+            ops.append((_CNOT, c, t))
+            locs["twoq"] += (len(ops), c, t)
+        for q, g in enumerate(row):
+            if g != NO_GATE:
                 s = slot[q]
                 if s < 0:
                     s = slot[q] = len(ops)
                     ops.append(None)
-                st = state[q] = _STEP[state[q]][g.index]
+                st = state[q] = _STEP[state[q]][g]
                 oneq += (s, q, _CODE[st])
-        measured = layer.mcm_wires
         for q in measured:
             close(q)
             locs["pre"] += (len(ops), q, _IDENTITY_CODE)

@@ -13,7 +13,7 @@ for its reference outcomes, and is tested shot by shot against it.
 
 from __future__ import annotations
 
-from .pauli import CNOT_INDEX, NUM_ONEQ_CLIFFORDS, SignedPauli, clifford_action
+from .pauli import NUM_ONEQ_CLIFFORDS, SignedPauli, clifford_action
 
 __all__ = ["StabilizerTableau", "TableauError"]
 
@@ -80,12 +80,6 @@ class StabilizerTableau:
         self.r ^= x[c] & z[t] & ~(x[t] ^ z[c])
         x[t] ^= x[c]
         z[c] ^= z[t]
-
-    def apply_gate(self, index: int, wires: tuple[int, ...]) -> None:
-        if index == CNOT_INDEX:
-            self.apply_cnot(wires[0], wires[1])
-        else:
-            self.apply_clifford(index, wires[0])
 
     def _check_masks(self, xmask: int, zmask: int) -> None:
         if xmask < 0 or zmask < 0 or (xmask | zmask) >> self.n:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .builder import QirbCircuit, tracked_walk
 from .noise import NoiseModel
+from .pauli import NO_GATE, Layer
 from .sampler import SamplingConfig, sample_core_layer
 
 __all__ = [
@@ -129,13 +130,10 @@ def _layer_factor(noise: NoiseModel, counts: LayerCounts, n: int, for_rate: bool
     return out
 
 
-def counts_from_layer(layer, n: int) -> LayerCounts:
+def counts_from_layer(layer: Layer, n: int) -> LayerCounts:
     """Dressed-layer counts induced by one core layer (dressing included)."""
-    return LayerCounts(
-        k1=2 * n + layer.oneq_gate_count(),
-        k2=layer.cnot_count(),
-        km=len(layer.mcm_wires),
-    )
+    row, cnots, mcms = layer
+    return LayerCounts(k1=2 * n + len(row) - row.count(NO_GATE), k2=len(cnots), km=len(mcms))
 
 
 def predict_r_omega(noise: NoiseModel, config: SamplingConfig) -> TheoryPrediction:
@@ -193,18 +191,15 @@ def exact_success_expectation(circuit: QirbCircuit, noise: NoiseModel) -> float:
     """
     walk = tracked_walk(circuit)
     prod = 1.0
-    for i, layer in enumerate(circuit.layers):
+    for i, (row, cnots, measured) in enumerate(circuit.layers):
         x, z, _ = walk.after[i]
         support = x | z
-        for g in layer.gates:
-            if g.is_cnot:
-                c, t = g.wires
-                if (support >> c) & 1 or (support >> t) & 1:
-                    prod *= 1.0 - 2.0 * (8.0 * noise.twoq_each)
-            else:
-                q = g.wires[0]
+        for c, t in cnots:
+            if (support >> c) & 1 or (support >> t) & 1:
+                prod *= 1.0 - 2.0 * (8.0 * noise.twoq_each)
+        for q, g in enumerate(row):
+            if g != NO_GATE:
                 prod *= 1.0 - 2.0 * _ANTI_PROB_1Q[((x >> q) & 1) | (((z >> q) & 1) << 1)](noise)
-        measured = layer.mcm_wires
         if measured:
             for q in measured:
                 # l1 left I or Z on q, the letter the MCM measures, and the

@@ -14,16 +14,11 @@ from qirb.builder import (
     resolve_reset_free,
     tracked_walk,
 )
-from qirb.pauli import (
-    CircuitLayer,
-    CliffordGate,
-    SignedPauli,
-    pauli_gate_indices,
-)
+from qirb.pauli import NO_GATE, SignedPauli, pauli_gate_indices
 from qirb.sampler import SamplingConfig, sample_core_circuit
 from qirb.simulator import NoiseModel, _batches, _bit_rows, simulate_result
 
-from test_pauli import commutes, conjugate, sp
+from test_pauli import commutes, conjugate, layer, sp
 
 
 def build_random(n, depth, seed, reset=True, p_cnot=0.35, p_mcm=0.5):
@@ -50,11 +45,11 @@ def synthetic_circuit(target_string, sign=1):
     target must cover) gives it a negative sign."""
     n = len(target_string)
     tracked = sp(target_string).z
-    prep = CircuitLayer(n)
+    prep = layer(n)
     if sign < 0:
         assert tracked & 1
-        prep = CircuitLayer(n, (CliffordGate(pauli_gate_indices()[1], (0,)),))
-    c = QirbCircuit(n, (prep, CircuitLayer(n)), (0, 0), tracked, reset=True)
+        prep = layer(n, [(pauli_gate_indices()[1], 0)])
+    c = QirbCircuit(n, (prep, layer(n)), (0, 0), tracked, reset=True)
     assert c.target == sp(target_string, sign)
     return c
 
@@ -99,7 +94,7 @@ class TestConstruction:
         for seed in range(120):
             c = build_random(2, 1, seed=seed, p_mcm=1.0)
             assert c.m == 1 and c.target.n == 3
-            q = c.layers[2].mcm_wires[0]
+            q = c.layers[2][2][0]
             was_identity = not (tracked_walk(c).after[1][1] >> q) & 1  # after l1
             discarded = not c.target.support() & 1
             assert discarded == was_identity
@@ -114,7 +109,7 @@ class TestConstruction:
             c = build_random(3, 6, seed=seed, reset=bool(seed % 2))
             assert c.target.x == 0
             assert c.target.sign in (1, -1)
-            assert sum(len(layer.mcm_wires) for layer in c.layers[2::3]) == c.m
+            assert sum(len(mcms) for _, _, mcms in c.layers[2::3]) == c.m
 
     def test_layers_are_in_op_order(self):
         rng = random.Random(2)
@@ -130,7 +125,7 @@ class TestConstruction:
             c = build_random(3, 4, seed=seed, p_mcm=0.8)
             after = tracked_walk(c).after
             for i in range(2, len(c.layers), 3):
-                measured = sum(1 << q for q in c.layers[i].mcm_wires)
+                measured = sum(1 << q for q in c.layers[i][2])
                 assert after[i][0] & measured == 0
                 assert after[i][1] & measured == c.fresh[i]
 
@@ -138,8 +133,7 @@ class TestConstruction:
     @pytest.mark.parametrize("op", ["measure", "cnot"])
     def test_only_core_layers_measure_or_hold_a_cnot(self, where, op):
         c = build_random(3, 2, seed=4, p_mcm=0.0)
-        bad = (CircuitLayer(3, (CliffordGate(0, (0,)),), (2,)) if op == "measure"
-               else CircuitLayer(3, (CliffordGate(24, (2, 0)),)))
+        bad = layer(3, [(0, 0)], mcms=[2]) if op == "measure" else layer(3, cnots=[(2, 0)])
         layers = list(c.layers)
         layers[{"prep": 0, "l1": 1, "l3": 3, "final": -1}[where]] = bad
         with pytest.raises(ValueError, match="only core layers"):
@@ -164,7 +158,7 @@ class TestConstruction:
         # on wire 1 (mask 2), and a bool is no mask.
         c = build_random(3, 2, seed=4, p_mcm=0.0)
         layers = list(c.layers)
-        layers[2] = CircuitLayer(3, mcm_wires=(0,))
+        layers[2] = layer(3, mcms=[0])
         fresh = [0] * len(layers)
         fresh[{"prep": 0, "l1": 1, "l2": 2, "l3": 3, "final": -1}[where]] = mask
         with pytest.raises(ValueError, match="fresh letters must sit"):
@@ -172,7 +166,7 @@ class TestConstruction:
 
     def test_core_layers_must_span_n_wires(self):
         # A core layer never sets the wire count: every layer must span n wires.
-        for core in ([CircuitLayer(2)], [CircuitLayer(3), CircuitLayer(2)]):
+        for core in ([layer(2)], [layer(3), layer(2)]):
             with pytest.raises(ValueError, match="3 wires"):
                 build_qirb_circuit(core, True, random.Random(0), n=3)
 
@@ -184,12 +178,10 @@ def test_gate_counts_match_a_per_gate_count(n, depth, mode, p_cnot, p_mcm, seed)
     rng = random.Random(seed)
     config = SamplingConfig(n=n, p_cnot=p_cnot, p_mcm=p_mcm, mode=mode)
     c = build_qirb_circuit(sample_core_circuit(config, depth, rng), True, rng, n=n)
-    for layer in c.layers:
-        assert layer.oneq_gate_count() == sum(1 for g in layer.gates if len(g.wires) == 1)
-        assert layer.cnot_count() == sum(1 for g in layer.gates if len(g.wires) == 2)
-    gates = [g for layer in c.layers for g in layer.gates]
-    assert c.oneq_gate_count() == sum(1 for g in gates if len(g.wires) == 1)
-    assert c.cnot_count() == sum(1 for g in gates if len(g.wires) == 2)
+    ops, _ = circuit_ops(c)
+    assert c.oneq_gate_count() == sum(1 for op in ops if op[0] == "gate")
+    assert c.cnot_count() == sum(1 for op in ops if op[0] == "cnot")
+    assert c.m == sum(1 for op in ops if op[0] == "measure") - n
 
 
 class TestZeroNoise:
@@ -252,11 +244,11 @@ class TestDressingDistributions:
         counter = Counter()
         for seed in range(300):
             c = build_random(2, 1, seed=seed, p_mcm=1.0)
-            q_meas = c.layers[2].mcm_wires[0]
-            for g in c.layers[1].gates:
-                if g.wires[0] != q_meas:
-                    assert g.index in pauli_set
-                    counter[g.index] += 1
+            q_meas = c.layers[2][2][0]
+            for q, g in enumerate(c.layers[1][0]):
+                if q != q_meas:
+                    assert g in pauli_set
+                    counter[g] += 1
         total = sum(counter.values())
         for idx in pauli_set:
             p = 0.25
@@ -269,13 +261,12 @@ class TestDressingDistributions:
         signs = Counter()
         for seed in range(400):
             c = build_random(2, 1, seed=seed, p_mcm=1.0)
-            q = c.layers[2].mcm_wires[0]
+            q = c.layers[2][2][0]
             x, z, _ = tracked_walk(c).after[0]  # after prep
             if not ((x | z) >> q) & 1:
                 continue
-            gate = next(g for g in c.layers[1].gates if g.wires[0] == q)
             component = SignedPauli(c.n, x & (1 << q), z & (1 << q), 1)
-            image = conjugate((gate,), component)
+            image = conjugate(layer(c.n, [(c.layers[1][0][q], q)]), component)
             assert image.letters()[q] == "Z"
             signs[image.sign] += 1
         total = signs[1] + signs[-1]
@@ -293,7 +284,7 @@ def _injection_points(circuit):
     for i in range(circuit.depth):
         x1, z1, _ = after[3 * i + 1]
         x2, z2, _ = after[3 * i + 2]
-        measured = sum(1 << q for q in circuit.layers[3 * i + 2].mcm_wires)
+        measured = sum(1 << q for q in circuit.layers[3 * i + 2][2])
         yield ("l1", i), SignedPauli(n, x1, z1)
         yield ("l2", i), SignedPauli(n, x2, (z2 & ~measured) | (z1 & measured))
         yield ("postmeas", i), SignedPauli(n, x2, z2)
@@ -305,13 +296,18 @@ def circuit_ops(circuit):
     """The circuit in the frame simulator's op order, and the op position of
     each injection point.
 
-    Gates run layer by layer, each measuring layer's MCMs after its gates,
-    the final readouts last; a fault at position p acts just before op p.
+    Gates run layer by layer, each layer's CNOTs first, then its
+    single-qubit gates by wire and its MCMs, the final readouts last; a
+    fault at position p acts just before op p. An op is ``("cnot", control,
+    target)``, ``("gate", index, wire)`` or ``("measure", wire, outcome
+    index)``.
     """
     ops, at = [], {}
 
     def gates(layer, tag):
-        ops.extend(("gate", g) for g in layer.gates)
+        row, cnots, _ = layer
+        ops.extend(("cnot", c, t) for c, t in cnots)
+        ops.extend(("gate", g, q) for q, g in enumerate(row) if g != NO_GATE)
         at[tag] = len(ops)
 
     gates(circuit.layers[0], ("prep",))
@@ -320,7 +316,7 @@ def circuit_ops(circuit):
         l1, l2, l3 = circuit.layers[3 * i + 1:3 * i + 4]
         gates(l1, ("l1", i))
         gates(l2, ("l2", i))
-        for q in l2.mcm_wires:
+        for q in l2[2]:
             ops.append(("measure", q, k))
             k += 1
         at[("postmeas", i)] = len(ops)
@@ -338,17 +334,19 @@ def noise_rows(circuit):
     ops, at = circuit_ops(circuit)
     rows = {k: [] for k in ("oneq", "twoq", "pre", "post", "depol", "readout")}
     for pos, op in enumerate(ops):
-        if op[0] == "gate":
-            rows["twoq" if op[1].is_cnot else "oneq"].append((pos + 1, *op[1].wires))
+        if op[0] == "cnot":
+            rows["twoq"].append((pos + 1, op[1], op[2]))
+        elif op[0] == "gate":
+            rows["oneq"].append((pos + 1, op[2]))
         elif op[2] < circuit.m:
             rows["pre"].append((pos, op[1]))
             rows["post"].append((pos + 1, op[1]))
         else:
             rows["readout"].append((pos, op[1]))
-    for i, l2 in enumerate(circuit.layers[2::3]):
-        if l2.mcm_wires:
+    for i, (_, _, measured) in enumerate(circuit.layers[2::3]):
+        if measured:
             rows["depol"] += [(at[("postmeas", i)], w) for w in range(circuit.n)
-                              if w not in l2.mcm_wires]
+                              if w not in measured]
     return ops, at, rows
 
 

@@ -3,7 +3,6 @@ import io
 import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
 import tempfile
@@ -178,21 +177,24 @@ def _layer_slots(circuit):
     yield circuit, "final"
 
 
-def _edit_token(obj, pattern, edit, repeated=False):
-    """Replace the first token that fully matches ``pattern`` (with
-    ``repeated``, the first one that already occurred earlier in the same
-    circuit) by ``edit(token)``."""
+def _edit_layer(obj, match, edit):
+    """Replace the first layer string of the file for which ``match`` holds
+    by ``edit(layer)``."""
     for circuit in obj["circuits"]:
-        seen = set()
         for holder, key in _layer_slots(circuit):
-            tokens = holder[key].split(" ")
-            for i, token in enumerate(tokens):
-                if re.fullmatch(pattern, token) and (not repeated or token in seen):
-                    tokens[i] = edit(token)
-                    holder[key] = " ".join(tokens)
-                    return
-                seen.add(token)
-    raise AssertionError(f"no token matches {pattern}")
+            if match(holder[key]):
+                holder[key] = edit(holder[key])
+                return
+    raise AssertionError("no layer matches")
+
+
+def _edit_cnot(obj, edit):
+    """Replace the first layer of the file that holds a CNOT, ``<row>
+    <control>.<target>``, by ``edit(row, control, target)``."""
+    def change(text):
+        row, pair = text.split(" ")
+        return edit(row, *pair.split("."))
+    _edit_layer(obj, lambda text: " " in text, change)
 
 
 def _damaged_id(original, entries):
@@ -232,10 +234,15 @@ class TestSimulateCommand:
         bogus.write_text(json.dumps({"schema": "qirb-999", "kind": "circuits"}))
         assert run(["simulate", "--circuits", bogus, "--out", workspace / "x.json"]) == 3
 
-    # Same-intent qirb-2 forms of the qirb-1 op cases: wire-out-of-range is
-    # a token on wire n + 3, wire-float a repeated wire-1 token spelled
-    # ``C<k>.1.0``, wire-bool a layer that is not a string, gate-unknown
-    # ``C24`` on a circuit's last op, measure-two-wires ``m0.1``.
+    # Same-intent qirb-4 forms of the earlier layer cases, each on a CNOT's
+    # ``<control>.<target>`` unless told otherwise: wire-out-of-range is a
+    # target on wire n + 3, wire-float a third wire ``.0``, leading-zero a
+    # target ``0<t>``, cnot-one-wire a target equal to its control,
+    # double-space two spaces before the CNOT, gate-after-measure the CNOT
+    # before its row, measure-two-wires a measured wire that is also a
+    # CNOT's, wire-twice a row one wire too wide, wire-bool a layer that is
+    # not a string, and gate-unknown a character that names no Clifford on
+    # the last wire of a circuit's final layer.
     @pytest.mark.parametrize("damage", [
         "missing-key", "truncated", "wire-out-of-range", "wire-float", "wire-bool",
         "gate-unknown", "measure-two-wires", "leading-zero", "cnot-one-wire", "wire-twice",
@@ -245,7 +252,8 @@ class TestSimulateCommand:
         "tracked-length", "tracked-letter", "fresh-unmeasured", "fresh-missing",
         "schema-qirb-2", "repeated-id", "design-rate-bool", "design-missing-key",
         "circuit-huge-n", "prep-measures", "final-cnot", "dropped-circuit", "undeclared-depth",
-        "circuits-not-a-list", "entry-unknown-key", "layer-unknown-key",
+        "circuits-not-a-list", "entry-unknown-key", "layer-unknown-key", "schema-qirb-3",
+        "cnot-on-clifford-wire",
     ])
     def test_malformed_circuits_file_exits_3(self, workspace, damage):
         text = read(_make_design(workspace, "exp") / "circuits.json")
@@ -258,30 +266,31 @@ class TestSimulateCommand:
             if damage == "missing-key":
                 del obj["circuits"][1]["tracked"]
             elif damage == "wire-out-of-range":
-                _edit_token(obj, r"C\d+\.\d+", lambda t: f"{t.split('.')[0]}.{first['n'] + 3}")
+                _edit_cnot(obj, lambda row, c, t: f"{row} {c}.{first['n'] + 3}")
             elif damage == "wire-float":
-                _edit_token(obj, r"C\d+\.1", lambda t: t + ".0", repeated=True)
+                _edit_cnot(obj, lambda row, c, t: f"{row} {c}.{t}.0")
             elif damage == "leading-zero":
-                _edit_token(obj, r"C\d+\.1", lambda t: t.replace(".1", ".01"), repeated=True)
+                _edit_cnot(obj, lambda row, c, t: f"{row} {c}.0{t}")
             elif damage == "wire-bool":
-                first["final"] = first["final"].split(" ")
+                first["final"] = [first["final"]]
             elif damage == "gate-unknown":
                 # The last op of a circuit, after valid ops that decoded fine.
-                tokens = first["final"].split(" ")
-                tokens[-1] = "C24." + tokens[-1].split(".")[1]
-                first["final"] = " ".join(tokens)
+                first["final"] = first["final"][:-1] + "Y"
             elif damage == "measure-two-wires":
-                _edit_token(obj, "m0", lambda t: "m0.1")
+                def measured_cnot(text):
+                    q = text.index("m")
+                    return "-" * q + "m" + "-" * (len(text) - q - 1) + f" {q}.{(q + 1) % len(text)}"
+                _edit_layer(obj, lambda text: "m" in text, measured_cnot)
             elif damage == "cnot-one-wire":
-                _edit_token(obj, r"c\d+\.\d+", lambda t: f"{t.split('.')[0]}.{t[1:].split('.')[0]}")
+                _edit_cnot(obj, lambda row, c, t: f"{row} {c}.{c}")
+            elif damage == "cnot-on-clifford-wire":
+                _edit_cnot(obj, lambda row, c, t: f"{row[:int(c)]}A{row[int(c) + 1:]} {c}.{t}")
             elif damage == "wire-twice":
-                first["prep"] += " " + first["prep"].split(" ")[0]
+                first["prep"] = first["prep"][0] + first["prep"]
             elif damage == "double-space":
-                first["prep"] = first["prep"].replace(" ", "  ", 1)
+                _edit_cnot(obj, lambda row, c, t: f"{row}  {c}.{t}")
             elif damage == "gate-after-measure":
-                entry = next(e for c in obj["circuits"] for e in c["layers"]
-                             if re.fullmatch(r"C\d+\.\d m\d", e["l2"]))
-                entry["l2"] = " ".join(reversed(entry["l2"].split(" ")))
+                _edit_cnot(obj, lambda row, c, t: f"{c}.{t} {row}")
             elif damage == "component-length":
                 entry = next(e for c in obj["circuits"] for e in c["layers"] if "fresh" in e)
                 entry["fresh"] += "Z"
@@ -292,20 +301,19 @@ class TestSimulateCommand:
                 q = entry["tracked"].index("Z")
                 x, z, _ = tracked_walk(decode_entry(entry)).after[0]
                 letter = ((x >> q) & 1) | (((z >> q) & 1) << 1)
-                tokens = entry["final"].split(" ")
-                tokens[q] = f"C{cliffords_mapping_letter(letter, 1)[0]}.{q}"  # 1: X
-                entry["final"] = " ".join(tokens)
+                to_x = chr(ord("A") + cliffords_mapping_letter(letter, 1)[0])  # 1: X
+                entry["final"] = entry["final"][:q] + to_x + entry["final"][q + 1:]
             elif damage == "prep-measures":
                 # The last wire, on which the tracked Pauli is I, is measured
                 # instead of prepared: the layers still track a Pauli.
                 entry = next(c for c in obj["circuits"] if c["tracked"][-1] == "I")
-                entry["prep"] = " ".join(entry["prep"].split(" ")[:-1] + [f"m{entry['n'] - 1}"])
+                entry["prep"] = entry["prep"][:-1] + "m"
             elif damage == "final-cnot":
                 # A CNOT replaces the final gates on wires 0 and 1, where the
                 # tracked Pauli is already Z-type: the layers still track one.
                 entry = next(c for c in obj["circuits"]
                              if not tracked_walk(decode_entry(c)).after[-2][0] & 3)
-                entry["final"] = " ".join(["c0.1"] + entry["final"].split(" ")[2:])
+                entry["final"] = "--" + entry["final"][2:] + " 0.1"
             elif damage == "tracked-length":
                 first["tracked"] += "I"
             elif damage == "tracked-letter":
@@ -314,7 +322,7 @@ class TestSimulateCommand:
                 next(e for c in obj["circuits"] for e in c["layers"] if "m" not in e["l2"])["fresh"] = ""
             elif damage == "fresh-missing":
                 del next(e for c in obj["circuits"] for e in c["layers"] if "fresh" in e)["fresh"]
-            elif damage in ("schema-qirb-1", "schema-qirb-2"):
+            elif damage in ("schema-qirb-1", "schema-qirb-2", "schema-qirb-3"):
                 obj["schema"] = damage[len("schema-"):]
             elif damage == "repeated-id":
                 for c in obj["circuits"]:
@@ -360,7 +368,8 @@ class TestSimulateCommand:
             assert "KeyError: 'mode'" in proc.stderr
         if damage in ("prep-measures", "final-cnot"):
             assert "only core layers" in proc.stderr
-        if damage not in ("truncated", "schema-qirb-1", "schema-qirb-2", "repeated-id",
+        if damage not in ("truncated", "schema-qirb-1", "schema-qirb-2", "schema-qirb-3",
+                          "repeated-id",
                           "dropped-circuit", "undeclared-depth", "circuits-not-a-list",
                           "depth-mismatch", "design-shots-float", "design-connectivity-float",
                           "design-connectivity-twice", "design-rate-bool", "design-missing-key"):
@@ -565,6 +574,9 @@ class TestAnalyzeCommand:
                       "counts-key-letter", "counts-key-width"):
             # A circuit's error names its file and entry.
             assert f"{bad}: circuit {_damaged_id(original, obj['results'])}: " in proc.stderr
+        if damage in ("entry-unknown-key", "total-mismatch"):
+            # So does an entry's: by its position in the file and its id.
+            assert f"{bad}: results[1] (id {entry['id']}): " in proc.stderr
 
     def test_inputs_sharing_a_stem_keep_separate_curves(self, workspace):
         paths = []
@@ -625,12 +637,12 @@ def test_layout_error_is_reported_before_a_circuit_error(workspace, capsys, kind
     # One entry dropped, and a gate no circuit may hold in the first circuit.
     obj, bad, argv = _damaged_layout(workspace, kind, "dropped-circuit")
     first = obj[kind][0] if kind == "circuits" else obj[kind][0]["circuit"]
-    first["final"] = "C24.0"
+    first["final"] = "YY"
     bad.write_text(json.dumps(obj))
     capsys.readouterr()
     assert run(argv) == 3
     err = capsys.readouterr().err
-    assert "the design declares" in err and "C24" not in err, err
+    assert "the design declares" in err and "YY" not in err, err
 
 
 class TestPredictCommand:

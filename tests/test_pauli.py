@@ -1,21 +1,18 @@
 import random
-from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qirb.builder import QirbCircuit
 from qirb.pauli import (
-    CNOT_INDEX,
+    NO_GATE,
     NUM_ONEQ_CLIFFORDS,
-    CircuitLayer,
-    CliffordGate,
     SignedPauli,
     _X,
     _action_from_images,
     _compose_actions,
     clifford_action,
-    clifford_gate,
     cliffords_mapping_letter,
     cliffords_preparing,
     conjugate_bits,
@@ -38,23 +35,31 @@ def commutes(p: SignedPauli, q: SignedPauli) -> bool:
     return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
 
 
-def conjugate(layer: CircuitLayer | Iterable[CliffordGate], p: SignedPauli) -> SignedPauli:
+def layer(n, gates=(), cnots=(), mcms=()):
+    """The layer ``(row, cnots, mcms)`` on n wires with Clifford ``index`` on
+    each ``(index, wire)`` of ``gates`` and no single-qubit gate elsewhere."""
+    row = [NO_GATE] * n
+    for index, wire in gates:
+        row[wire] = index
+    return bytes(row), tuple(cnots), tuple(mcms)
+
+
+def conjugate(layer, p: SignedPauli) -> SignedPauli:
     """Return U(layer) . p . U(layer)^-1 with the sign tracked exactly.
 
     If the layer contains MCMs, ``p`` must have no support on the measured
     wires (split the tracked Pauli first).
     """
-    if isinstance(layer, CircuitLayer):
-        if layer.n != p.n:
-            raise ValueError("layer/Pauli wire-count mismatch")
-        if (p.x | p.z) & sum(1 << w for w in layer.mcm_wires):
-            raise ValueError("Pauli supported on a measured wire of the layer")
-        layer = layer.gates
+    row, _, mcms = layer
+    if len(row) != p.n:
+        raise ValueError("layer/Pauli wire-count mismatch")
+    if (p.x | p.z) & sum(1 << w for w in mcms):
+        raise ValueError("Pauli supported on a measured wire of the layer")
     return SignedPauli(p.n, *conjugate_bits(layer, p.x, p.z, p.sign))
 
 
 def oneq_layer(index, wire, n):
-    return CircuitLayer(n, (CliffordGate(index, (wire,)),))
+    return layer(n, [(index, wire)])
 
 
 def compose(outer, inner):
@@ -101,8 +106,7 @@ class TestConjugate:
         assert conjugate(oneq_layer(H, 0, 1), sp("Z")) == sp("X")
 
     def test_cnot_propagates_control_x(self):
-        layer = CircuitLayer(2, (CliffordGate(CNOT_INDEX, (0, 1)),))
-        assert conjugate(layer, sp("XI")) == sp("XX")
+        assert conjugate(layer(2, cnots=[(0, 1)]), sp("XI")) == sp("XX")
 
     def test_phase_gate_squared_negates_x(self):
         # S X S^-1 = Y and S Y S^-1 = -X, composed by hand.
@@ -112,10 +116,10 @@ class TestConjugate:
         assert twice == sp("X", -1)
 
     def test_rejects_support_on_measured_wire(self):
-        layer = CircuitLayer(2, (), mcm_wires=(0,))
+        measuring = layer(2, mcms=[0])
         with pytest.raises(ValueError):
-            conjugate(layer, sp("XI"))
-        assert conjugate(layer, sp("IZ")) == sp("IZ")
+            conjugate(measuring, sp("XI"))
+        assert conjugate(measuring, sp("IZ")) == sp("IZ")
 
 
 class TestRandomPauli:
@@ -232,10 +236,10 @@ def test_conjugation_is_a_group_action(p, i, j, wire):
 @settings(max_examples=200, deadline=None)
 def test_conjugation_preserves_commutation(p, q, idx, wire, use_cnot):
     if use_cnot:
-        layer = CircuitLayer(3, (CliffordGate(CNOT_INDEX, (wire, (wire + 1) % 3)),))
+        gates = layer(3, cnots=[(wire, (wire + 1) % 3)])
     else:
-        layer = oneq_layer(idx, wire, 3)
-    assert commutes(p, q) == commutes(conjugate(layer, p), conjugate(layer, q))
+        gates = oneq_layer(idx, wire, 3)
+    assert commutes(p, q) == commutes(conjugate(gates, p), conjugate(gates, q))
 
 
 @given(paulis(4), st.integers(0, 23), st.integers(0, 3))
@@ -246,49 +250,62 @@ def test_conjugation_keeps_paulis_hermitian(p, idx, wire):
     assert out.support().bit_count() == p.support().bit_count() or (p.x | p.z) != (out.x | out.z)
 
 
+def core_circuit(core):
+    """A depth-1 circuit on 3 wires around the core layer ``core``, with no
+    tracked Pauli: :class:`QirbCircuit` checks every layer as it is made."""
+    idle = layer(3)
+    return QirbCircuit(3, (idle, idle, core, idle, idle), (0,) * 5, 0, reset=True)
+
+
 class TestCircuitLayer:
+    # A layer is a (row, cnots, mcms) tuple, checked by the circuit holding it.
     def test_rejects_overlapping_support(self):
-        with pytest.raises(ValueError):
-            CircuitLayer(2, (CliffordGate(0, (0,)), CliffordGate(1, (0,))))
-        with pytest.raises(ValueError):
-            CircuitLayer(2, (CliffordGate(0, (1,)),), mcm_wires=(1,))
+        with pytest.raises(ValueError, match="single-qubit gate"):
+            core_circuit(layer(3, [(0, 0)], cnots=[(0, 1)]))
+        with pytest.raises(ValueError, match="single-qubit gate"):
+            core_circuit(layer(3, [(0, 1)], mcms=[1]))
 
     def test_rejects_out_of_range_wires(self):
-        with pytest.raises(ValueError):
-            CircuitLayer(2, (CliffordGate(0, (2,)),))
+        with pytest.raises(ValueError, match="3 wires"):
+            core_circuit(layer(4, [(0, 3)]))
 
-    @pytest.mark.parametrize("gates, mcm_wires, message", [
-        ((CliffordGate(0, (True,)),), (), "integers"),
+    @pytest.mark.parametrize("cnots, mcms, message", [
+        (((True, 2),), (), "integers"),
         ((), (False,), "integers"),
-        ((CliffordGate(0, (1.0,)),), (), "integers"),
-        ((CliffordGate(0, (-1,)),), (), "out of range"),
+        (((1.0, 2),), (), "integers"),
+        (((-1, 2),), (), "out of range"),
         ((), (-2,), "out of range"),
-        ((CliffordGate(CNOT_INDEX, (0, 3)),), (), "out of range"),
+        (((0, 3),), (), "out of range"),
         ((), (0, 0), "more than once"),
-        ((CliffordGate(CNOT_INDEX, (2, 0)),), (2,), "more than once"),
+        (((2, 0),), (2,), "more than once"),
     ], ids=["bool-gate-wire", "bool-mcm-wire", "float-wire", "negative-gate-wire",
             "negative-mcm-wire", "wire-n", "repeated-mcm", "gate-and-mcm"])
-    def test_each_bad_wire_raises(self, gates, mcm_wires, message):
+    def test_each_bad_wire_raises(self, cnots, mcms, message):
         with pytest.raises(ValueError, match=message):
-            CircuitLayer(3, gates, mcm_wires)
+            core_circuit(layer(3, cnots=cnots, mcms=mcms))
 
     def test_pure_gate_layer_allowed(self):
-        layer = CircuitLayer(3, (CliffordGate(0, (0,)),))
-        assert layer.mcm_wires == ()
+        core = layer(3, [(0, 0)])
+        assert core_circuit(core).layers[2] == (bytes([0, NO_GATE, NO_GATE]), (), ())
+
+    def test_measured_wires_increase(self):
+        with pytest.raises(ValueError, match="increasing"):
+            core_circuit(layer(3, mcms=[2, 0]))
 
 
 class TestCliffordGate:
-    def test_one_shared_checked_gate_per_placement(self):
-        assert clifford_gate(7, 2) is clifford_gate(7, 2)
-        assert clifford_gate(7, 2) == CliffordGate(7, (2,))
-        assert clifford_gate(CNOT_INDEX, 1, 0) == CliffordGate(CNOT_INDEX, (1, 0))
-        assert clifford_gate.cache_info().maxsize == 1 << 16
-
-    @pytest.mark.parametrize("args", [(24, 0), (-1, 0), (3, 0, 1), (CNOT_INDEX, 1, 1),
-                                      (CNOT_INDEX, 1)])
+    # A gate is a row code 0..23 on one wire, or a CNOT's (control, target)
+    # pair; a layer whose (row, cnots, mcms) ``args`` hold any other raises.
+    @pytest.mark.parametrize("args", [
+        (bytes([25, NO_GATE, NO_GATE]), (), ()),
+        (bytes([255, NO_GATE, NO_GATE]), (), ()),
+        (layer(3)[0], ((3, 0, 1),), ()),
+        (layer(3)[0], ((1, 1),), ()),
+        (layer(3)[0], ((1,),), ()),
+    ])
     def test_invalid_gates_raise(self, args):
         with pytest.raises(ValueError):
-            clifford_gate(*args)
+            core_circuit(args)
 
 
 def test_non_hermitian_images_are_rejected():

@@ -45,8 +45,6 @@ _KEPT_UNCALLED = {
 # Public methods and properties that nothing in the package or the benchmark
 # reads, kept on purpose; every other one must be read outside the tests.
 _KEPT_UNCALLED_METHODS = {
-    "StabilizerTableau.apply_gate":
-        "oracle API of the shot-by-shot frame differential test and test_tableau.py",
     "StabilizerTableau.is_deterministic":
         "oracle API of the shot-by-shot frame differential test and test_tableau.py",
     "StabilizerTableau.expectation": "oracle API of test_tableau.py's Clifford-image checks",

@@ -2,25 +2,25 @@ import random
 
 import pytest
 
-from qirb.pauli import CNOT_INDEX, clifford_gate
+from qirb.pauli import NO_GATE
 from qirb.sampler import (SamplingConfig, _place_cnot, complete_graph, sample_core_circuit,
                           sample_core_layer)
 
 
 def test_gate_only_layer_when_rates_are_zero():
     rng = random.Random(1)
-    layer = sample_core_layer(SamplingConfig(n=3, p_cnot=0.0, p_mcm=0.0), rng)
-    assert not layer.mcm_wires
-    assert layer.oneq_gate_count() == 3 and layer.cnot_count() == 0
+    row, cnots, mcms = sample_core_layer(SamplingConfig(n=3, p_cnot=0.0, p_mcm=0.0), rng)
+    assert not mcms and not cnots
+    assert len(row) == 3 and NO_GATE not in row
 
 
 def test_two_wires_with_certain_mcm_never_fit_a_cnot():
     rng = random.Random(2)
     for _ in range(200):
-        layer = sample_core_layer(SamplingConfig(n=2, p_cnot=0.9, p_mcm=1.0), rng)
-        assert len(layer.mcm_wires) == 1
-        assert layer.cnot_count() == 0
-        assert layer.oneq_gate_count() == 1
+        row, cnots, mcms = sample_core_layer(SamplingConfig(n=2, p_cnot=0.9, p_mcm=1.0), rng)
+        assert len(mcms) == 1
+        assert cnots == ()
+        assert row.count(NO_GATE) == 1 and row[mcms[0]] == NO_GATE
 
 
 def test_marginal_frequencies_match_occupancy_rule():
@@ -29,9 +29,9 @@ def test_marginal_frequencies_match_occupancy_rule():
     draws = 100_000
     n_mcm = n_cnot = 0
     for _ in range(draws):
-        layer = sample_core_layer(config, rng)
-        n_mcm += bool(layer.mcm_wires)
-        n_cnot += layer.cnot_count()
+        _, cnots, mcms = sample_core_layer(config, rng)
+        n_mcm += bool(mcms)
+        n_cnot += len(cnots)
     # On two wires a CNOT only fits when no MCM was placed.
     for observed, p in ((n_mcm, 0.5), (n_cnot, 0.35 * 0.5)):
         sigma = (draws * p * (1 - p)) ** 0.5
@@ -51,7 +51,7 @@ def test_mean_mcm_count_at_depth_128():
     config = SamplingConfig(n=3, p_cnot=0.2, p_mcm=0.3)
     reps = 200
     total = sum(
-        sum(len(layer.mcm_wires) for layer in sample_core_circuit(config, 128, rng))
+        sum(len(mcms) for _, _, mcms in sample_core_circuit(config, 128, rng))
         for _ in range(reps)
     )
     mean = total / reps
@@ -71,10 +71,9 @@ def test_connectivity_restriction_is_honored():
     config = SamplingConfig(n=4, p_cnot=1.0, p_mcm=0.0, connectivity=edges)
     rng = random.Random(6)
     for _ in range(200):
-        layer = sample_core_layer(config, rng)
-        for g in layer.gates:
-            if g.is_cnot:
-                assert tuple(sorted(g.wires)) in edges
+        _, cnots, _ = sample_core_layer(config, rng)
+        for pair in cnots:
+            assert tuple(sorted(pair)) in edges
 
 
 @pytest.mark.parametrize("n, edges", [
@@ -90,7 +89,7 @@ def test_cnot_draw_is_choice_over_the_clear_edges(n, edges):
             want = None
             if clear:
                 a, b = ref.choice(clear)
-                want = clifford_gate(CNOT_INDEX, *((b, a) if ref.getrandbits(1) else (a, b)))
+                want = (b, a) if ref.getrandbits(1) else (a, b)
             assert _place_cnot(rng, config, busy) == want
             assert rng.getstate() == ref.getstate()
 
@@ -100,12 +99,12 @@ def test_density_mode_layers_are_legal_and_multi_mcm():
     rng = random.Random(7)
     saw_multi = False
     for _ in range(300):
-        layer = sample_core_layer(config, rng)  # CircuitLayer validates disjointness
-        occupied = set(layer.mcm_wires)
-        for g in layer.gates:
-            occupied.update(g.wires)
-        assert occupied == set(range(5))
-        saw_multi |= len(layer.mcm_wires) > 1
+        row, cnots, mcms = sample_core_layer(config, rng)
+        busy = [*mcms, *(w for pair in cnots for w in pair)]
+        assert all(row[w] == NO_GATE for w in busy)
+        # Every wire is measured, in one CNOT or holds one single-qubit gate.
+        assert sorted(busy + [q for q, g in enumerate(row) if g != NO_GATE]) == list(range(5))
+        saw_multi |= len(mcms) > 1
     assert saw_multi
 
 

@@ -1,4 +1,4 @@
-"""The qirb-3 circuit encoding: round trips, strict decoding, a pinned file."""
+"""The qirb-4 circuit encoding: round trips, strict decoding, pinned files."""
 
 import hashlib
 import json
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qirb import serialize
 from qirb.builder import build_qirb_circuit
 from qirb.cli import main
-from qirb.pauli import CircuitLayer, CliffordGate
+from qirb.pauli import NO_GATE
 from qirb.sampler import SamplingConfig, complete_graph, sample_core_circuit
 from qirb.serialize import SchemaError
 from qirb.simulator import NoiseModel, simulate_result
@@ -62,8 +62,8 @@ def test_deep_circuit_tracks_more_than_4096_virtual_wires():
     assert res.n_success == res.shots
 
 
-# Characters an edit may insert: the token alphabet, plus near misses.
-_EDIT_CHARS = "Ccm.0123456789 -+xM٣\t"
+# Characters an edit may insert: the layer alphabet, plus near misses.
+_EDIT_CHARS = "AHXYZam-.0123456789 +xM٣\t"
 
 
 @st.composite
@@ -108,9 +108,9 @@ def test_edited_layer_decodes_checked_or_raises_schema_error(circuit, data):
 @given(circuit=circuits(), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_edited_circuit_is_a_valid_benchmark_or_raises_schema_error(circuit, data):
-    # One sampled fact changes: a single-qubit gate's index, or one letter of
-    # ``tracked`` or ``fresh``. Whatever still decodes tracks its Pauli, so a
-    # noiseless run succeeds on every shot.
+    # One sampled fact changes: a single-qubit gate's Clifford, or one letter
+    # of ``tracked`` or ``fresh``. Whatever still decodes tracks its Pauli, so
+    # a noiseless run succeeds on every shot.
     obj = json_round_trip(serialize.circuit_to_obj(circuit))
     slots = [(obj, "tracked")] + [(e, "fresh") for e in obj["layers"] if "fresh" in e]
     slots += [(obj, "prep"), (obj, "final")]
@@ -121,14 +121,11 @@ def test_edited_circuit_is_a_valid_benchmark_or_raises_schema_error(circuit, dat
         i = data.draw(st.integers(0, len(text) - 1))
         holder[key] = text[:i] + ("I" if text[i] == "Z" else "Z") + text[i + 1:]
     else:
-        tokens = text.split(" ")
-        gates = [i for i, t in enumerate(tokens) if t.startswith("C")]
+        gates = [i for i, ch in enumerate(text.split(" ")[0]) if "A" <= ch <= "X"]
         if not gates:
             return
         i = data.draw(st.sampled_from(gates))
-        index = data.draw(st.integers(0, 23))
-        tokens[i] = f"C{index}.{tokens[i].split('.')[1]}"
-        holder[key] = " ".join(tokens)
+        holder[key] = text[:i] + chr(ord("A") + data.draw(st.integers(0, 23))) + text[i + 1:]
     try:
         decoded = serialize.circuit_from_obj(obj)
     except SchemaError:
@@ -137,26 +134,60 @@ def test_edited_circuit_is_a_valid_benchmark_or_raises_schema_error(circuit, dat
     assert res.n_success == res.shots
 
 
+def decode_core_layer(text, n=3):
+    """A depth-1 circuit whose core layer is the string ``text``, between idle
+    layers; the tracked Pauli is I throughout, so only the layer itself can
+    fail to decode."""
+    entry = {"l1": "-" * n, "l2": text, "l3": "-" * n}
+    if type(text) is str and "m" in text.split(" ")[0]:
+        entry["fresh"] = "I" * text.split(" ")[0].count("m")
+    return serialize.circuit_from_obj({"n": n, "reset": True, "prep": "-" * n, "layers": [entry],
+                                       "final": "-" * n, "tracked": "I" * n})
+
+
+# Each case is named by the qirb-3 layer it ports, as the same damage to a
+# qirb-4 layer on 3 wires; the new cases follow.
 @pytest.mark.parametrize("text", [
-    "C3.01", "C03.1", "C24.0", "C3.1.0", "C3", "c2.2", "c0", "m0.1", "m", "x0", "C-1.0",
-    "C3.0  C5.1", " C3.0", "C3.0 ", "C3.0 C5.0", "m1 C3.0", "C3.2 m1 m0", "m0 m0",
-    "C٣.0", "C3.5",
+    pytest.param("--A 0.01", id="C3.01"),  # a leading zero
+    pytest.param("--A 00.1", id="C03.1"),
+    pytest.param("YAB", id="C24.0"),  # no Clifford's character
+    pytest.param("--A 0.1.0", id="C3.1.0"),  # a third wire
+    pytest.param("AB", id="C3"),  # a wire missing
+    pytest.param("A-- 2.2", id="c2.2"),  # a CNOT on one wire
+    pytest.param("--A 0", id="c0"),
+    pytest.param("ABCm", id="m0.1"),  # a measurement past the last wire
+    pytest.param("m", id="m"),
+    pytest.param("xAB", id="x0"),
+    pytest.param("--A -1.0", id="C-1.0"),
+    pytest.param("--A  0.1", id="C3.0  C5.1"),  # a double space
+    pytest.param(" ABC", id=" C3.0"),
+    pytest.param("ABC ", id="C3.0 "),
+    pytest.param("--- 0.1 1.2", id="C3.0 C5.0"),  # a wire used twice
+    pytest.param("0.1 --A", id="m1 C3.0"),  # out of order: a CNOT before the row
+    pytest.param("m-A 0.1", id="m0 m0"),  # a measured wire used again
+    pytest.param("A٣B", id="C٣.0"),
+    pytest.param("--A 0.5", id="C3.5"),  # a wire out of range
+    pytest.param("A-B 0.1", id="clifford-on-cnot-wire"),
+    pytest.param("", id="empty"),
 ])
 def test_non_canonical_layers_are_rejected(text):
-    with pytest.raises(ValueError):
-        serialize.layer_from_str(text, 3)
+    with pytest.raises(SchemaError):
+        decode_core_layer(text)
 
 
 def test_layer_tokens_in_op_order():
-    layer = CircuitLayer(4, (CliffordGate(24, (3, 0)), CliffordGate(7, (2,))), (1,))
-    text = serialize.layer_to_str(layer)
-    assert text == "c3.0 C7.2 m1"
-    assert serialize.layer_from_str(text, 4) == layer
-    assert serialize.layer_to_str(CircuitLayer(2)) == ""
+    # The row, one character per wire, then the CNOTs in their listed order.
+    row = bytes([NO_GATE, NO_GATE, 7, NO_GATE, NO_GATE, NO_GATE])
+    layer = (row, ((3, 0), (1, 4)), (5,))
+    text = serialize._encode_layer(layer)
+    assert text == "--H--m 3.0 1.4"
+    assert serialize._decode_layer(text) == layer
+    assert decode_core_layer(text, n=6).layers[2] == layer
+    assert serialize._encode_layer((bytes([NO_GATE] * 2), (), ())) == "--"
 
 
 # Changes only when the circuits.json format or the sampled circuits change.
-PINNED_CIRCUITS_SHA256 = "11a655274000defd48aa27ba480a63a696054abdd304e3b490ac292fa226ca52"
+PINNED_CIRCUITS_SHA256 = "cdc99361ffa38f14983c0282ed1d8e4e0c78026b8214b3cfc689b3f19bad0fd1"
 
 
 def test_circuits_file_is_pinned(tmp_path):
@@ -170,8 +201,8 @@ def test_circuits_file_is_pinned(tmp_path):
 # The connectivity draws, in each sampling mode, on an n = 4 line; same
 # provenance as PINNED_CIRCUITS_SHA256.
 PINNED_EDGES_CIRCUITS_SHA256 = {
-    "at-most-one": "0f42a5d962d2ac24c46c04684865b3104b938a0a67ae8c75c136b5df54ef4d95",
-    "density": "5195f4dc501a4bdb4561dcd9a724a3d5919ff5d0613315746a2ff7fe94d7c5f5",
+    "at-most-one": "67508d90a345b780800d8967515b6ab2b497a56246c72f8db08a0be27fe6a1ce",
+    "density": "149b29a74c98b688bc52f8d3fa150f7323d0695ed6b8479142d499714a3f71d4",
 }
 
 
@@ -207,9 +238,9 @@ def outcome_digests(tmp_path, pinned):
 # does not promise to keep across releases. The outcome digests change only
 # with the draws and numpy, not with the circuit encoding.
 PINNED_RUN_SHA256 = {
-    "reset.json": "4e231df56280d20029321babae814104b154d63415e74d0e9f9fa907b8b31ed7",
-    "frame-correction.json": "2ebd4c9df593bef5dcd33d465943397147c15d286b90d8cb97a74a67c8479155",
-    "feedforward-x.json": "5a3c42341da52d2b65acd690036eb466fe14deda9796bcbc414edbc96ffce25c",
+    "reset.json": "e3c9008451bc7a4d6f2b23a3ba6d7817eb036b500043852efdf7d8735c597b6a",
+    "frame-correction.json": "7224e0781937a3eb253039d929094f431279710c6d19ef29ea10fb41111fd5a7",
+    "feedforward-x.json": "f9706a282800c6d05f5a0ca998ded47b3bec8809028f6bd4ac84c45dd3258e49",
     "reset.curve.csv": "4e3cbc8da7635464eeb185cc12e3080e1aff8a69b2224477bac8059e50f86e4b",
     "predict.stdout": "4eeb6264ce3583b9d5b93195514a1e0e2237c6ea3ba646e8c1b62d609b84183a",
 }
@@ -245,8 +276,8 @@ def test_run_outputs_are_pinned(tmp_path, capsys):
 # An n = 8 run, where a random measurement's pivot can be any of 8
 # stabilizer rows; same provenance as PINNED_RUN_SHA256.
 PINNED_WIDE_RUN_SHA256 = {
-    "reset.json": "cefbccc1556258d535b5d7cf5d66dec0081b12fd952d28ebd144020395b67920",
-    "frame-correction.json": "73876c294ea7e8679d8c8218fa5959813e44fb3551b6a93dc01b51881c3caaa4",
+    "reset.json": "89b7e6637a00d9629cfd0a8466903e1238937117746065217d77d0aed687fa33",
+    "frame-correction.json": "aab5e4d742781269c70513596fd028cd6e839d2e2240d62bdffd87ee1eb68a15",
 }
 PINNED_WIDE_RUN_OUTCOME_SHA256 = {
     "reset.json": "782936cadfec3abf2a20dd9ef7485092fe45315ca6b7cfea340ca5412970a2de",
@@ -275,9 +306,9 @@ def test_wide_run_outputs_are_pinned(tmp_path):
 # layers, so that the unmeasured-wire Paulis land between single-qubit gates;
 # same provenance as PINNED_RUN_SHA256.
 PINNED_ASYMMETRIC_RUN_SHA256 = {
-    "reset.json": "74f4e8cbcc2f835a3b04fe1cbecaa5dad98f8da75f88c82cf3414fdb38b5efa1",
-    "frame-correction.json": "26ec0cd577a8e544e68369cc2b09b2bc4fc27b4360c3d198638bb2047ece47dd",
-    "feedforward-x.json": "1e4651632c66b526be0e69faffc216ff07f100015b1add675a16f8e340f3178d",
+    "reset.json": "28ec7c8db98ec6c914c1ced88639ba374d61a467acc4cd629dc4689ec72a75f8",
+    "frame-correction.json": "2756d5dc0535c678550c25ad2246f0e1ecb495f39b68d635ad3b1099cdde084f",
+    "feedforward-x.json": "c64d18330709cc8bab9f669b5d2e416e79e716c3031faf3aae38e84a5c6f8668",
 }
 PINNED_ASYMMETRIC_RUN_OUTCOME_SHA256 = {
     "reset.json": "3610db6c24b7180dd375e378d228f67e24daec1295c2ee9a95b39c24f419ae7e",

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from qirb import simulator
 from qirb.builder import QirbCircuit, classify_outcome, resolve_reset_free
-from qirb.pauli import (NUM_ONEQ_CLIFFORDS, CircuitLayer, SignedPauli, clifford_action,
-                        clifford_gate, clifford_product, pauli_gate_indices)
+from qirb.pauli import (NUM_ONEQ_CLIFFORDS, SignedPauli, clifford_action, clifford_product,
+                        pauli_gate_indices)
 from qirb.seeding import derive_np_rng
 from qirb.simulator import (_BATCH, _CNOT, _CODE, _GATE, _GATE_SPLIT, _MASKS, _MCM, _READ, _STEP,
                             NoiseModel, _add_faults, _compile, _propagate, simulate_result)
@@ -22,7 +22,7 @@ from qirb.tableau import StabilizerTableau
 from qirb.theory import exact_success_expectation
 
 from test_builder import build_random, circuit_ops, noise_rows, simulate_outcomes
-from test_pauli import commutes
+from test_pauli import commutes, layer as make_layer
 
 
 def f_value(res):
@@ -265,8 +265,8 @@ def test_fused_runs_match_their_gates(monkeypatch):
     unfused = [tuple(-(v & 1) for v in (images[1], images[2], images[1] >> 1, images[2] >> 1,
                                         code, code >> 1))
                for _, images, code in _GATE_SPLIT]
-    layer = [CircuitLayer(1, (clifford_gate(i, 0),)) for i in range(NUM_ONEQ_CLIFFORDS)]
-    empty = CircuitLayer(1)
+    layer = [make_layer(1, [(i, 0)]) for i in range(NUM_ONEQ_CLIFFORDS)]
+    empty = make_layer(1)
     for length in (2, 3):
         faults = [(i, letter) for i in range(length) for letter in (1, 2, 3)]
         shot_idx = np.arange(len(faults) * block)
@@ -346,8 +346,8 @@ def test_long_runs_compile_as_the_gates_compose(monkeypatch):
 
     monkeypatch.setattr(simulator, "StabilizerTableau", Recording)
     rng = random.Random(11)
-    layer = [CircuitLayer(1, (clifford_gate(i, 0),)) for i in range(NUM_ONEQ_CLIFFORDS)]
-    empty = CircuitLayer(1)
+    layer = [make_layer(1, [(i, 0)]) for i in range(NUM_ONEQ_CLIFFORDS)]
+    empty = make_layer(1)
     for _ in range(200):
         indices = [rng.randrange(NUM_ONEQ_CLIFFORDS) for _ in range(rng.randint(1, 64))]
         run, codes = (0, 1, 2, 0), []
@@ -373,8 +373,11 @@ def _replay_shot(circuit, ops, faults, shot, bits, reset):
     for pos, op in enumerate(ops):
         for w, (xm, zm) in faults.get(pos, {}).items():
             t.apply_pauli(((xm >> shot) & 1) << w, ((zm >> shot) & 1) << w)
+        if op[0] == "cnot":
+            t.apply_cnot(op[1], op[2])
+            continue
         if op[0] == "gate":
-            t.apply_gate(op[1].index, op[1].wires)
+            t.apply_clifford(op[1], op[2])
             continue
         _, q, k = op
         deterministic = t.is_deterministic(q)
@@ -401,9 +404,9 @@ def test_frames_match_per_shot_tableau(n, depth, seed, reset, feedforward, n_fau
     prog = _compile(c)
     # The CNOTs and measurements keep the hand-written order; a wire's run of
     # single-qubit gates between them is one op.
-    expected = [(_CNOT, *op[1].wires) if op[0] == "gate" else
+    expected = [(_CNOT, op[1], op[2]) if op[0] == "cnot" else
                 (_MCM if op[2] < c.m else _READ, op[1], op[2])
-                for op in ops if op[0] == "measure" or op[1].is_cnot]
+                for op in ops if op[0] != "gate"]
     assert [op for op in prog.ops if op[0] != _GATE] == expected
     for name, walked in rows.items():
         wires = prog.locations[name][:, 1:3 if name == "twoq" else 2]
@@ -445,8 +448,11 @@ def _exact_distribution(circuit, reset):
     def walk(t, start, bits, prob):
         for pos in range(start, len(ops)):
             op = ops[pos]
+            if op[0] == "cnot":
+                t.apply_cnot(op[1], op[2])
+                continue
             if op[0] == "gate":
-                t.apply_gate(op[1].index, op[1].wires)
+                t.apply_clifford(op[1], op[2])
                 continue
             _, q, k = op
             branches = (0,) if t.is_deterministic(q) else (0, 1)

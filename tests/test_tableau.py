@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 import qirb
-from qirb.pauli import (CNOT_INDEX, NUM_ONEQ_CLIFFORDS, CliffordGate, SignedPauli,
-                        clifford_action)
+from qirb.pauli import NUM_ONEQ_CLIFFORDS, SignedPauli, clifford_action
 from qirb.tableau import StabilizerTableau, TableauError
 
-from test_pauli import H, S, conjugate, sp  # canonical indices resolved from the table
+from test_pauli import H, S, conjugate, layer, sp  # canonical indices resolved from the table
 
 
 def test_zero_state_measures_zero_deterministically():
@@ -56,20 +55,21 @@ def test_expectation_tracks_conjugated_stabilizers():
     for _ in range(30):
         n = rng.randrange(1, 5)
         t = StabilizerTableau(n)
-        gates = []
+        gates = []  # one layer per gate
         for _ in range(rng.randrange(1, 12)):
             if n > 1 and rng.random() < 0.3:
                 a = rng.randrange(n)
                 b = (a + 1 + rng.randrange(n - 1)) % n
-                g = CliffordGate(CNOT_INDEX, (a, b))
+                gates.append(layer(n, cnots=[(a, b)]))
+                t.apply_cnot(a, b)
             else:
-                g = CliffordGate(rng.randrange(24), (rng.randrange(n),))
-            gates.append(g)
-            t.apply_gate(g.index, g.wires)
-        layer_gates = tuple(gates)
+                index, q = rng.randrange(24), rng.randrange(n)
+                gates.append(layer(n, [(index, q)]))
+                t.apply_clifford(index, q)
         for q in range(n):
-            z_q = SignedPauli(n, 0, 1 << q, 1)
-            image = conjugate(layer_gates, z_q)
+            image = SignedPauli(n, 0, 1 << q, 1)
+            for g in gates:
+                image = conjugate(g, image)
             assert t.expectation(image) == 1
             assert t.expectation(SignedPauli(n, image.x, image.z, -image.sign)) == -1
 
@@ -90,9 +90,7 @@ def test_phase_gate_sign_via_tableau():
     t.apply_clifford(S, 0)
     assert t.expectation(sp("Y")) == 1
 
-    image = conjugate(
-        (CliffordGate(H, (0,)), CliffordGate(S, (0,))), sp("Z")
-    )
+    image = conjugate(layer(1, [(S, 0)]), conjugate(layer(1, [(H, 0)]), sp("Z")))
     assert image == sp("Y")
 
 
@@ -155,8 +153,8 @@ def test_corrupted_tableau_raises_under_optimize():
     pytest.param(lambda t: t.apply_clifford(H, -1), "wire -1", id="clifford-wire-minus-1"),
     pytest.param(lambda t: t.apply_clifford(-1, 0), "index -1", id="clifford-index-minus-1"),
     pytest.param(lambda t: t.apply_clifford(24, 0), "index 24", id="clifford-index-24"),
-    pytest.param(lambda t: t.apply_gate(-1, (0,)), "index -1", id="gate-index-minus-1"),
-    pytest.param(lambda t: t.apply_gate(25, (0,)), "index 25", id="gate-index-25"),
+    pytest.param(lambda t: t.apply_clifford(-1, 1), "index -1", id="gate-index-minus-1"),
+    pytest.param(lambda t: t.apply_clifford(25, 1), "index 25", id="gate-index-25"),
     pytest.param(lambda t: t.apply_pauli(0b100, 0), "outside", id="pauli-wire-n"),
     pytest.param(lambda t: t.apply_pauli(0, -1), "outside", id="pauli-negative-mask"),
     pytest.param(lambda t: t.expectation(SignedPauli(3, 0, 0b100)), "outside",
