@@ -103,14 +103,14 @@ def _place_cnot(rng: random.Random, config: SamplingConfig,
 def sample_core_layer(config: SamplingConfig, rng: random.Random) -> Layer:
     """Draw one core layer. Draw order is fixed, so a seeded rng is repeatable."""
     occupied: set[int] = set()
-    mcm_wires: list[int] = []
+    mcms: list[int] = []
     cnots: list[tuple[int, int]] = []
 
     if config.mode == "at-most-one":
         busy = None
         if rng.random() < config.p_mcm:
             busy = rng.randrange(config.n)
-            mcm_wires.append(busy)
+            mcms.append(busy)
             occupied.add(busy)
         if rng.random() < config.p_cnot:
             pair = _place_cnot(rng, config, busy)
@@ -120,7 +120,7 @@ def sample_core_layer(config: SamplingConfig, rng: random.Random) -> Layer:
     else:
         for w in range(config.n):
             if rng.random() < config.p_mcm:
-                mcm_wires.append(w)
+                mcms.append(w)
                 occupied.add(w)
         eligible = [e for e in config.edges if e[0] not in occupied and e[1] not in occupied]
         rng.shuffle(eligible)
@@ -135,7 +135,7 @@ def sample_core_layer(config: SamplingConfig, rng: random.Random) -> Layer:
 
     row = bytes(NO_GATE if w in occupied else rng.randrange(NUM_ONEQ_CLIFFORDS)
                 for w in range(config.n))
-    return row, tuple(cnots), tuple(mcm_wires)
+    return row, tuple(cnots), tuple(mcms)
 
 
 def sample_core_circuit(config: SamplingConfig, depth: int, rng: random.Random) -> list[Layer]:
